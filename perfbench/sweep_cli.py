@@ -78,6 +78,12 @@ def cli(args: List[str]) -> Tuple[int, float]:
     return code, seconds
 
 
+def quick_digest(out_dir: Path) -> str:
+    """Digest of every file a quick run wrote, in name order."""
+    files = sorted(out_dir.iterdir()) if out_dir.is_dir() else []
+    return digest({"file": p.name, "text": p.read_text(encoding="utf-8")} for p in files)
+
+
 class SweepCli:
     def __init__(self, seed: int, scratch: Path) -> None:
         from repro.sweep.spec import ScenarioSpec
@@ -141,19 +147,17 @@ class SweepCli:
                     lambda: cli(args), trace_root / phase
                 )
             failed += code != 0
+        # Outputs are kept as digests, so memory does not grow with the
+        # number of passes.
         outputs = {"dir": d, "spans": spans}
+        requests = {}
         for phase in SWEEP_PHASES:
             path = d / f"{phase}.jsonl"
-            outputs[phase] = read_jsonl(path) if path.exists() else []
-        quick = d / "quick"
-        outputs["quick"] = (
-            {p.name: p.read_text(encoding="utf-8") for p in sorted(quick.iterdir())}
-            if quick.is_dir() else {}
-        )
-        requests = {
-            phase: sum(int(r.get("completed", 0)) for r in outputs[phase])
-            for phase in ("cold", "dist")
-        }
+            records = read_jsonl(path) if path.exists() else []
+            outputs[phase] = digest(records)
+            if phase in ("cold", "dist"):
+                requests[phase] = sum(int(r.get("completed", 0)) for r in records)
+        outputs["quick"] = quick_digest(d / "quick")
         return Pass(phases=phases, requests=requests, ops=len(commands),
                     failed_ops=failed, outputs=outputs)
 
@@ -169,13 +173,12 @@ class SweepCli:
             check_record(checks, f"{record['workload']}/{record['config']}@{record['qps']:.0f}"
                          f"/seed{record['seed']}", record)
         quick = passes[0].outputs["quick"]
-        check_digest(checks, NAME, "quick", None,
-                     digest({"file": k, "text": v} for k, v in sorted(quick.items())))
+        check_digest(checks, NAME, "quick", None, quick)
         for n, p in enumerate(passes):
             for phase in SWEEP_PHASES:
-                checks.check(p.outputs[phase] == reference,
+                checks.check(p.outputs[phase] == digest(reference),
                              f"sweep_cli: pass {n} {phase} records differ from cold serial")
-            checks.check(bool(quick) and p.outputs["quick"] == quick,
+            checks.check(p.outputs["quick"] == quick,
                          f"sweep_cli: pass {n} quick run output differs")
         return {}
 
