@@ -1,9 +1,9 @@
 """CONC-series: process-boundary hazards found via the project call graph.
 
 Sweeps fan simulation points out to worker processes
-(``ProcessPoolExecutor`` in ``repro/sweep/runner.py`` and
-``repro/cluster/sharding.py``, a killable ``multiprocessing.Process``
-for big timed-out points, ``pool.map`` in the analyzer itself). Every
+(owned ``multiprocessing.Process`` workers in ``repro/sweep/runner.py``,
+``ProcessPoolExecutor`` in ``repro/cluster/sharding.py``, ``pool.map``
+in the analyzer itself). Every
 one of those submissions is a serialization boundary where determinism
 can silently break. :mod:`repro.analyze.callgraph` resolves what
 actually crosses each boundary; the rules here flag the four hazard

@@ -834,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--manifest", metavar="FILE",
         help="append a run manifest (one JSON line per lifecycle event: "
-             "claimed/finished/retry/timeout/killed/memo_hit/store_hit) "
+             "claimed/finished/retry/timeout/failed/memo_hit/store_hit) "
              "to FILE while the sweep runs",
     )
     sweep.add_argument(
@@ -866,8 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--timeout", type=float, metavar="SECONDS",
-        help="per-point wall-clock budget (requires --jobs: only the "
-             "parallel executor can interrupt a point)",
+        help="per-point wall-clock budget; an overrunning point's worker "
+             "is terminated (requires --jobs: only the parallel executor "
+             "can stop a point)",
     )
     sweep.add_argument(
         "--retries", type=int, default=0, metavar="N",

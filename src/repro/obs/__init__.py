@@ -10,7 +10,7 @@ perturbing them:
   TraceRecorder` events as Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (``repro trace run ... -o trace.json``).
 - :mod:`repro.obs.manifest` — append-only JSONL lifecycle stream for
-  sweep points (claimed/started/finished/memo-hit/.../killed) plus
+  sweep points (claimed/finished/memo-hit/.../timeout/failed) plus
   worker heartbeats: the liveness substrate the distributed executor's
   lease recovery and fleet report consume.
 - :mod:`repro.obs.figures` / :mod:`repro.obs.report` — figure rendering

@@ -3,7 +3,7 @@
 A :class:`RunManifest` records the lifecycle of every point a sweep
 executes — claimed by a worker, finished with wall-time and events/sec,
 answered from the memo cache or the result store, timed out, retried,
-killed — as one JSON object per line, flushed as written. The format is
+failed — as one JSON object per line, flushed as written. The format is
 deliberately dumb so it doubles as the heartbeat/progress stream a
 distributed executor can tail: a consumer that reads half a line sees
 valid JSON up to the previous newline, and a hard-killed producer loses
@@ -12,8 +12,9 @@ at most the line it was writing.
 Every line carries:
 
 * ``event`` — the event name (``sweep``, ``claimed``, ``finished``,
-  ``memo_hit``, ``store_hit``, ``retry``, ``timeout``, ``killed``,
-  ``failed``, ``heartbeat`` — a distributed worker extending the lease
+  ``memo_hit``, ``store_hit``, ``retry``, ``timeout`` (one per
+  timed-out point, carrying ``budget_s``), ``failed``,
+  ``heartbeat`` — a distributed worker extending the lease
   of the point it is simulating, the liveness signal the coordinator's
   recovery is keyed off — plus worker lifecycle events
   ``worker_start``/``worker_exit``/``released``, ...);

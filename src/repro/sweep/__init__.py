@@ -7,7 +7,7 @@ points. This package makes that grid a first-class object:
   description of one simulation point with a canonical cache key, and
   :class:`ScenarioGrid`, cartesian-product sweep builders.
 - :mod:`repro.sweep.runner` — :class:`SweepRunner`, which executes specs
-  through pluggable executors (serial, or streaming process-pool) behind
+  through pluggable executors (serial, or owned worker processes) behind
   a shared memo cache and an optional persistent
   :class:`~repro.store.ResultStore`, governed by a per-point
   :class:`FailurePolicy` (timeout/retries, raise/skip/record).

@@ -4,10 +4,10 @@ The runner separates *what* to simulate (:class:`ScenarioSpec`) from *how*
 to execute it:
 
 - :class:`SerialExecutor` runs points in order in the calling process;
-- :class:`ProcessExecutor` streams points through a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with a bounded
-  submission window, so thousand-point grids hold O(jobs) task payloads
-  in flight instead of the whole grid.
+- :class:`ProcessExecutor` runs points on ``jobs`` owned worker
+  processes, one point in flight per worker, so thousand-point grids
+  hold O(jobs) task payloads in flight instead of the whole grid and any
+  point can be stopped by terminating its worker.
 
 Both feed one shared memo cache keyed on the spec's canonical cache key, so
 experiments that revisit points (Fig 10 reuses Fig 9's baselines; Table 5
@@ -20,28 +20,24 @@ written back, so repeated CLI invocations reuse runs across processes.
 Individual failures are governed by a :class:`FailurePolicy` — per-point
 timeout, retry count, and a ``raise``/``skip``/``record`` mode — so one bad
 point no longer discards an entire sweep. Even in ``raise`` mode the
-process executor cancels pending futures and delivers already-completed
-results (they reach ``on_result`` and therefore the caches) before
-propagating the error.
+process executor stops dispatching and delivers the results of points
+already running (they reach ``on_result`` and therefore the caches)
+before propagating the error.
 
 Simulations are deterministic functions of their spec, so serial and
-parallel execution produce identical results — the process pool only
-changes wall-clock time.
+parallel execution produce identical results — worker processes only
+change wall-clock time.
 """
 
 from __future__ import annotations
 
 import inspect
 import multiprocessing
+import signal
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
-from time import monotonic, sleep
+from multiprocessing.connection import wait
+from time import monotonic
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -106,11 +102,6 @@ def _execute_spec_dict(data: Dict[str, object]) -> RunResult:
     return ScenarioSpec.from_dict(data).execute()
 
 
-def _worker_ready() -> bool:
-    """No-op task used to warm a pool before timeout deadlines start."""
-    return True
-
-
 # -- failure handling ---------------------------------------------------------
 
 #: FailurePolicy modes.
@@ -126,25 +117,18 @@ class FailurePolicy:
 
     Attributes:
         mode: ``"raise"`` aborts the sweep on the first terminal failure
-            (after cancelling pending work and delivering completed
-            results); ``"skip"`` drops the point (its result slot becomes
-            ``None``); ``"record"`` keeps a :class:`PointFailure` in the
-            result slot.
+            (after stopping dispatch and delivering the results of points
+            already running); ``"skip"`` drops the point (its result slot
+            becomes ``None``); ``"record"`` keeps a :class:`PointFailure`
+            in the result slot.
         timeout: per-point wall-clock budget in seconds (process executor
-            only), measured from submission to a free worker — points are
-            never submitted while all workers are busy, so queue wait
-            does not count. A timed-out point is treated as failed; what
-            happens to its worker depends on the point's size (see
-            :data:`KILL_THRESHOLD_REQUESTS`). Small points (at most the
-            threshold in simulated requests) run on the shared pool, and
-            a timed-out one is merely *abandoned*: it may keep running,
-            occupying a pool slot and delaying final pool shutdown, but
-            it cannot fail other points. Points above the threshold run
-            on a dedicated killable process instead, which is
-            ``terminate()``-d on timeout so a runaway simulation stops
-            burning CPU immediately. The distributed executor ignores
-            this field — there, runaway points are bounded by lease
-            expiry and requeued on another worker.
+            only), measured from the moment an idle worker receives the
+            point, so queue wait does not count. A timed-out point is
+            treated as failed and its worker is ``terminate()``-d and
+            replaced, so a runaway simulation stops burning CPU at its
+            budget. The distributed executor ignores this field — there,
+            runaway points are bounded by lease expiry and requeued on
+            another worker.
         retries: how many times a failed/timed-out point is resubmitted
             before its failure becomes terminal.
     """
@@ -408,167 +392,129 @@ class ShardedExecutor(SerialExecutor):
         return spec.execute()
 
 
-#: Above roughly this many simulated requests (``qps * horizon *
-#: fanout``), a timed-out point is too expensive to merely abandon: the
-#: pool worker would keep burning CPU for the full simulation. Such
-#: points run on a dedicated, terminate()-able process instead.
-KILL_THRESHOLD_REQUESTS = 2_000_000.0
+#: How long an idle worker may take to exit after being told to stop
+#: before it is terminated.
+_EXIT_GRACE_S = 5.0
 
 
-def _point_size(spec: ScenarioSpec) -> float:
-    """Approximate simulated request count — the point's CPU weight."""
-    return spec.qps * spec.horizon * spec.fanout
+def _worker_loop(conn) -> None:
+    """Body of one owned worker process: run spec dicts until told to stop.
 
-
-def _killable_point_entry(conn, spec_dict: Dict[str, object]) -> None:
-    """Child entry of a killable point: run the spec, ship the outcome.
-
-    Sends ``("ok", result)`` or ``("err", exception)`` over the pipe;
-    an unpicklable exception degrades to its description. ``send`` may
-    block on a large payload until the parent reads — that is fine, the
-    parent polls the receiving end, and ``terminate()`` still works
-    mid-send.
+    Sends ``"ready"`` once, then answers each spec dict with
+    ``("ok", result)`` or ``("err", exception)``; an unpicklable exception
+    degrades to its description. ``None`` or a closed pipe ends the loop
+    normally, so the process's exit handlers still run.
     """
-    try:
-        result = _execute_spec_dict(spec_dict)
-    except BaseException as exc:  # ship, don't lose, worker-side failures
+    # A SIGTERM handler inherited through fork (an inline distributed
+    # worker installs one) would turn the parent's terminate() into a
+    # no-op.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    conn.send("ready")
+    while True:
         try:
-            conn.send(("err", exc))
-        except Exception:
-            conn.send(("err", SimulationError(_describe(exc))))
-    else:
-        conn.send(("ok", result))
-    conn.close()
+            data = conn.recv()
+        except EOFError:
+            return
+        if data is None:
+            return
+        try:
+            result = _execute_spec_dict(data)
+        except Exception as exc:  # ship, don't lose, worker-side failures
+            try:
+                conn.send(("err", exc))
+            except Exception:
+                conn.send(("err", SimulationError(_describe(exc))))
+        else:
+            conn.send(("ok", result))
 
 
-class _KillablePoint:
-    """One big point on its own dedicated ``terminate()``-able process.
+class _Worker:
+    """One owned worker process and the point it is running, if any."""
 
-    ``concurrent.futures`` cannot kill a running worker, so a timed-out
-    pool point is merely *abandoned* — its worker keeps simulating to
-    completion. Cheap points make that a bounded nuisance; a
-    million-request cluster point would squat a core for minutes. Points
-    above :data:`KILL_THRESHOLD_REQUESTS` therefore bypass the pool and
-    run here, where the timeout is enforced with a hard ``terminate()``.
-    """
+    __slots__ = ("conn", "process", "ready", "job")
 
-    __slots__ = ("index", "attempt", "spec", "deadline", "process", "_recv")
-
-    def __init__(
-        self,
-        index: int,
-        attempt: int,
-        spec: ScenarioSpec,
-        deadline: Optional[float],
-    ):
-        self.index = index
-        self.attempt = attempt
-        self.spec = spec
-        self.deadline = deadline
-        self._recv, child = multiprocessing.Pipe(duplex=False)
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_killable_point_entry,
-            args=(child, spec.to_dict()),
-            daemon=True,
+            target=_worker_loop, args=(child,)
         )
         self.process.start()
         child.close()
+        #: Set once the worker's "ready" message arrives.
+        self.ready = False
+        #: ``(index, attempt, dispatched_at, deadline)`` while busy.
+        self.job: Optional[Tuple[int, int, float, Optional[float]]] = None
 
-    def poll(self) -> Optional[Tuple[str, object]]:
-        """``("ok", result)`` / ``("err", exc)``, or ``None`` if running.
+    def receive(self) -> object:
+        """The worker's next message, or ``None`` if it died instead.
 
-        The pipe is checked before liveness: a child that finished and
-        exited may still have its outcome buffered in the pipe.
+        Only called once :func:`~multiprocessing.connection.wait` reports
+        the pipe or the process sentinel ready. The pipe is checked
+        first: a worker may have sent its outcome and then exited.
         """
-        if self._recv.poll():
-            try:
-                outcome = self._recv.recv()
-            except (EOFError, OSError):
-                outcome = None
-            self.process.join()
-            self._recv.close()
-            if outcome is not None:
-                return outcome
-            return (
-                "err",
-                SimulationError(
-                    "killable worker closed its pipe without a result "
-                    f"(exit code {self.process.exitcode})"
-                ),
-            )
-        if not self.process.is_alive():
-            self.process.join()
-            self._recv.close()
-            return (
-                "err",
-                SimulationError(
-                    "killable worker died before returning a result "
-                    f"(exit code {self.process.exitcode})"
-                ),
-            )
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        except Exception as exc:  # a payload the parent cannot unpickle
+            return ("err", SimulationError(
+                f"unreadable worker result ({_describe(exc)})"
+            ))
+        self.stop(grace=_EXIT_GRACE_S)
         return None
 
-    def kill(self) -> None:
-        """Hard-stop the worker now (idempotent)."""
-        self.process.terminate()
-        self.process.join()
-        self._recv.close()
+    def stop(self, grace: float = 0.0) -> None:
+        """Wait up to ``grace`` seconds for the process, then terminate it."""
+        self.process.join(grace)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        self.conn.close()
+
+
+def _shutdown(workers: Sequence[_Worker]) -> None:
+    """Stop idle workers cleanly and terminate busy ones."""
+    for worker in workers:
+        if worker.job is None:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already gone
+    for worker in workers:
+        worker.stop(grace=_EXIT_GRACE_S if worker.job is None else 0.0)
 
 
 class ProcessExecutor:
-    """Stream points through a process pool with a bounded window.
+    """Run points on ``jobs`` owned worker processes, one point each.
 
     Results are identical to :class:`SerialExecutor` for the same specs:
     each simulation is a deterministic function of its spec, and results
     are returned positionally regardless of completion order.
 
-    Submission is chunked ``imap``-style: at most ``jobs * chunk_factor``
-    futures are outstanding at any moment, so a grid of thousands of
-    points does not materialise thousands of pickled payloads (or their
-    results) at once — completed results are delivered to ``on_result``
-    as they finish and only the positional result list grows.
+    Each worker is a long-lived process on its own pipe that holds at
+    most one point at a time, so a grid of thousands of points never
+    materialises more than ``jobs`` payloads (or results) at once, and a
+    point's clock starts when a worker receives it, never while queued.
+    Completed results reach ``on_result`` as they arrive.
 
-    Failure handling follows the :class:`FailurePolicy`: failed or
-    timed-out points are retried up to ``retries`` times, then either
-    abort the sweep (``raise`` — after cancelling pending futures and
-    draining/delivering already-running ones), are dropped (``skip``), or
-    yield a :class:`PointFailure` (``record``). With a timeout set,
-    submission is capped to non-occupied workers, so a point's budget
-    starts when a worker picks it up — never while queued. A timed-out
-    *small* point's pool worker cannot be killed portably; it is
-    abandoned (its eventual result is ignored), which occupies one pool
-    slot and delays final pool shutdown but cannot fail other points.
-    Points at or above ``kill_threshold`` simulated requests
-    (``qps * horizon * fanout``) instead run on a dedicated
-    :class:`_KillablePoint` process whose timeout is enforced with a
-    hard ``terminate()``, so a runaway million-request point costs at
-    most its budget of CPU.
+    Failure handling follows the :class:`FailurePolicy`. A point fails
+    when its simulation raises, when its worker dies (exit or kill), or
+    when it outlives ``timeout`` — then its worker is terminated, so the
+    budget bounds worker CPU too. A lost worker is replaced in its slot.
+    Failed points are retried up to ``retries`` times, then either abort
+    the sweep (``raise`` — dispatch stops and in-flight points are
+    drained so their results are delivered first), are dropped
+    (``skip``), or yield a :class:`PointFailure` (``record``).
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        jobs: int = 4,
-        policy: Optional[FailurePolicy] = None,
-        chunk_factor: int = 4,
-        kill_threshold: Optional[float] = KILL_THRESHOLD_REQUESTS,
-    ):
+    def __init__(self, jobs: int = 4, policy: Optional[FailurePolicy] = None):
         if jobs <= 0:
             raise ConfigurationError(f"jobs must be positive, got {jobs}")
-        if chunk_factor <= 0:
-            raise ConfigurationError(
-                f"chunk_factor must be positive, got {chunk_factor}"
-            )
-        if kill_threshold is not None and kill_threshold <= 0:
-            raise ConfigurationError(
-                f"kill_threshold must be positive, got {kill_threshold}"
-            )
         self.jobs = jobs
         self.policy = policy or FailurePolicy()
-        self.chunk_factor = chunk_factor
-        #: ``None`` disables the dedicated-process path entirely.
-        self.kill_threshold = kill_threshold
 
     def map_specs(
         self,
@@ -581,9 +527,9 @@ class ProcessExecutor:
         if not specs:
             return []
         if len(specs) == 1 and self.policy.timeout is None:
-            # Pool spin-up costs more than one point; run it inline (no
+            # Worker start-up costs more than one point; run it inline (no
             # workers, so no registry constraints). Not when a timeout is
-            # set: only the pool path can enforce one.
+            # set: only a worker process can be stopped.
             return SerialExecutor(self.policy).map_specs(
                 specs, on_result, on_failure, log=log, manifest=manifest
             )
@@ -591,34 +537,17 @@ class ProcessExecutor:
 
         policy = self.policy
         results: List[Optional[Union[RunResult, PointFailure]]] = [None] * len(specs)
-        workers = min(self.jobs, len(specs))
-        if workers < self.jobs and log is not None:
+        jobs = min(self.jobs, len(specs))
+        if jobs < self.jobs and log is not None:
             # More workers than points is a configuration smell, not an
             # error: clamp and say so rather than spawning idle processes.
             log(
-                f"sweep: clamped --jobs {self.jobs} to {workers} "
+                f"sweep: clamped --jobs {self.jobs} to {jobs} "
                 f"(only {len(specs)} point(s) to simulate)"
             )
         queue = deque((i, 1) for i in range(len(specs)))  # (index, attempt)
-        active: Dict[object, tuple] = {}  # future -> (index, attempt, deadline)
+        slots: List[Optional[_Worker]] = [None] * jobs
         first_error: List[Optional[BaseException]] = [None]
-        # Timed-out futures we could not cancel: their workers are still
-        # busy, so they reduce submission capacity until they finish.
-        # (Future.running() flips as soon as an item enters the pool's
-        # call queue, so it cannot tell queued from executing — instead
-        # we never submit more work than there are non-occupied workers
-        # when a timeout is set, which makes deadline-at-submission
-        # equal deadline-at-start up to scheduler latency.)
-        abandoned: set = set()
-        # Big points on dedicated terminate()-able processes (see
-        # _KillablePoint); they count against the submission window like
-        # pool workers so total concurrency stays bounded at ``jobs``.
-        killable: List[_KillablePoint] = []
-        # Submission times, for per-point wall_s in the run manifest
-        # (keyed by future or _KillablePoint).
-        starts: Dict[object, float] = {}
-        #: Poll cadence while waiting on an occupied worker to free up.
-        poll_interval = 0.05
 
         def settle_failure(i: int, attempt: int, exc: BaseException) -> None:
             if first_error[0] is not None:
@@ -635,19 +564,10 @@ class ProcessExecutor:
                 attempt=attempt, error=_describe(exc),
             )
             if policy.mode == RAISE:
+                # Stop dispatching; in-flight points are drained so their
+                # results still reach on_result (and the caches).
                 first_error[0] = exc
-                # Stop feeding the pool and cancel everything not yet
-                # running; still-running futures are drained below so
-                # their results reach on_result (and the caches).
-                # Killable points are simply killed: unlike pool workers
-                # they can be, and an aborting sweep has no use for
-                # their eventual results.
                 queue.clear()
-                for future in list(active):
-                    future.cancel()
-                for kp in killable:
-                    kp.kill()
-                killable.clear()
                 return
             failure = PointFailure(specs[i], _describe(exc), attempt)
             if policy.mode == RECORD:
@@ -655,209 +575,112 @@ class ProcessExecutor:
             if on_failure is not None:
                 on_failure(i, specs[i], failure)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if policy.timeout is not None:
-                # Warm every worker first: under spawn, interpreter
-                # startup + package import can dwarf a short budget, and
-                # that cost must not be billed to the first batch.
-                wait([pool.submit(_worker_ready) for _ in range(workers)])
-            while queue or active or killable:
-                abandoned = {f for f in abandoned if not f.done()}
-                if policy.timeout is not None:
-                    # Submit only onto free workers so a point's clock
-                    # (started at submission) never ticks in the queue.
-                    window = max(0, workers - len(abandoned))
-                else:
-                    window = workers * self.chunk_factor
-                while queue and len(active) + len(killable) < window:
+        def settle(worker: _Worker, outcome: object) -> None:
+            """Turn a worker's outcome for its point into a result or a
+            failure — the only place either happens."""
+            i, attempt, dispatched, _ = worker.job
+            worker.job = None
+            kind, payload = outcome
+            if kind == "ok":
+                _manifest_finished(
+                    manifest, i, specs[i], attempt, payload,
+                    monotonic() - dispatched,
+                )
+                results[i] = payload
+                if on_result is not None:
+                    on_result(i, specs[i], payload)
+            else:
+                settle_failure(i, attempt, payload)
+
+        try:
+            while True:
+                idle = [w for w in slots if w is not None and w.job is None]
+                for k, worker in enumerate(slots):
+                    if worker is None and len(queue) > len(idle):
+                        slots[k] = _Worker()
+                        idle.append(slots[k])
+                for worker in idle:
+                    if not (worker.ready and queue):
+                        continue
                     i, attempt = queue.popleft()
-                    deadline = (
-                        monotonic() + policy.timeout
-                        if policy.timeout is not None
-                        else None
-                    )
-                    if (
-                        policy.timeout is not None
-                        and self.kill_threshold is not None
-                        and _point_size(specs[i]) >= self.kill_threshold
-                    ):
-                        # Too big to merely abandon on timeout: dedicated
-                        # process, enforced with terminate().
-                        _manifest_emit(
-                            manifest, "claimed", i, specs[i],
-                            attempt=attempt, lane="killable",
-                        )
-                        kp = _KillablePoint(i, attempt, specs[i], deadline)
-                        killable.append(kp)
-                        starts[kp] = monotonic()
-                        continue
                     _manifest_emit(
-                        manifest, "claimed", i, specs[i],
-                        attempt=attempt, lane="pool",
+                        manifest, "claimed", i, specs[i], attempt=attempt
                     )
-                    future = pool.submit(_execute_spec_dict, specs[i].to_dict())
-                    active[future] = (i, attempt, deadline)
-                    starts[future] = monotonic()
-                if not active and not killable:
-                    if queue:
-                        # Every worker is occupied by an abandoned point;
-                        # wait for one to free up, then resubmit.
-                        wait(abandoned, timeout=poll_interval)
-                        continue
-                    break
-                wait_timeout = None
-                if policy.timeout is not None:
-                    nearest = min(
-                        [deadline for _, _, deadline in active.values()]
-                        + [kp.deadline for kp in killable]
-                    )
-                    wait_timeout = max(0.0, nearest - monotonic())
-                if killable:
-                    # Killable completions can't wake wait(): poll them.
-                    wait_timeout = (
-                        poll_interval
-                        if wait_timeout is None
-                        else min(poll_interval, wait_timeout)
-                    )
-                if active:
-                    done, _ = wait(
-                        set(active),
-                        timeout=wait_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    # Only killable points remain; wait() on an empty set
-                    # returns immediately, which would busy-spin.
-                    sleep(poll_interval if wait_timeout is None else wait_timeout)
-                    done = set()
-                for future in done:
-                    i, attempt, _ = active.pop(future)
-                    wall_s = monotonic() - starts.pop(future, monotonic())
-                    try:
-                        result = future.result()
-                    except CancelledError:
-                        continue
-                    except Exception as exc:
-                        settle_failure(i, attempt, exc)
-                    else:
-                        _manifest_finished(
-                            manifest, i, specs[i], attempt, result, wall_s
-                        )
-                        results[i] = result
-                        if on_result is not None:
-                            on_result(i, specs[i], result)
-                for kp in list(killable):
-                    if kp not in killable:
-                        continue  # killed by a raise-mode abort above
-                    outcome = kp.poll()
-                    if outcome is None:
-                        continue
-                    killable.remove(kp)
-                    wall_s = monotonic() - starts.pop(kp, monotonic())
-                    kind, payload = outcome
-                    if kind == "ok":
-                        _manifest_finished(
-                            manifest, kp.index, specs[kp.index],
-                            kp.attempt, payload, wall_s,
-                        )
-                        results[kp.index] = payload
-                        if on_result is not None:
-                            on_result(kp.index, specs[kp.index], payload)
-                    else:
-                        settle_failure(kp.index, kp.attempt, payload)
-                if policy.timeout is not None:
                     now = monotonic()
-                    overdue = [
-                        future
-                        for future, (_, _, deadline) in active.items()
-                        if deadline is not None and deadline <= now
-                    ]
-                    for future in overdue:
-                        i, attempt, _ = active.pop(future)
-                        wall_s = monotonic() - starts.pop(future, monotonic())
-                        if future.done() and not future.cancelled():
-                            # Completed since the wait() snapshot: harvest
-                            # the result rather than discarding real work.
-                            try:
-                                result = future.result()
-                            except Exception as exc:
-                                settle_failure(i, attempt, exc)
-                            else:
-                                _manifest_finished(
-                                    manifest, i, specs[i], attempt,
-                                    result, wall_s,
-                                )
-                                results[i] = result
-                                if on_result is not None:
-                                    on_result(i, specs[i], result)
-                            continue
-                        _manifest_emit(
-                            manifest, "timeout", i, specs[i],
-                            attempt=attempt, budget_s=policy.timeout,
-                        )
-                        if not future.cancel():
-                            # Still running: the worker stays occupied
-                            # until the simulation finishes on its own.
-                            abandoned.add(future)
-                            if log is not None:
-                                # Name the cache key so the abandoned
-                                # point is identifiable in the store.
-                                log(
-                                    "sweep: abandoned timed-out worker "
-                                    f"still running spec {specs[i].cache_key} "
-                                    f"(attempt {attempt}, budget {policy.timeout}s)"
-                                )
-                        settle_failure(
-                            i,
-                            attempt,
-                            PointTimeoutError(
-                                f"point exceeded {policy.timeout}s "
-                                f"(spec {specs[i].cache_key})"
-                            ),
-                        )
-                    for kp in list(killable):
-                        if kp not in killable or kp.deadline > now:
-                            continue
-                        killable.remove(kp)
-                        wall_s = monotonic() - starts.pop(kp, monotonic())
-                        outcome = kp.poll()
-                        if outcome is not None:
-                            # Finished under the wire since the harvest
-                            # pass: keep the real work.
-                            kind, payload = outcome
-                            if kind == "ok":
-                                _manifest_finished(
-                                    manifest, kp.index, specs[kp.index],
-                                    kp.attempt, payload, wall_s,
-                                )
-                                results[kp.index] = payload
-                                if on_result is not None:
-                                    on_result(kp.index, specs[kp.index], payload)
-                            else:
-                                settle_failure(kp.index, kp.attempt, payload)
-                            continue
-                        _manifest_emit(
-                            manifest, "killed", kp.index, kp.spec,
-                            attempt=kp.attempt, budget_s=policy.timeout,
-                        )
-                        kp.kill()
-                        if log is not None:
-                            # Name the cache key so the killed point is
-                            # identifiable in the store.
-                            log(
-                                "sweep: killed timed-out worker running "
-                                f"spec {kp.spec.cache_key} "
-                                f"(attempt {kp.attempt}, "
-                                f"budget {policy.timeout}s)"
+                    worker.job = (
+                        i, attempt, now,
+                        None if policy.timeout is None else now + policy.timeout,
+                    )
+                    try:
+                        worker.conn.send(specs[i].to_dict())
+                    except OSError:
+                        pass  # a dead worker is settled after wait() below
+                live = [w for w in slots if w is not None]
+                busy = [w for w in live if w.job is not None]
+                if not busy and not queue:
+                    break
+                timeout = None
+                if policy.timeout is not None and busy:
+                    nearest = min(w.job[3] for w in busy)
+                    timeout = max(0.0, nearest - monotonic())
+                signalled = set(wait(
+                    [w.conn for w in live] + [w.process.sentinel for w in live],
+                    timeout,
+                ))
+                for k, worker in enumerate(slots):
+                    if worker is None or (
+                        worker.conn not in signalled
+                        and worker.process.sentinel not in signalled
+                    ):
+                        continue
+                    message = worker.receive()
+                    if message is None:
+                        slots[k] = None
+                        exit_code = worker.process.exitcode
+                        if not worker.ready:
+                            raise SimulationError(
+                                f"worker failed to start (exit code {exit_code})"
                             )
-                        settle_failure(
-                            kp.index,
-                            kp.attempt,
-                            PointTimeoutError(
-                                f"point exceeded {policy.timeout}s "
-                                f"(spec {kp.spec.cache_key}; worker killed)"
-                            ),
+                        if worker.job is not None:
+                            settle(worker, ("err", SimulationError(
+                                "worker died before returning a result "
+                                f"(exit code {exit_code})"
+                            )))
+                    elif not worker.ready:
+                        worker.ready = True
+                    else:
+                        settle(worker, message)
+                now = monotonic()
+                for k, worker in enumerate(slots):
+                    if (
+                        worker is None
+                        or worker.job is None
+                        or worker.job[3] is None
+                        or worker.job[3] > now
+                        or worker.conn.poll()  # finished just in time
+                    ):
+                        continue
+                    i, attempt = worker.job[:2]
+                    worker.stop()
+                    slots[k] = None
+                    _manifest_emit(
+                        manifest, "timeout", i, specs[i],
+                        attempt=attempt, budget_s=policy.timeout,
+                    )
+                    if log is not None:
+                        # Name the cache key so the killed point is
+                        # identifiable in the store.
+                        log(
+                            "sweep: killed timed-out worker running spec "
+                            f"{specs[i].cache_key} (attempt {attempt}, "
+                            f"budget {policy.timeout}s)"
                         )
+                    settle(worker, ("err", PointTimeoutError(
+                        f"point exceeded {policy.timeout}s "
+                        f"(spec {specs[i].cache_key}; worker killed)"
+                    )))
+        finally:
+            _shutdown([w for w in slots if w is not None])
         if first_error[0] is not None:
             raise first_error[0]
         return results
@@ -902,7 +725,7 @@ class SweepRunner:
             own policy).
         manifest: optional :class:`~repro.obs.manifest.RunManifest` —
             every sweep appends point-lifecycle JSONL events (claimed/
-            finished/memo_hit/store_hit/retry/timeout/killed) to it.
+            finished/memo_hit/store_hit/retry/timeout/failed) to it.
             Forwarded to executors whose ``map_specs`` accepts a
             ``manifest`` keyword (custom executors without it still
             work; they just contribute no per-point events).

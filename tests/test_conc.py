@@ -343,6 +343,20 @@ def test_real_tree_is_conc_clean():
     # The analysis saw the real boundaries, it didn't vacuously pass.
     apis = sorted(site.api for site in graph.sites)
     assert "process" in apis and "submit" in apis and "map" in apis
+    # The sweep executor's owned workers are a process site rooted at
+    # their loop, and the spec execution they run is worker-reachable.
+    roots = {
+        graph.resolve_callable(
+            site.callable_expr, site.module, site.scope_stack, site.enclosing
+        )
+        for site in graph.sites
+        if site.api == "process"
+    }
+    assert "repro.sweep.runner._worker_loop" in {
+        root.label for root in roots if root is not None
+    }
+    reachable = {info.label for info in graph.worker_reachable()}
+    assert "repro.sweep.runner._execute_spec_dict" in reachable
     assert run_conc_checks(files) == []
 
 

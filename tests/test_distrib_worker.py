@@ -110,7 +110,7 @@ def test_default_worker_id_embeds_pid():
 def test_inline_worker_restores_sigterm_handler(queue, store):
     """An inline worker_main must not leak its SIGTERM handler into the
     host process — forked children would inherit it and turn
-    ``terminate()`` into a no-op (the killable pool relies on it)."""
+    ``terminate()`` into a no-op."""
     import signal
 
     before = signal.getsignal(signal.SIGTERM)

@@ -1,7 +1,9 @@
 """Sweep run manifests: the append-only JSONL lifecycle stream."""
 
+import contextlib
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -9,6 +11,32 @@ from repro.obs.manifest import RunManifest, spec_key
 from repro.obs.report import summarize_manifest
 from repro.sweep import FailurePolicy, SweepRunner
 from repro.sweep.spec import ScenarioSpec
+
+#: Workers see test-registered workloads only when they inherit parent
+#: memory (fork).
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs fork start method (workers must inherit test registrations)",
+)
+
+
+@contextlib.contextmanager
+def _sleepy_workload(name, seconds):
+    """Register ``name`` as memcached behind a ``seconds`` sleep."""
+    from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+    from repro.workloads import memcached_workload
+
+    def factory():
+        import time
+
+        time.sleep(seconds)
+        return memcached_workload()
+
+    register_workload(name, factory)
+    try:
+        yield name
+    finally:
+        del WORKLOAD_FACTORIES[name]
 
 
 def _spec(**overrides):
@@ -116,6 +144,35 @@ class TestRunnerIntegration:
         assert events.count("failed") == 1
         failed = [row for row in rows if row["event"] == "failed"][0]
         assert "kaboom" in failed["error"]
+
+    @fork_only
+    def test_process_wall_s_excludes_queue_wait(self):
+        # One worker, three 0.3 s points: each finished row times only
+        # its own point, not the points queued ahead of it.
+        with _sleepy_workload("sleepy_wall", 0.3) as name:
+            _, rows = self._run(
+                [_spec(workload=name, seed=s) for s in (1, 2, 3)],
+                executor="process", jobs=1,
+            )
+        finished = [row for row in rows if row["event"] == "finished"]
+        assert len(finished) == 3
+        assert all(row["wall_s"] < 0.6 for row in finished)
+
+    @fork_only
+    def test_timeout_is_one_event(self):
+        with _sleepy_workload("sleepy_budget", 30.0) as name:
+            hog = _spec(workload=name)
+            results, rows = self._run(
+                [hog, _spec(seed=2)],
+                executor="process", jobs=2,
+                policy=FailurePolicy(mode="record", timeout=0.3),
+            )
+        assert results[1] is not None
+        timeouts = [row for row in rows if row["event"] == "timeout"]
+        assert len(timeouts) == 1
+        assert timeouts[0]["budget_s"] == 0.3
+        assert timeouts[0]["key"] == spec_key(hog)
+        assert "killed" not in [row["event"] for row in rows]
 
     def test_custom_executor_without_manifest_param_still_works(self):
         class BareExecutor:

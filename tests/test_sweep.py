@@ -24,6 +24,18 @@ fork_only = pytest.mark.skipif(
 )
 
 
+class _TwoArgError(Exception):
+    """Pickles as ``(cls, (first,))``, so unpickling it raises TypeError."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+        self.second = second
+
+
+def _raise_unreadable():
+    raise _TwoArgError("half", "lost")
+
+
 def _spec(**overrides):
     base = dict(
         workload="memcached", config="baseline", qps=20_000,
@@ -416,6 +428,55 @@ class TestFailurePolicy:
         finally:
             del WORKLOAD_FACTORIES["sleepy1"]
 
+    @fork_only
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_hard_worker_death_fails_only_its_point(self, retries):
+        # A worker that exits without a result (os._exit, an OOM kill)
+        # fails its own point; the other workers' points complete.
+        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+
+        def dying():
+            import os
+
+            os._exit(3)
+
+        register_workload("dying", dying)
+        try:
+            runner = SweepRunner(
+                executor="process", jobs=2, cache={},
+                policy=FailurePolicy(mode="record", retries=retries),
+            )
+            results = runner.run_many(
+                [_spec(workload="dying")] + [_spec(seed=s) for s in range(30, 36)]
+            )
+            assert isinstance(results[0], PointFailure)
+            assert "exit code 3" in results[0].error
+            assert results[0].attempts == retries + 1
+            assert all(r.completed > 0 for r in results[1:])
+        finally:
+            del WORKLOAD_FACTORIES["dying"]
+
+    @fork_only
+    def test_unreadable_worker_error_is_a_point_failure(self):
+        # An exception that pickles in the worker but cannot be rebuilt
+        # in the parent fails its point, not the sweep.
+        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+
+        register_workload("unreadable", _raise_unreadable)
+        try:
+            runner = SweepRunner(
+                executor="process", jobs=2, cache={},
+                policy=FailurePolicy(mode="record"),
+            )
+            results = runner.run_many(
+                [_spec(workload="unreadable")] + [_spec(seed=s) for s in (37, 38)]
+            )
+            assert isinstance(results[0], PointFailure)
+            assert "unreadable worker result" in results[0].error
+            assert all(r.completed > 0 for r in results[1:])
+        finally:
+            del WORKLOAD_FACTORIES["unreadable"]
+
     def test_executor_string_with_policy(self):
         runner = SweepRunner(executor="process", jobs=2, policy=FailurePolicy(mode="skip"))
         assert runner.executor.policy.mode == "skip"
@@ -443,9 +504,9 @@ class TestExecutorHygiene:
 
     @fork_only
     def test_abandoned_timeout_worker_logs_the_cache_key(self):
-        # A timed-out point's worker cannot be killed portably; the log
-        # must name the spec's cache key so the abandoned point is
-        # identifiable (e.g. against the result store) afterwards.
+        # A timed-out point's worker is killed; the log must name the
+        # spec's cache key so the killed point is identifiable (e.g.
+        # against the result store) afterwards.
         from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
         from repro.workloads import memcached_workload
 
@@ -467,36 +528,23 @@ class TestExecutorHygiene:
             )
             assert isinstance(results[0], PointFailure)
             assert any(
-                "abandoned" in m and "sleepy_logged" in m for m in messages
+                "killed timed-out worker" in m and "sleepy_logged" in m
+                for m in messages
             )
         finally:
             del WORKLOAD_FACTORIES["sleepy_logged"]
 
 
 class TestKillablePool:
-    """Big points run on dedicated terminate()-able processes, so a
+    """Every worker is an owned, terminate()-able process, so a
     FailurePolicy timeout bounds worker CPU — not just caller latency."""
-
-    def test_invalid_kill_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(jobs=2, kill_threshold=0)
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(jobs=2, kill_threshold=-1.0)
-
-    def test_default_threshold_targets_million_request_points(self):
-        from repro.sweep.runner import KILL_THRESHOLD_REQUESTS, _point_size
-
-        small = _spec()  # 20 kqps * 0.02 s = 400 simulated requests
-        assert _point_size(small) < KILL_THRESHOLD_REQUESTS
-        big = _spec(qps=25_000_000, horizon=0.4)
-        assert _point_size(big) >= KILL_THRESHOLD_REQUESTS
 
     @fork_only
     def test_timed_out_big_point_is_killed_and_logged(self):
-        # A hog above the (test-lowered) threshold with a tight budget:
-        # the sweep must settle quickly — the worker is terminated, not
-        # abandoned to finish its sleep — and the kill must be logged
-        # with the spec's cache key.
+        # A 30 s hog with a tight budget and default settings: the sweep
+        # must settle quickly — the worker is terminated, not left to
+        # finish its sleep — and the kill must be logged with the spec's
+        # cache key.
         from time import monotonic
 
         from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
@@ -512,9 +560,7 @@ class TestKillablePool:
         messages = []
         try:
             executor = ProcessExecutor(
-                jobs=2,
-                policy=FailurePolicy(mode="record", timeout=0.3),
-                kill_threshold=1.0,
+                jobs=2, policy=FailurePolicy(mode="record", timeout=0.3)
             )
             runner = SweepRunner(
                 executor=executor, cache={}, log=messages.append
@@ -525,7 +571,8 @@ class TestKillablePool:
             )
             elapsed = monotonic() - start
             assert isinstance(results[0], PointFailure)
-            assert "worker killed" in results[0].error
+            assert "TimeoutError" in results[0].error
+            assert "0.3s" in results[0].error
             assert results[1].completed > 0
             # Well under the hog's 30 s sleep: the kill actually landed.
             assert elapsed < 10.0
@@ -538,13 +585,11 @@ class TestKillablePool:
             del WORKLOAD_FACTORIES["big_hog"]
 
     def test_killable_point_success_path_matches_serial(self):
-        # With a generous budget the dedicated process finishes and its
-        # result is harvested like any pool result.
+        # With a generous budget every point finishes and its result
+        # equals the serial run's.
         spec = _spec(seed=26)
         executor = ProcessExecutor(
-            jobs=2,
-            policy=FailurePolicy(mode="record", timeout=60.0),
-            kill_threshold=1.0,  # every point goes the killable route
+            jobs=2, policy=FailurePolicy(mode="record", timeout=60.0)
         )
         results = SweepRunner(executor=executor, cache={}).run_many(
             [spec, _spec(seed=27)]
@@ -555,40 +600,10 @@ class TestKillablePool:
         assert results[0].package_power == serial.package_power
 
     @fork_only
-    def test_kill_threshold_none_falls_back_to_abandonment(self):
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
-        from repro.workloads import memcached_workload
-
-        def sleepy_unkillable():
-            import time
-
-            time.sleep(1.2)
-            return memcached_workload()
-
-        register_workload("sleepy_unkillable", sleepy_unkillable)
-        messages = []
-        try:
-            executor = ProcessExecutor(
-                jobs=2,
-                policy=FailurePolicy(mode="record", timeout=0.2),
-                kill_threshold=None,
-            )
-            runner = SweepRunner(
-                executor=executor, cache={}, log=messages.append
-            )
-            results = runner.run_many([_spec(workload="sleepy_unkillable")])
-            assert isinstance(results[0], PointFailure)
-            assert any("abandoned" in m for m in messages)
-            assert not any("killed" in m for m in messages)
-        finally:
-            del WORKLOAD_FACTORIES["sleepy_unkillable"]
-
-    @fork_only
     def test_worker_crash_on_killable_path_is_a_point_failure(self, failing_workload):
+        # A worker-side exception under a timeout is still a point failure.
         executor = ProcessExecutor(
-            jobs=2,
-            policy=FailurePolicy(mode="record", timeout=60.0),
-            kill_threshold=1.0,
+            jobs=2, policy=FailurePolicy(mode="record", timeout=60.0)
         )
         results = SweepRunner(executor=executor, cache={}).run_many(
             [_spec(workload=failing_workload), _spec(seed=28)]
