@@ -136,6 +136,7 @@ def _configured_runner(
 
     previous = default_runner()
     store = _make_store(no_cache, cache_dir)
+    distributed = None
     if queue_dir is not None:
         # --distributed: coordinate lease-claiming worker processes over
         # a shared queue directory; the store is the result channel.
@@ -146,12 +147,13 @@ def _configured_runner(
                 "--distributed requires a writable result store: workers "
                 "return results through it (do not pass --no-cache)"
             )
-        executor: object = DistributedExecutor(
+        distributed = DistributedExecutor(
             queue_dir,
             store_dir=str(store.root),
             jobs=jobs if jobs is not None else 3,
             policy=policy,
         )
+        executor: object = distributed
     elif shards is not None:
         # --shards parallelises *within* each cluster point (node-range
         # sharding, exact merge) instead of across points.
@@ -172,6 +174,9 @@ def _configured_runner(
         if progress is not None:
             progress.close()
         set_default_runner(previous)
+        for owner in (distributed, store):
+            if owner is not None:
+                owner.close()
 
 
 def cmd_list() -> int:
@@ -392,10 +397,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "--distributed does not take --timeout: runaway "
                     "points are bounded by lease expiry instead"
                 )
-            if _make_store(False, args.cache_dir) is None:
+            probe = _make_store(False, args.cache_dir)
+            if probe is None:
                 raise ConfigurationError(
                     "--distributed requires a writable result store"
                 )
+            probe.close()
         if args.timeout is not None and args.distributed is None and (
             args.jobs is None or args.jobs <= 1
         ):
@@ -699,6 +706,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     except sqlite3.Error as exc:
         print(f"result store error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        store.close()
     return EXIT_OK
 
 

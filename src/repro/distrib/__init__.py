@@ -8,9 +8,9 @@ against ONE shared :class:`~repro.store.ResultStore`, with crash
 tolerance designed in rather than bolted on:
 
 - :mod:`repro.distrib.queue` — a file/sqlite-backed :class:`JobQueue`
-  (WAL mode, short-lived connections, the same process-safety
-  discipline as :mod:`repro.store`) where points are claimed through
-  **atomic time-limited leases**;
+  (WAL mode, one long-lived connection per process and thread, the
+  same :mod:`repro.store.db` policy as the result store) where points
+  are claimed through **atomic time-limited leases**;
 - :mod:`repro.distrib.worker` — the ``repro worker`` loop: claim a
   point, extend the lease as a heartbeat while simulating, write the
   result to the shared store, commit the job; SIGTERM finishes or

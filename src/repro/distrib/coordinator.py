@@ -29,6 +29,7 @@ without recomputation.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -84,7 +85,8 @@ class DistributedExecutor:
             result is ignored or harmlessly identical).
         lease_s: lease duration workers claim under; also the failure
             detection latency for a silently dead worker.
-        poll_s: supervision loop tick.
+        poll_s: supervision loop tick. The loop also wakes as soon as a
+            local worker exits, so a drained fleet settles at once.
         poison_k: distinct workers a point may kill before it is
             quarantined as a poison point.
         chaos_plans: optional ``{worker_slot: ChaosPlan}`` armed on the
@@ -370,10 +372,23 @@ class DistributedExecutor:
                         f"{self.max_wall_s}s with {len(waiting)} point(s) "
                         "outstanding"
                     )
-                time.sleep(self.poll_s)
+                self._wait_tick()
         finally:
             self._shutdown_workers()
         return results
+
+    def _wait_tick(self) -> None:
+        """Sleep one ``poll_s`` tick, or less if a local worker exits."""
+        sentinels = [p.sentinel for p in self._workers if p.is_alive()]
+        if sentinels:
+            multiprocessing.connection.wait(sentinels, timeout=self.poll_s)
+        else:
+            time.sleep(self.poll_s)
+
+    def close(self) -> None:
+        """Close the queue's and the store's database connections."""
+        self.queue.close()
+        self.store.close()
 
     def manifest_dir(self) -> Path:
         """Where the fleet's per-worker manifests land (for reports)."""

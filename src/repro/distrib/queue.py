@@ -11,12 +11,12 @@ ever lost to a crash: every point ends ``done`` (result in the shared
 :class:`~repro.store.ResultStore`) or ``failed`` (structured failure
 record in the row).
 
-Process safety follows :mod:`repro.store.result_store` exactly: WAL
-journal mode so readers never block the writer, a generous busy
-timeout, and short-lived connections per operation. Claims additionally
-use ``BEGIN IMMEDIATE`` so the select-then-update is one atomic
-critical section — two workers racing for the last row cannot both win
-it.
+Process safety follows :mod:`repro.store.result_store` exactly, through
+the same :mod:`repro.store.db` policy: WAL journal mode so readers never
+block the writer, a generous busy timeout, and one long-lived
+connection per process and thread. Claims additionally use ``BEGIN
+IMMEDIATE`` so the select-then-update is one atomic critical section —
+two workers racing for the last row cannot both win it.
 
 Rows move through four states::
 
@@ -40,16 +40,15 @@ on it either way.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.store.db import Database
 from repro.sweep.spec import ScenarioSpec
 
 #: Database filename inside the queue directory.
@@ -90,6 +89,20 @@ CREATE TABLE IF NOT EXISTS jobs (
     updated_at     REAL NOT NULL
 )
 """
+
+#: The next claimable row, oldest first.
+_CLAIM_SQL = (
+    "SELECT key, spec, attempt FROM jobs "
+    "WHERE state = ? AND not_before <= ? "
+    "ORDER BY created_at ASC, key ASC LIMIT 1"
+)
+
+#: Serves :data:`_CLAIM_SQL` in index order. Without it every claim scans
+#: and sorts the table, so claims cost O(n^2) over a sweep. ``IF NOT
+#: EXISTS`` also adds it to queue directories created before it existed.
+_CLAIM_INDEX = (
+    "CREATE INDEX IF NOT EXISTS jobs_claim ON jobs (state, created_at, key)"
+)
 
 
 def job_key(spec: ScenarioSpec) -> str:
@@ -178,36 +191,14 @@ class JobQueue:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / DB_FILENAME
-        with self._connect() as conn:
+        self._db = Database(self.path)
+        with self._db.transaction() as conn:
             conn.execute(_SCHEMA)
+            conn.execute(_CLAIM_INDEX)
 
-    # -- internals ---------------------------------------------------------
-    @contextlib.contextmanager
-    def _connect(self, immediate: bool = False) -> Iterator[sqlite3.Connection]:
-        """Short-lived connection: commit on success, always close.
-
-        ``immediate=True`` opens the transaction with ``BEGIN
-        IMMEDIATE`` so the read half of a read-modify-write (claiming a
-        row) already holds the write lock — the atomicity the lease
-        protocol rests on.
-        """
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            if immediate:
-                conn.isolation_level = None  # manual transaction control
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    yield conn
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-                conn.execute("COMMIT")
-            else:
-                with conn:
-                    yield conn
-        finally:
-            conn.close()
+    def close(self) -> None:
+        """Close this process's connections; the next operation reopens."""
+        self._db.close()
 
     def manifest_dir(self) -> Path:
         """Directory for per-worker run manifests (created on demand)."""
@@ -237,7 +228,7 @@ class JobQueue:
         ]
         if not rows:
             return 0
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             before = conn.total_changes
             conn.executemany(
                 "INSERT OR IGNORE INTO jobs (key, spec, created_at, updated_at) "
@@ -259,7 +250,7 @@ class JobQueue:
         """
         healed = 0
         by_key = {job_key(spec): spec for spec in specs}
-        with self._connect(immediate=True) as conn:
+        with self._db.transaction(immediate=True) as conn:
             rows = conn.execute(
                 "SELECT key, spec, state FROM jobs WHERE state IN (?, ?)",
                 (PENDING, FAILED),
@@ -316,13 +307,8 @@ class JobQueue:
             raise ConfigurationError(f"lease_s must be positive, got {lease_s}")
         now = time.time() if now is None else now
         while True:
-            with self._connect(immediate=True) as conn:
-                row = conn.execute(
-                    "SELECT key, spec, attempt FROM jobs "
-                    "WHERE state = ? AND not_before <= ? "
-                    "ORDER BY created_at ASC, key ASC LIMIT 1",
-                    (PENDING, now),
-                ).fetchone()
+            with self._db.transaction(immediate=True) as conn:
+                row = conn.execute(_CLAIM_SQL, (PENDING, now)).fetchone()
                 if row is None:
                     return None
                 key, payload, attempt = row
@@ -378,7 +364,7 @@ class JobQueue:
         but it no longer owns the row.
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET lease_expires = ?, updated_at = ? "
                 "WHERE key = ? AND state = ? AND lease_owner = ?",
@@ -396,7 +382,7 @@ class JobQueue:
         commit (the result exists; re-running it would only waste CPU).
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = ?, lease_owner = ?, error = NULL, "
                 "updated_at = ? WHERE key = ? AND state != ?",
@@ -412,7 +398,7 @@ class JobQueue:
         ``FailurePolicy.retries``.
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = ?, attempt = attempt - 1, "
                 "lease_owner = NULL, lease_expires = NULL, updated_at = ? "
@@ -437,7 +423,7 @@ class JobQueue:
         a structured failure record and ``"failed"`` is returned.
         """
         now = time.time() if now is None else now
-        with self._connect(immediate=True) as conn:
+        with self._db.transaction(immediate=True) as conn:
             row = conn.execute(
                 "SELECT attempt, backoff_s FROM jobs "
                 "WHERE key = ? AND state = ? AND lease_owner = ?",
@@ -492,7 +478,7 @@ class JobQueue:
         """
         now = time.time() if now is None else now
         report = RecoveryReport()
-        with self._connect(immediate=True) as conn:
+        with self._db.transaction(immediate=True) as conn:
             rows = conn.execute(
                 "SELECT key, attempt, backoff_s, lease_owner, failed_workers "
                 "FROM jobs WHERE state = ? AND lease_expires < ?",
@@ -570,21 +556,19 @@ class JobQueue:
     def counts(self) -> Dict[str, int]:
         """Row counts by state (absent states map to 0)."""
         out = {state: 0 for state in STATES}
-        with self._connect() as conn:
-            for state, count in conn.execute(
-                "SELECT state, COUNT(*) FROM jobs GROUP BY state"
-            ):
-                out[state] = count
+        for state, count in self._db.connection().execute(
+            "SELECT state, COUNT(*) FROM jobs GROUP BY state"
+        ).fetchall():
+            out[state] = count
         return out
 
     def jobs(self) -> List[JobView]:
         """Snapshot of every row, in stable (created_at, key) order."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, state, attempt, lease_owner, lease_expires, "
-                "not_before, error, failed_workers FROM jobs "
-                "ORDER BY created_at ASC, key ASC"
-            ).fetchall()
+        rows = self._db.connection().execute(
+            "SELECT key, state, attempt, lease_owner, lease_expires, "
+            "not_before, error, failed_workers FROM jobs "
+            "ORDER BY created_at ASC, key ASC"
+        ).fetchall()
         out = []
         for key, state, attempt, owner, expires, not_before, error, fw in rows:
             try:
@@ -607,8 +591,9 @@ class JobQueue:
 
     def states(self) -> Dict[str, str]:
         """``{key: state}`` for every row (one cheap query)."""
-        with self._connect() as conn:
-            return dict(conn.execute("SELECT key, state FROM jobs"))
+        return dict(
+            self._db.connection().execute("SELECT key, state FROM jobs").fetchall()
+        )
 
     def _parse_error(self, key: str, error: Optional[str]) -> Dict[str, object]:
         if error is None:
@@ -623,21 +608,19 @@ class JobQueue:
 
     def failures(self) -> Dict[str, Dict[str, object]]:
         """Structured failure records of every terminal ``failed`` row."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, error FROM jobs WHERE state = ?", (FAILED,)
-            ).fetchall()
+        rows = self._db.connection().execute(
+            "SELECT key, error FROM jobs WHERE state = ?", (FAILED,)
+        ).fetchall()
         return {key: self._parse_error(key, error) for key, error in rows}
 
     def has_claimable(self, now: Optional[float] = None) -> bool:
         """Whether any pending row is past its backoff gate."""
         now = time.time() if now is None else now
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT 1 FROM jobs WHERE state = ? AND not_before <= ? LIMIT 1",
-                (PENDING, now),
-            ).fetchone()
-        return row is not None
+        rows = self._db.connection().execute(
+            "SELECT 1 FROM jobs WHERE state = ? AND not_before <= ? LIMIT 1",
+            (PENDING, now),
+        ).fetchall()
+        return bool(rows)
 
     def is_drained(self, now: Optional[float] = None) -> bool:
         """True when no work remains for a standalone worker.
@@ -648,17 +631,17 @@ class JobQueue:
         draining worker forever.
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT 1 FROM jobs WHERE state = ? "
-                "OR (state = ? AND lease_expires >= ?) LIMIT 1",
-                (PENDING, LEASED, now),
-            ).fetchone()
-        return row is None
+        rows = self._db.connection().execute(
+            "SELECT 1 FROM jobs WHERE state = ? "
+            "OR (state = ? AND lease_expires >= ?) LIMIT 1",
+            (PENDING, LEASED, now),
+        ).fetchall()
+        return not rows
 
     def __len__(self) -> int:
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM jobs").fetchone()
+        (count,) = self._db.connection().execute(
+            "SELECT COUNT(*) FROM jobs"
+        ).fetchone()
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -98,7 +98,10 @@ class _Heartbeat:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop beating and wait out a heartbeat already in flight."""
         self._stop.set()
+        if self._thread.is_alive():
+            self._thread.join()
 
     def watch(self, key: str) -> None:
         with self._lock:
@@ -274,6 +277,8 @@ def worker_main(
             except (ValueError, TypeError):  # pragma: no cover
                 pass
         beat.stop()
+        queue.close()
+        store.close()
         manifest.emit("worker_exit", claims=claims, settled=settled)
         manifest.close()
         if log is not None:

@@ -8,6 +8,9 @@
   results, layered under the in-memory memo cache by
   :class:`~repro.sweep.SweepRunner` so repeated CLI invocations reuse
   simulated points across processes.
+- :mod:`repro.store.db` — :class:`Database`, the sqlite connection
+  policy (WAL, busy timeout, one long-lived connection per process and
+  thread) that the store and :mod:`repro.distrib.queue` share.
 """
 
 from repro.store.result_store import (

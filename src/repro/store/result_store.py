@@ -11,9 +11,10 @@ reuse each simulated point across processes.
 Storage layout: one ``results.sqlite`` under ``--cache-dir``, the
 ``REPRO_CACHE_DIR`` environment variable, or ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``). sqlite provides the cross-process locking
-(WAL journal, busy timeout); each operation uses a short-lived connection
-so stores can be shared freely between runner instances and forked
-workers.
+(WAL journal, busy timeout). Each process and thread keeps one
+long-lived connection (:mod:`repro.store.db`), reopened after a fork, so
+stores can be shared freely between runner instances and forked
+workers. :meth:`ResultStore.close` releases it.
 
 The salt defaults to a digest of the ``repro`` package sources: any code
 change invalidates every cached result, because a result is only
@@ -22,19 +23,18 @@ trustworthy for the exact simulator that produced it.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import sqlite3
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.server.metrics import RunResult
 from repro.simkit import sanitizer as _sanitizer
+from repro.store.db import Database
 from repro.store.serialize import result_from_dict, result_to_dict
 
 #: Database filename inside the cache directory.
@@ -129,29 +129,23 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.salt = code_version_salt() if salt is None else str(salt)
         self.path = self.root / DB_FILENAME
-        with self._connect() as conn:
+        self._db = Database(self.path)
+        with self._db.transaction() as conn:
             conn.execute(_SCHEMA)
             # Databases written before the LRU column existed: migrate in
             # place (NULL last_access sorts as never-accessed).
             columns = {
-                row[1] for row in conn.execute("PRAGMA table_info(results)")
+                row[1]
+                for row in conn.execute("PRAGMA table_info(results)").fetchall()
             }
             if "last_access" not in columns:
                 conn.execute("ALTER TABLE results ADD COLUMN last_access REAL")
 
-    # -- internals ---------------------------------------------------------
-    @contextlib.contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        """Short-lived connection: commit on success, always close."""
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        try:
-            # WAL lets concurrent CLI invocations read while one writes.
-            conn.execute("PRAGMA journal_mode=WAL")
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    def close(self) -> None:
+        """Close this process's connections; the next operation reopens."""
+        self._db.close()
 
+    # -- internals ---------------------------------------------------------
     def _digest(self, key: Tuple) -> str:
         payload = json.dumps([self.salt, list(key)], separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -164,7 +158,7 @@ class ResultStore:
         misses, so a half-written record can never poison a sweep.
         """
         digest = self._digest(key)
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             row = conn.execute(
                 "SELECT result FROM results WHERE digest = ?", (digest,)
             ).fetchone()
@@ -185,8 +179,8 @@ class ResultStore:
     def get_many(self, keys) -> dict:
         """Stored results for ``keys`` under this salt, batched.
 
-        One connection serves the whole lookup (a warm thousand-point
-        grid would otherwise pay a thousand connection setups). Returns
+        One transaction serves the whole lookup (a warm thousand-point
+        grid would otherwise pay a thousand commits). Returns
         ``{key: RunResult}`` for the hits only; corrupt rows are dropped
         and omitted, like :meth:`get`.
         """
@@ -195,7 +189,7 @@ class ResultStore:
         out = {}
         corrupt = []
         digests = list(digest_to_key)
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             for start in range(0, len(digests), 500):
                 chunk = digests[start:start + 500]
                 rows = conn.execute(
@@ -235,7 +229,7 @@ class ResultStore:
         if _sanitizer.is_enabled():
             _audit_codec_roundtrip(payload)
         now = time.time()
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO results "
                 "(digest, salt, spec, result, created_at, last_access) "
@@ -281,7 +275,7 @@ class ResultStore:
             )
         if not rows:
             return
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             conn.executemany(
                 "INSERT OR REPLACE INTO results "
                 "(digest, salt, spec, result, created_at, last_access) "
@@ -290,37 +284,34 @@ class ResultStore:
             )
 
     def delete(self, key: Tuple) -> None:
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             conn.execute("DELETE FROM results WHERE digest = ?", (self._digest(key),))
 
     def __contains__(self, key: Tuple) -> bool:
-        digest = self._digest(key)
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT 1 FROM results WHERE digest = ?", (digest,)
-            ).fetchone()
+        row = self._db.connection().execute(
+            "SELECT 1 FROM results WHERE digest = ?", (self._digest(key),)
+        ).fetchone()
         return row is not None
 
     def __len__(self) -> int:
         """Records visible under this store's salt."""
-        with self._connect() as conn:
-            (count,) = conn.execute(
-                "SELECT COUNT(*) FROM results WHERE salt = ?", (self.salt,)
-            ).fetchone()
+        (count,) = self._db.connection().execute(
+            "SELECT COUNT(*) FROM results WHERE salt = ?", (self.salt,)
+        ).fetchone()
         return count
 
     def total_records(self) -> int:
         """All records on disk, including ones under stale salts."""
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+        (count,) = self._db.connection().execute(
+            "SELECT COUNT(*) FROM results"
+        ).fetchone()
         return count
 
     def stale_records(self) -> int:
         """Records written under other salts (prune candidates)."""
-        with self._connect() as conn:
-            (count,) = conn.execute(
-                "SELECT COUNT(*) FROM results WHERE salt != ?", (self.salt,)
-            ).fetchone()
+        (count,) = self._db.connection().execute(
+            "SELECT COUNT(*) FROM results WHERE salt != ?", (self.salt,)
+        ).fetchone()
         return count
 
     def size_bytes(self) -> int:
@@ -338,12 +329,19 @@ class ResultStore:
         The ``-wal``/``-shm`` sidecars are transient runtime state that
         sqlite recreates at will (and rewrites during VACUUM), so the LRU
         size cap is enforced against this number, not :meth:`size_bytes`.
+
+        Committed pages first move from the WAL into the main file (a
+        checkpoint on this store's own connection), so the size does not
+        depend on which other connections happen to be open.
         """
-        return self.path.stat().st_size if self.path.exists() else 0
+        if not self.path.exists():
+            return 0
+        self._db.connection().execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
+        return self.path.stat().st_size
 
     def prune_stale(self) -> int:
         """Drop records written under other salts; returns rows removed."""
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             removed = conn.execute(
                 "DELETE FROM results WHERE salt != ?", (self.salt,)
             ).rowcount
@@ -355,7 +353,10 @@ class ResultStore:
         Rows are dropped in ascending last-access order (records written
         before access tracking existed fall back to their creation time,
         so the oldest cold data goes first) and the database is VACUUMed
-        so the file actually shrinks. Each pass sizes the eviction from
+        so the file actually shrinks. An oversized store is VACUUMed
+        before the first pass too: a file that holds free pages left by
+        rewritten rows would otherwise be sized as if every page were
+        live, and evict records that fit. Each pass sizes the eviction from
         the row payloads, then re-checks the real file size — sqlite page
         overhead varies — and evicts again if still over, so on return
         the main database file (:meth:`db_bytes`; the transient
@@ -370,10 +371,12 @@ class ResultStore:
                 f"max_bytes must be >= 0, got {max_bytes}"
             )
         evicted = 0
+        if self.db_bytes() > max_bytes:
+            self._vacuum()
         while self.db_bytes() > max_bytes:
             excess = self.db_bytes() - max_bytes
             victims = []
-            with self._connect() as conn:
+            with self._db.transaction() as conn:
                 rows = conn.execute(
                     "SELECT digest, LENGTH(result) + LENGTH(COALESCE(spec, ''))"
                     "  + LENGTH(digest) + LENGTH(salt) + ? "
@@ -392,22 +395,23 @@ class ResultStore:
                     freed += size
                 conn.executemany("DELETE FROM results WHERE digest = ?", victims)
             evicted += len(victims)
-            # VACUUM cannot run inside a transaction; use a bare
-            # autocommit connection to return the freed pages to the OS.
-            # In WAL mode the vacuum itself writes through the -wal
-            # sidecar, so truncate it too or the on-disk footprint this
-            # loop measures would *grow* with every pass.
-            conn = sqlite3.connect(str(self.path), timeout=30.0)
-            try:
-                conn.execute("VACUUM")
-                conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            finally:
-                conn.close()
+            self._vacuum()
         return evicted
+
+    def _vacuum(self) -> None:
+        """Compact the database file, returning free pages to the OS.
+
+        VACUUM runs outside any transaction. In WAL mode it writes
+        through the -wal sidecar, so truncate that too, or the on-disk
+        footprint :meth:`prune_lru` measures would grow with every pass.
+        """
+        conn = self._db.connection()
+        conn.execute("VACUUM").fetchall()
+        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchall()
 
     def clear(self) -> None:
         """Drop every record (all salts)."""
-        with self._connect() as conn:
+        with self._db.transaction() as conn:
             conn.execute("DELETE FROM results")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -5,6 +5,7 @@ import sqlite3
 import pytest
 
 from repro.distrib import chaos
+from repro.distrib import queue as queue_mod
 from repro.distrib.queue import (
     BACKOFF_BASE_S,
     BACKOFF_CAP_S,
@@ -287,3 +288,54 @@ class TestDrainState:
 
     def test_manifest_dir_lives_in_queue_root(self, queue):
         assert queue.manifest_dir().parent == queue.root
+
+
+class TestClaimIndex:
+    def _plan(self, path):
+        conn = sqlite3.connect(str(path))
+        try:
+            rows = conn.execute(
+                "EXPLAIN QUERY PLAN " + queue_mod._CLAIM_SQL, (PENDING, 0.0)
+            ).fetchall()
+        finally:
+            conn.close()
+        return " | ".join(row[-1] for row in rows)
+
+    def test_claim_reads_the_index_without_a_sort(self, queue):
+        plan = self._plan(queue.path)
+        assert "USING INDEX jobs_claim" in plan
+        assert "TEMP B-TREE" not in plan
+
+    def test_existing_queue_directories_gain_the_index(self, tmp_path):
+        root = tmp_path / "old"
+        root.mkdir()
+        conn = sqlite3.connect(str(root / queue_mod.DB_FILENAME))
+        try:
+            conn.execute(queue_mod._SCHEMA)
+        finally:
+            conn.close()
+        assert "jobs_claim" not in self._plan(root / queue_mod.DB_FILENAME)
+        JobQueue(str(root)).close()
+        assert "USING INDEX jobs_claim" in self._plan(root / queue_mod.DB_FILENAME)
+
+    def test_claim_order_is_oldest_first_then_by_key(self, queue):
+        specs = _grid(6)
+        queue.enqueue(specs)
+        oldest = job_key(specs[3])
+        conn = sqlite3.connect(str(queue.path))
+        try:
+            with conn:
+                conn.execute("UPDATE jobs SET created_at = 200.0")
+                conn.execute(
+                    "UPDATE jobs SET created_at = 100.0 WHERE key = ?", (oldest,)
+                )
+        finally:
+            conn.close()
+        order = []
+        while True:
+            job = queue.claim("w1")
+            if job is None:
+                break
+            order.append(job.key)
+        rest = sorted(job_key(s) for s in specs if job_key(s) != oldest)
+        assert order == [oldest] + rest

@@ -395,8 +395,8 @@ class TestBatchedWrites:
 # -- multi-process write safety ----------------------------------------------
 #
 # The distributed executor points N worker *processes* at the ONE shared
-# sqlite store. WAL mode plus short-lived connections with a busy
-# timeout is the whole concurrency story, so prove it holds: two
+# sqlite store. WAL mode plus one long-lived connection per process with
+# a busy timeout is the whole concurrency story, so prove it holds: two
 # processes hammering ``put_many`` concurrently must lose no writes and
 # must keep the LRU clock (``last_access``) monotonic per row.
 

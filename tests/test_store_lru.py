@@ -117,6 +117,25 @@ class TestPruneLru:
         store.prune_lru(store.db_bytes() // 2)
         assert specs[-1].cache_key in store
 
+    def test_rewritten_rows_do_not_over_evict(self, tmp_path):
+        # Rewriting rows leaves free pages behind. Once the writer closes
+        # they sit in the main file, which must not be sized as live data:
+        # one compacted row fits the cap, so only the two cold rows go.
+        store, specs = self._filled_store(tmp_path, n=3)
+        conn = sqlite3.connect(str(store.path))
+        try:
+            with conn:
+                conn.execute("UPDATE results SET last_access = 1.0")
+                conn.execute(
+                    "UPDATE results SET last_access = 9e9 WHERE digest = ?",
+                    (store._digest(specs[-1].cache_key),),
+                )
+        finally:
+            conn.close()
+        assert store.prune_lru(45056) == 2
+        assert specs[-1].cache_key in store
+        assert store.db_bytes() <= 45056
+
 
 class TestMigration:
     def test_pre_lru_databases_migrate_in_place(self, tmp_path):
