@@ -16,8 +16,10 @@ tolerance designed in rather than bolted on:
   result to the shared store, commit the job; SIGTERM finishes or
   releases the current lease; SIGKILL is recovered by lease expiry;
 - :mod:`repro.distrib.coordinator` — the ``repro sweep --distributed``
-  side: a :class:`DistributedExecutor` that enqueues the grid, spawns
-  local workers, performs **lease-expiry recovery** (requeue with
+  side: a :class:`DistributedExecutor` that enqueues the grid, starts
+  local workers with the platform's default start method (refusing
+  grids that a bare-interpreter remote worker could not run), performs
+  **lease-expiry recovery** (requeue with
   attempt count incremented, exponential backoff with decorrelated
   jitter, :class:`~repro.sweep.runner.FailurePolicy` retries),
   quarantines **poison points** that kill K distinct workers, and

@@ -7,8 +7,11 @@ the ONE shared :class:`~repro.store.ResultStore`:
 
 1. enqueue the grid (idempotent — re-invoking over the same queue
    directory re-adopts done rows, in-flight leases and all);
-2. optionally spawn N local worker processes (external ``repro worker``
-   processes on other hosts join the same queue directory uninvited);
+2. optionally start N local worker processes with the platform's
+   default start method, as ``ProcessExecutor`` does (external
+   ``repro worker`` processes on other hosts join the same queue
+   directory uninvited; the grid's registrations are checked as a bare
+   interpreter would see them, so both kinds of worker can run it);
 3. poll the store for arriving results, settling queue rows whose
    worker died between the store write and the commit;
 4. recover expired leases — requeue with backoff, honour
@@ -41,6 +44,7 @@ from repro.distrib.queue import DEFAULT_LEASE_S, JobQueue, job_key
 from repro.distrib.worker import worker_main
 from repro.errors import ConfigurationError, SimulationError
 from repro.store import ResultStore
+from repro.store.db import close_all
 from repro.sweep.runner import (
     RAISE,
     RECORD,
@@ -74,7 +78,7 @@ class DistributedExecutor:
         store_dir: root of the ONE shared result store (defaults to the
             user-level store); every worker must point at the same one,
             it is the channel results come back on.
-        jobs: local worker processes to spawn (0 means none — workers
+        jobs: local worker processes to start (0 means none — workers
             are expected to join from elsewhere via ``repro worker``).
         policy: :class:`FailurePolicy`; ``retries`` bounds requeues of
             failing/lapsing points, ``mode`` decides whether a terminal
@@ -90,7 +94,7 @@ class DistributedExecutor:
         poison_k: distinct workers a point may kill before it is
             quarantined as a poison point.
         chaos_plans: optional ``{worker_slot: ChaosPlan}`` armed on the
-            *initial* local workers (tests only); replacements spawn
+            *initial* local workers (tests only); replacements start
             clean.
         max_wall_s: optional hard wall-clock bound on one ``map_specs``
             call — a backstop so an empty fleet with ``jobs=0`` cannot
@@ -138,17 +142,19 @@ class DistributedExecutor:
     def _spawn_worker(
         self, plan: Optional["chaos_mod.ChaosPlan"] = None
     ) -> multiprocessing.process.BaseProcess:
-        """Start one local worker process (spawn start method).
+        """Start one local worker process.
 
-        ``spawn`` mirrors what a remote host does — a bare interpreter
-        re-importing everything — so local and remote workers cannot
-        diverge in what registrations they see. A chaos plan is armed
-        through the environment the child inherits at exec.
+        Local workers use the platform's default start method, like
+        :class:`~repro.sweep.runner.ProcessExecutor` (fork on Linux, so
+        a worker claims its first point without re-importing
+        :mod:`repro`). External ``repro worker`` processes are bare
+        interpreters; ``map_specs`` keeps the two in parity by checking
+        the grid's registrations as ``spawn`` would see them. A chaos
+        plan is armed through ``os.environ``, which the child inherits.
         """
         self._spawned += 1
         worker_id = f"{os.getpid()}-w{self._spawned}"
-        ctx = multiprocessing.get_context("spawn")
-        process = ctx.Process(
+        process = multiprocessing.Process(
             target=worker_main,
             kwargs={
                 "queue_dir": str(self.queue.root),
@@ -165,6 +171,9 @@ class DistributedExecutor:
         saved = {key: os.environ.get(key) for key in env}
         os.environ.update(env)
         try:
+            # The child opens the queue and store itself; it must not
+            # inherit this process's open sqlite files (repro.store.db).
+            close_all()
             process.start()
         finally:
             for key, value in saved.items():
@@ -224,8 +233,8 @@ class DistributedExecutor:
         log: Optional[Callable[[str], None]] = None,
         manifest=None,
     ) -> List[Optional[Union[RunResult, PointFailure]]]:
-        # External workers are bare spawned interpreters: fail fast on
-        # parent-only registrations regardless of the local start method.
+        # External workers are bare interpreters: fail fast on
+        # parent-only registrations whatever the local start method.
         _check_worker_registries(specs, start_method="spawn")
         results: List[Optional[Union[RunResult, PointFailure]]] = (
             [None] * len(specs)

@@ -27,11 +27,11 @@ Crash semantics:
   write is an idempotent overwrite of identical bytes, and the queue's
   ``complete`` settles the row for whichever executor gets there first.
 
-This module is a **worker entry point**: it is imported inside bare
-spawned processes, so it must never import parent-only modules
-(``argparse``, ``repro.cli``, ...) at import time — ``repro lint``'s
-CONC004 enforces that. CLI flag parsing lives in :mod:`repro.cli`,
-which calls :func:`worker_main` with plain arguments.
+This module is a **worker entry point**: under the ``spawn`` start
+method it is imported inside bare interpreters, so it must never import
+parent-only modules (``argparse``, ``repro.cli``, ...) at import time
+— ``repro lint``'s CONC004 enforces that. CLI flag parsing lives in
+:mod:`repro.cli`, which calls :func:`worker_main` with plain arguments.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ once. They share one policy, kept here:
 - **Fork safety.** A sqlite connection must not be used across
   ``fork()``. When the process id changes, the child sets aside the
   connections it inherited, never using or closing them, and opens its
-  own.
+  own. That alone is not enough for a child that opens a file its
+  parent still has open: sqlite tracks POSIX locks per process, so the
+  child would inherit the parent's lock bookkeeping and believe it holds
+  locks it does not. Once the parent exits, another process could then
+  checkpoint and delete the WAL under the child, losing its commits. A
+  parent that forks such a child calls :func:`close_all` first.
 
 Statements run in Python's implicit deferred transactions: a write opens
 the transaction, so a read that precedes it (a cache lookup before its
@@ -34,6 +39,7 @@ import contextlib
 import os
 import sqlite3
 import threading
+import weakref
 from pathlib import Path
 from typing import Iterator, List, Union
 
@@ -45,6 +51,9 @@ BUSY_TIMEOUT_S = 30.0
 #: here keeps the child from finalizing, and so closing, its parent's
 #: connections.
 _INHERITED: List[List[sqlite3.Connection]] = []
+
+#: Every live :class:`Database` of this process, for :func:`close_all`.
+_LIVE: "weakref.WeakSet[Database]" = weakref.WeakSet()
 
 
 class Database:
@@ -60,6 +69,7 @@ class Database:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._open: List[sqlite3.Connection] = []
+        _LIVE.add(self)
 
     def _check_pid(self) -> None:
         """After a fork, set the parent's connections aside (see module
@@ -118,3 +128,14 @@ class Database:
             self._local = threading.local()
         for conn in conns:
             conn.close()
+
+
+def close_all() -> None:
+    """Close every connection this process holds, on any database.
+
+    Call it before forking a child that opens one of these databases
+    (see module docs), from the only thread that uses them and outside
+    any transaction. Each database reopens on its next use.
+    """
+    for db in list(_LIVE):
+        db.close()

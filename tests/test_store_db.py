@@ -17,7 +17,7 @@ import pytest
 
 from repro.distrib.queue import DONE, JobQueue
 from repro.store import ResultStore
-from repro.store.db import Database
+from repro.store.db import Database, close_all
 from repro.sweep.spec import ScenarioSpec
 
 
@@ -104,6 +104,70 @@ def test_forked_child_writes_through_the_parents_store(tmp_path, result):
     assert len(fresh) == 3
     fresh.close()
     store.close()
+
+
+def _orphan_writer(path, ready, go, done):
+    """Fork target: commit, outlive the parent, commit again."""
+    db = Database(path)
+    with db.transaction() as conn:
+        conn.execute("INSERT INTO t VALUES (1)")
+    ready.set()
+    go.wait(30.0)
+    with db.transaction() as conn:
+        conn.execute("INSERT INTO t VALUES (2)")
+    db.close()
+    done.set()
+
+
+def _dying_parent(path, ready, go, done):
+    """Fork target: fork a writer the way the coordinator starts a local
+    worker, then die with the database open, like a killed coordinator."""
+    db = Database(path)
+    db.connection().execute("SELECT COUNT(*) FROM t").fetchall()
+    close_all()
+    multiprocessing.get_context("fork").Process(
+        target=_orphan_writer, args=(path, ready, go, done)
+    ).start()
+    db.connection().execute("SELECT COUNT(*) FROM t").fetchall()
+    ready.wait(30.0)
+    os._exit(0)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_child_forked_after_close_all_holds_its_own_locks(tmp_path):
+    """A child forked after ``close_all`` holds real sqlite locks, so
+    once its parent is gone, a process that opens and closes the
+    database does not mistake itself for the last connection and delete
+    the WAL the child is still committing to."""
+    path = str(tmp_path / "x.sqlite")
+    db = Database(path)
+    with db.transaction() as conn:
+        conn.execute("CREATE TABLE t (x)")
+    db.close()
+    ctx = multiprocessing.get_context("fork")
+    ready, go, done = ctx.Event(), ctx.Event(), ctx.Event()
+    parent = ctx.Process(target=_dying_parent, args=(path, ready, go, done))
+    parent.start()
+    # Not join(): the orphan inherited the parent's exit sentinel.
+    deadline = time.monotonic() + 30.0
+    while parent.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert parent.exitcode == 0
+    try:
+        probe = sqlite3.connect(path)
+        probe.execute("SELECT COUNT(*) FROM t").fetchall()
+        probe.close()
+        assert os.path.exists(path + "-wal"), "a probe deleted the live WAL"
+    finally:
+        go.set()
+    assert done.wait(30.0), "orphaned writer never finished"
+    probe = sqlite3.connect(path)
+    rows = probe.execute("SELECT x FROM t ORDER BY x").fetchall()
+    probe.close()
+    assert rows == [(1,), (2,)]
 
 
 # -- threads ------------------------------------------------------------------
