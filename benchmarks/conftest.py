@@ -3,8 +3,8 @@
 Simulation-driven benchmarks (Figs 8-13, Table 5) run on a reduced grid
 (three rates, 0.1 s horizon) so `pytest benchmarks/ --benchmark-only`
 completes in minutes while still regenerating every artifact and
-asserting its qualitative claims. Run the `repro.experiments.*` modules
-directly for the full-resolution sweeps.
+asserting its qualitative claims. Run `python -m repro run <id>` for the
+full-resolution sweeps.
 """
 
 import pytest
@@ -33,7 +33,7 @@ def pytest_collection_modifyitems(config, items):
 
 
 #: Reduced Memcached grid shared by the figure benchmarks.
-BENCH_RATES_KQPS = [10, 100, 400]
+BENCH_RATES_KQPS = (10, 100, 400)
 BENCH_HORIZON = 0.1
 BENCH_SEED = 42
 

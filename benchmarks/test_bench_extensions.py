@@ -4,12 +4,21 @@ governor study and energy proportionality."""
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import ablation, governor_study, proportionality, sensitivity
-from repro.experiments.common import clear_cache
+from repro.experiments.ablation import AblationExperiment
+from repro.experiments.governor_study import (
+    GovernorStudyExperiment,
+    GovernorStudyParams,
+)
+from repro.experiments.proportionality import (
+    ProportionalityExperiment,
+    ProportionalityParams,
+)
+from repro.experiments.sensitivity import SensitivityExperiment
+from repro.sweep.runner import clear_shared_cache
 
 
 def test_bench_ablation(benchmark):
-    variants = benchmark(ablation.run)
+    variants = benchmark(AblationExperiment().analyze).payload
     full = variants[0]
     # Each single-idea ablation lands in the microsecond class.
     for variant in variants[1:4]:
@@ -18,7 +27,7 @@ def test_bench_ablation(benchmark):
 
 
 def test_bench_sensitivity(benchmark):
-    entries = benchmark(sensitivity.run)
+    entries = benchmark(SensitivityExperiment().analyze).payload
     # Robustness: savings stay double-digit under every perturbation.
     for entry in entries[:-1]:  # model constants
         assert entry.savings_low > 0.10
@@ -28,10 +37,11 @@ def test_bench_sensitivity(benchmark):
 
 
 def test_bench_governor_study(benchmark):
-    clear_cache()
-    points = run_once(
-        benchmark, governor_study.run, qps=80_000, horizon=0.08, seed=BENCH_SEED
+    clear_shared_cache()
+    experiment = GovernorStudyExperiment(
+        GovernorStudyParams(qps=80_000, horizon=0.08, seed=BENCH_SEED)
     )
+    points = run_once(benchmark, experiment.execute).payload
     aw_menu = next(
         p for p in points if p.config == "NT_AW" and p.governor == "menu"
     ).result
@@ -43,11 +53,13 @@ def test_bench_governor_study(benchmark):
 
 
 def test_bench_proportionality(benchmark):
-    clear_cache()
-    comparison = run_once(
-        benchmark, proportionality.run,
-        rates_kqps=[10, 100, 400], horizon=0.1, seed=BENCH_SEED,
+    clear_shared_cache()
+    experiment = ProportionalityExperiment(
+        ProportionalityParams(
+            rates_kqps=(10, 100, 400), horizon=0.1, seed=BENCH_SEED,
+        )
     )
+    comparison = run_once(benchmark, experiment.execute).payload
     assert comparison.agilewatts.dynamic_range > comparison.baseline.dynamic_range
     assert (
         comparison.agilewatts.proportionality_gap

@@ -8,19 +8,20 @@ high load.
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import fig11
-from repro.experiments.common import clear_cache
+from repro.experiments.fig11 import Fig11Experiment, Fig11Params
+from repro.sweep.runner import clear_shared_cache
 
 #: Fig 11 needs high load and enough time for the turbo tank to deplete.
-RATES = [10, 300, 500]
+RATES = (10, 300, 500)
 HORIZON = 0.4
 
 
 def test_bench_fig11(benchmark):
-    clear_cache()
-    sweep = run_once(
-        benchmark, fig11.run, rates_kqps=RATES, horizon=HORIZON, seed=BENCH_SEED
+    clear_shared_cache()
+    experiment = Fig11Experiment(
+        Fig11Params(rates_kqps=RATES, horizon=HORIZON, seed=BENCH_SEED)
     )
+    sweep = run_once(benchmark, experiment.execute).payload
     high = len(RATES) - 1
     # C6A sustains turbo grants at least as well everywhere, strictly
     # better at high load.

@@ -7,13 +7,15 @@ disabling C6 at low/mid rates, and large C6A power recovery.
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import fig12, fig13
-from repro.experiments.common import clear_cache
+from repro.experiments.fig12 import Fig12Experiment, Fig12Params
+from repro.experiments.fig13 import Fig13Experiment, Fig13Params
+from repro.sweep.runner import clear_shared_cache
 
 
 def test_bench_fig12_mysql(benchmark):
-    clear_cache()
-    points = run_once(benchmark, fig12.run, horizon=1.0, seed=BENCH_SEED)
+    clear_shared_cache()
+    experiment = Fig12Experiment(Fig12Params(horizon=1.0, seed=BENCH_SEED))
+    points = run_once(benchmark, experiment.execute).payload
     by_label = {p.label: p for p in points}
     # Baseline holds >= 40% C6 at every rate.
     for p in points:
@@ -27,7 +29,8 @@ def test_bench_fig12_mysql(benchmark):
 
 
 def test_bench_fig13_kafka(benchmark):
-    points = run_once(benchmark, fig13.run, horizon=0.5, seed=BENCH_SEED)
+    experiment = Fig13Experiment(Fig13Params(horizon=0.5, seed=BENCH_SEED))
+    points = run_once(benchmark, experiment.execute).payload
     by_label = {p.label: p for p in points}
     # Low rate: > 60% C6; high rate: C6 never entered.
     assert by_label["low"].baseline_residency.get("C6", 0.0) > 0.6

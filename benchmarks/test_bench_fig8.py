@@ -7,20 +7,21 @@ worst-case degradation, negligible end-to-end impact.
 import pytest
 
 from benchmarks.conftest import BENCH_HORIZON, BENCH_RATES_KQPS, BENCH_SEED, run_once
-from repro.experiments import fig8
-from repro.experiments.common import clear_cache
+from repro.experiments.fig8 import Fig8Experiment, Fig8Params
+from repro.sweep.runner import clear_shared_cache
 
 
 def test_bench_fig8(benchmark):
-    clear_cache()
-    points = run_once(
-        benchmark,
-        fig8.run,
-        rates_kqps=BENCH_RATES_KQPS,
-        horizon=BENCH_HORIZON,
-        seed=BENCH_SEED,
-        with_scalability=False,
+    clear_shared_cache()
+    experiment = Fig8Experiment(
+        Fig8Params(
+            rates_kqps=BENCH_RATES_KQPS,
+            horizon=BENCH_HORIZON,
+            seed=BENCH_SEED,
+            with_scalability=False,
+        )
     )
+    points = run_once(benchmark, experiment.execute).payload
     # Panel (a): load pushes residency toward C0/C1.
     assert points[-1].residency.get("C0", 0) > points[0].residency.get("C0", 0)
     # Panel (b): savings decline with load and stay positive.

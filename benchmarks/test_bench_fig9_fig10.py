@@ -9,15 +9,19 @@ import pytest
 
 from benchmarks.conftest import BENCH_HORIZON, BENCH_RATES_KQPS, BENCH_SEED, run_once
 from repro.experiments import fig9, fig10
-from repro.experiments.common import clear_cache
+from repro.experiments.fig9 import Fig9Experiment, Fig9Params
+from repro.experiments.fig10 import Fig10Experiment, Fig10Params
+from repro.sweep.runner import clear_shared_cache
 
 
 def test_bench_fig9(benchmark):
-    clear_cache()
-    sweep = run_once(
-        benchmark, fig9.run,
-        rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
+    clear_shared_cache()
+    experiment = Fig9Experiment(
+        Fig9Params(
+            rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
+        )
     )
+    sweep = run_once(benchmark, experiment.execute).payload
     low = 0
     # NT_No_C6_No_C1E: lowest latency, highest power at low load.
     latencies = {c: sweep.results[c][low].avg_latency for c in fig9.TUNED_CONFIGS}
@@ -32,10 +36,12 @@ def test_bench_fig9(benchmark):
 
 
 def test_bench_fig10(benchmark):
-    points = run_once(
-        benchmark, fig10.run,
-        rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
+    experiment = Fig10Experiment(
+        Fig10Params(
+            rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
+        )
     )
+    points = run_once(benchmark, experiment.execute).payload
     # AW saves power against every tuned config at every rate.
     for p in points:
         for config in fig9.TUNED_CONFIGS:

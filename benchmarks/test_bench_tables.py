@@ -6,11 +6,16 @@ resolution and double as regression checks on the derived numbers.
 
 import pytest
 
-from repro.experiments import latency_breakdown, motivation, table1, table2, table3, table4
+from repro.experiments.latency_breakdown import LatencyBreakdownExperiment
+from repro.experiments.motivation import MotivationExperiment
+from repro.experiments.table1 import Table1Experiment
+from repro.experiments.table2 import Table2Experiment
+from repro.experiments.table3 import Table3Experiment
+from repro.experiments.table4 import Table4Experiment
 
 
 def test_bench_table1(benchmark):
-    rows = benchmark(table1.run)
+    rows = benchmark(Table1Experiment().analyze).payload
     names = [row[0] for row in rows]
     assert "C6A (P1)" in names and "C6AE (Pn)" in names
     # C6A shares C1's target residency (its ~100 ns of extra hardware
@@ -20,7 +25,7 @@ def test_bench_table1(benchmark):
 
 
 def test_bench_table2(benchmark):
-    rows = benchmark(table2.run)
+    rows = benchmark(Table2Experiment().analyze).payload
     assert len(rows) == 6
     by_name = {row[0]: row for row in rows}
     assert by_name["C6A"][2] == "on"       # PLL stays on
@@ -28,7 +33,7 @@ def test_bench_table2(benchmark):
 
 
 def test_bench_table3(benchmark):
-    breakdown = benchmark(table3.run)
+    breakdown = benchmark(Table3Experiment().analyze).payload
     low, high = breakdown.total_power_range("C6A")
     assert low == pytest.approx(0.290, rel=0.03)
     assert high == pytest.approx(0.315, rel=0.03)
@@ -38,7 +43,7 @@ def test_bench_table3(benchmark):
 
 
 def test_bench_table4(benchmark):
-    rows = benchmark(table4.run)
+    rows = benchmark(Table4Experiment().analyze).payload
     aw = rows[-1]
     assert aw[0] == "AW (this work)"
     wake_ns = float(aw[4].strip("~ ns"))
@@ -46,7 +51,7 @@ def test_bench_table4(benchmark):
 
 
 def test_bench_motivation(benchmark):
-    rows = benchmark(motivation.run)
+    rows = benchmark(MotivationExperiment().analyze).payload
     fractions = [savings for _, _, savings in rows]
     assert fractions[0] == pytest.approx(0.23, abs=0.01)
     assert fractions[1] == pytest.approx(0.41, abs=0.01)
@@ -54,7 +59,7 @@ def test_bench_motivation(benchmark):
 
 
 def test_bench_latency_breakdown(benchmark):
-    report = benchmark(latency_breakdown.run)
+    report = benchmark(LatencyBreakdownExperiment().analyze).payload
     assert report.c6_round_trip == pytest.approx(133e-6, rel=0.01)
     assert report.c6a_round_trip < 100e-9
     assert report.speedup >= 500  # three orders of magnitude

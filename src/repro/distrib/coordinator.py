@@ -13,7 +13,9 @@ the ONE shared :class:`~repro.store.ResultStore`:
    directory uninvited; the grid's registrations are checked as a bare
    interpreter would see them, so both kinds of worker can run it);
 3. poll the store for arriving results, settling queue rows whose
-   worker died between the store write and the commit;
+   worker died between the store write and the commit, and requeueing
+   done rows whose result this store lacks (a queue directory reused
+   with another store);
 4. recover expired leases — requeue with backoff, honour
    ``FailurePolicy.retries``, quarantine poison points that have killed
    ``poison_k`` distinct workers;
@@ -40,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.distrib import chaos as chaos_mod
-from repro.distrib.queue import DEFAULT_LEASE_S, JobQueue, job_key
+from repro.distrib.queue import DEFAULT_LEASE_S, DONE, JobQueue, job_key
 from repro.distrib.worker import worker_main
 from repro.errors import ConfigurationError, SimulationError
 from repro.store import ResultStore
@@ -306,7 +308,12 @@ class DistributedExecutor:
             for slot in range(self.jobs):
                 self._spawn_worker(plan=self.chaos_plans.get(slot))
             while waiting:
-                # 1. Results arriving through the shared store.
+                # 1. Results arriving through the shared store. Row
+                # states are read first: a worker writes the store
+                # before it marks its row done, so a row that was
+                # already done and still misses the store has no result
+                # in this store and goes back to pending.
+                states = self.queue.states()
                 hits = self.store.get_many(
                     [spec.cache_key for spec, _ in waiting.values()]
                 )
@@ -318,6 +325,19 @@ class DistributedExecutor:
                         settle_result(key)
                 if not waiting:
                     break
+                orphaned = [
+                    spec for key, (spec, _) in waiting.items()
+                    if states.get(key) == DONE
+                ]
+                requeued = self.queue.requeue_done(orphaned)
+                if requeued:
+                    if log is not None:
+                        log(
+                            f"distributed: requeued {requeued} done "
+                            "row(s) whose result is not in the store"
+                        )
+                    if manifest is not None:
+                        manifest.emit("requeued", rows=requeued)
                 # 2. Terminal failures recorded in the queue. Before
                 # settling, offer every failed row a heal: the
                 # coordinator holds the authoritative specs, so a row
@@ -337,8 +357,11 @@ class DistributedExecutor:
                                 f"distributed: healed {healed} corrupt "
                                 "row(s) back to pending"
                             )
+                        # Settle only rows that were offered the heal: a
+                        # row a worker failed since gets its offer next
+                        # tick.
                         failures = self.queue.failures()
-                        terminal = [k for k in waiting if k in failures]
+                        terminal = [k for k in terminal if k in failures]
                 for key in terminal:
                     settle_failure(key, failures[key])
                 if not waiting:

@@ -283,6 +283,30 @@ class JobQueue:
                 healed += 1
         return healed
 
+    def requeue_done(self, specs: Sequence[ScenarioSpec]) -> int:
+        """Send the ``done`` rows of ``specs`` back to pending.
+
+        A done row promises that its result is in the shared store. A
+        queue directory reused with another store breaks that promise,
+        and no worker claims a done row again, so the coordinator hands
+        such rows back here. Each gets a fresh attempt budget, as a
+        newly enqueued row does. Returns the number of rows requeued.
+        """
+        now = time.time()
+        rows = [(PENDING, now, job_key(spec), DONE) for spec in specs]
+        if not rows:
+            return 0
+        with self._db.transaction() as conn:
+            before = conn.total_changes
+            conn.executemany(
+                "UPDATE jobs SET state = ?, attempt = 0, not_before = 0, "
+                "backoff_s = 0, lease_owner = NULL, lease_expires = NULL, "
+                "failed_workers = '[]', error = NULL, updated_at = ? "
+                "WHERE key = ? AND state = ?",
+                rows,
+            )
+            return conn.total_changes - before
+
     # -- worker protocol ---------------------------------------------------
     def claim(
         self,

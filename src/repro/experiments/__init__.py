@@ -4,17 +4,15 @@ Every module defines an :class:`~repro.experiments.api.Experiment`
 subclass registered with
 :func:`~repro.experiments.api.register_experiment`: it declares its
 simulation grid up front, analyzes results into structured records, and
-renders text/JSON/JSONL/CSV independently. The modules also keep thin
-``run(...)``/``main()`` deprecation shims returning their historical
-types, so existing imports keep working.
+renders text/JSON/JSONL/CSV independently.
 
 Importing this package populates the registry; the import order below is
 the registry's (and the CLI's) reading order.
 
 Usage::
 
-    python -m repro.experiments.fig8       # regenerate Fig 8 series
-    python -m repro.experiments.table3     # regenerate Table 3
+    python -m repro run fig8       # regenerate Fig 8 series
+    python -m repro run table3     # regenerate Table 3
 
 or, batched across experiments (shared points simulated once)::
 

@@ -8,9 +8,7 @@ i.e. that *every* idea is necessary for nanosecond transitions.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.core.ablation import AblatedVariant, AblationStudy
+from repro.core.ablation import AblationStudy
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
 from repro.experiments.common import format_table
 from repro.units import pretty_power, pretty_time
@@ -47,8 +45,8 @@ class AblationExperiment(Experiment):
         return self.make_result(records=records, payload=variants)
 
     def render_text(self, result: ExperimentResult) -> str:
-        # Re-derive the study for the contribution lines; variants are the
-        # payload so the shim's return type is unchanged.
+        # Re-derive the study for the contribution lines; the payload
+        # holds only the variants.
         study = AblationStudy()
         variants = result.payload
         full = variants[0]
@@ -73,17 +71,3 @@ class AblationExperiment(Experiment):
         for idea, saved in study.latency_contributions().items():
             lines.append(f"  {idea}: {pretty_time(saved)}")
         return "\n".join(lines)
-
-
-def run() -> List[AblatedVariant]:
-    """Deprecated shim over :class:`AblationExperiment`."""
-    return AblationExperiment().analyze().payload
-
-
-def main() -> None:
-    experiment = AblationExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

@@ -33,9 +33,9 @@ Experiments register themselves with :func:`register_experiment`::
             result = self.point(results, spec)      # map hit or memoised run
             return self.make_result(records=[...], payload=...)
 
-The legacy ``run()``/``main()`` module functions are kept as thin
-deprecation shims over the registered classes, so existing imports and
-printed outputs are unchanged.
+Programmatic callers use the same classes: ``Fig8Experiment(Fig8Params(
+...)).execute().payload`` runs one experiment's grid and returns its
+typed value, and ``.analyze().payload`` serves static experiments.
 """
 
 from __future__ import annotations
@@ -233,9 +233,9 @@ class ExperimentResult:
             every number the artifact reports, including C-state
             residency/transition detail where a :class:`RunResult` backs
             the record.
-        payload: the experiment's legacy typed value (what the module's
-            ``run()`` returned before the API existed); rendering helpers
-            use it, machine consumers should prefer ``records``.
+        payload: the experiment's typed value (Fig 8's list of
+            ``Fig8Point``, Table 1's rows ...); rendering helpers use it,
+            machine consumers should prefer ``records``.
         notes: free-text addenda (paper bands, headline comparisons).
     """
 
@@ -397,9 +397,9 @@ def register_experiment(cls: Type[Experiment]) -> Type[Experiment]:
             )
     existing = _REGISTRY.get(cls.id)
     if existing is not None:
-        # The same class may re-register (module reload, or `python -m
-        # repro.experiments.fig8` re-executing a module as __main__); a
-        # *different* class claiming a taken id is an error.
+        # The same class may re-register (module reload, or a module
+        # re-executed as __main__); a *different* class claiming a taken
+        # id is an error.
         same_class = existing.__qualname__ == cls.__qualname__ and (
             existing.__module__ == cls.__module__
             or "__main__" in (existing.__module__, cls.__module__)

@@ -424,17 +424,3 @@ class FleetScaleExperiment(Experiment):
         return FleetScaleParams(
             fleet_sizes=(2, 4), per_node_kqps=20.0, horizon=0.02, cores=4,
         )
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    for experiment_cls in (
-        FanoutTailExperiment, BalancerStudyExperiment, ClusterEnergyExperiment,
-        FleetScaleExperiment,
-    ):
-        experiment = experiment_cls()
-        print(experiment.render_text(experiment.execute()))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,112 +1,11 @@
-"""Shared experiment plumbing: thin shims over :mod:`repro.sweep`.
-
-Experiments share simulated points (Fig 10 reuses Fig 9's baselines;
-Table 5 reuses Fig 8's sweep), so every point routes through the
-process-wide :class:`~repro.sweep.SweepRunner`, which memoises on the
-spec's canonical cache key. Configuring that runner (e.g. via
-``python -m repro run --all --jobs 4``) parallelises every experiment
-without touching this module's callers.
-"""
+"""Formatting helpers shared by the experiments' text renderings."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence
 
-from repro.server import RunResult
-from repro.sweep import ScenarioSpec, default_runner
-from repro.sweep.runner import clear_shared_cache
-from repro.sweep.spec import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    WORKLOAD_FACTORIES,
-)
-from repro.workloads.base import Workload
+__all__ = ["format_table", "pct"]
 
-__all__ = [
-    "DEFAULT_CORES",
-    "DEFAULT_HORIZON",
-    "DEFAULT_SEED",
-    "get_workload",
-    "run_point",
-    "run_sweep",
-    "prefetch_points",
-    "clear_cache",
-    "format_table",
-    "pct",
-]
-
-
-def get_workload(name: str) -> Workload:
-    """Fresh workload instance by name (fresh RNG streams)."""
-    return WORKLOAD_FACTORIES[name]()
-
-
-def run_point(
-    workload_name: str,
-    config_name: str,
-    qps: float,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    governor: str = "menu",
-) -> RunResult:
-    """Simulate one (workload, configuration, rate) point, memoised."""
-    spec = ScenarioSpec(
-        workload=workload_name, config=config_name, qps=qps,
-        horizon=horizon, cores=cores, seed=seed, governor=governor,
-    )
-    return default_runner().run(spec)
-
-
-def run_sweep(
-    workload_name: str,
-    config_name: str,
-    rates_qps: Sequence[float],
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    governor: str = "menu",
-) -> List[RunResult]:
-    """Simulate a rate sweep for one configuration."""
-    specs = [
-        ScenarioSpec(
-            workload=workload_name, config=config_name, qps=qps,
-            horizon=horizon, cores=cores, seed=seed, governor=governor,
-        )
-        for qps in rates_qps
-    ]
-    return default_runner().run_many(specs)
-
-
-def prefetch_points(
-    points: Iterable[Tuple[str, str, float]],
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-) -> None:
-    """Warm the shared cache for (workload, config, qps) triples.
-
-    Experiments that loop over ``run_point`` call this up front with every
-    point they will need; when the default runner is parallel the whole
-    batch fans out at once, and the subsequent ``run_point`` calls are
-    pure cache hits. With the serial runner this is a no-op cost-wise.
-    """
-    specs = [
-        ScenarioSpec(
-            workload=w, config=c, qps=q, horizon=horizon, cores=cores, seed=seed,
-        )
-        for w, c, q in points
-    ]
-    default_runner().run_many(specs)
-
-
-def clear_cache() -> None:
-    """Drop memoised runs (benchmarks measuring cold runs use this)."""
-    clear_shared_cache()
-
-
-# -- formatting helpers ------------------------------------------------------
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Fixed-width text table for experiment reports."""

@@ -23,13 +23,7 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-    pct,
-)
+from repro.experiments.common import format_table, pct
 from repro.experiments.fig9 import TUNED_CONFIGS
 from repro.server.metrics import RunResult, compare_power
 from repro.sweep import ScenarioGrid, ScenarioSpec
@@ -168,22 +162,6 @@ class Fig10Experiment(Experiment):
         return Fig10Params.quick()
 
 
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-) -> List[Fig10Point]:
-    """Deprecated shim over :class:`Fig10Experiment`."""
-    experiment = Fig10Experiment(
-        Fig10Params(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed,
-        )
-    )
-    return experiment.execute().payload
-
-
 def average_power_reduction(points: Sequence[Fig10Point]) -> Dict[str, float]:
     """The per-config 'Avg' bars (paper: 23.5% / 28.6% / 35.3%)."""
     out: Dict[str, float] = {}
@@ -195,12 +173,3 @@ def average_power_reduction(points: Sequence[Fig10Point]) -> Dict[str, float]:
 def peak_power_reduction(points: Sequence[Fig10Point]) -> float:
     """The headline 'up to' number (paper: up to ~71%)."""
     return max(p.power_reduction[c] for p in points for c in TUNED_CONFIGS)
-
-
-def main() -> None:
-    experiment = Fig10Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

@@ -29,12 +29,7 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-)
+from repro.experiments.common import format_table
 from repro.server import RunResult
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.units import seconds_to_us
@@ -138,28 +133,3 @@ class Fig11Experiment(Experiment):
 
     def quick_params(self) -> Fig11Params:
         return Fig11Params.quick()
-
-
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-) -> Fig11Sweep:
-    """Deprecated shim over :class:`Fig11Experiment`."""
-    experiment = Fig11Experiment(
-        Fig11Params(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed,
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = Fig11Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ rate, disabling C6 improves latency by ~4-10%, and C6A then recovers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.api import (
     Experiment,
@@ -24,15 +24,11 @@ from repro.experiments.api import (
     ResultMap,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_SEED,
-    format_table,
-    pct,
-)
+from repro.experiments.common import format_table, pct
 from repro.server import RunResult
 from repro.server.metrics import compare_power
 from repro.sweep import ScenarioGrid, ScenarioSpec
+from repro.sweep.spec import DEFAULT_CORES, DEFAULT_SEED
 from repro.workloads.mysql import MYSQL_RATES
 
 #: MySQL transactions are long; a longer horizon keeps request counts up.
@@ -92,10 +88,6 @@ class Fig12Params:
         if self.rates is None:
             return dict(MYSQL_RATES)
         return dict(self.rates)
-
-
-def _freeze_rates(rates: Optional[Mapping[str, float]]):
-    return None if rates is None else tuple(rates.items())
 
 
 @register_experiment
@@ -187,29 +179,3 @@ class Fig12Experiment(Experiment):
             rates=((label, qps),), horizon=0.5,
             workload_name=self.params.workload_name,
         )
-
-
-def run(
-    rates: Mapping[str, float] = None,
-    horizon: float = MYSQL_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    workload_name: str = "mysql",
-) -> List[Fig12Point]:
-    """Deprecated shim over :class:`Fig12Experiment`."""
-    experiment = Fig12Experiment(
-        Fig12Params(
-            rates=_freeze_rates(rates), horizon=horizon, cores=cores,
-            seed=seed, workload_name=workload_name,
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = Fig12Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

@@ -13,16 +13,10 @@ Same panel structure as Fig 12 (Kafka at two operating points):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict
 
 from repro.experiments.api import register_experiment
-from repro.experiments.common import DEFAULT_CORES, DEFAULT_SEED
-from repro.experiments.fig12 import (
-    Fig12Experiment,
-    Fig12Params,
-    Fig12Point,
-    _freeze_rates,
-)
+from repro.experiments.fig12 import Fig12Experiment, Fig12Params
 from repro.workloads.kafka import KAFKA_RATES
 
 #: Kafka batches are mid-weight; 1 s covers thousands of requests.
@@ -48,27 +42,3 @@ class Fig13Experiment(Fig12Experiment):
     title = "Fig 13: Apache Kafka evaluation at low/high rates."
     artifact = "Figure 13"
     Params = Fig13Params
-
-
-def run(
-    rates: Mapping[str, float] = None,
-    horizon: float = KAFKA_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-) -> List[Fig12Point]:
-    """Deprecated shim over :class:`Fig13Experiment`."""
-    experiment = Fig13Experiment(
-        Fig13Params(
-            rates=_freeze_rates(rates), horizon=horizon, cores=cores, seed=seed,
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = Fig13Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

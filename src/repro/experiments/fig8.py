@@ -29,17 +29,11 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-    get_workload,
-    pct,
-)
+from repro.experiments.common import format_table, pct
 from repro.server import RunResult, named_configuration, simulate
 from repro.server.config import ServerConfiguration
 from repro.sweep import ScenarioGrid, ScenarioSpec
+from repro.sweep.spec import WORKLOAD_FACTORIES
 from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 
 #: Replaced idle states whose transitions pay the ~100 ns AW overhead.
@@ -108,7 +102,7 @@ class Fig8Experiment(Experiment):
 
     def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
         p = self.params
-        workload = get_workload("memcached")
+        workload = WORKLOAD_FACTORIES["memcached"]()
         aw_config = named_configuration("AW")
         derate = aw_config.frequency_derate
 
@@ -246,34 +240,16 @@ class Fig8Experiment(Experiment):
         return Fig8Params.quick(with_scalability=False)
 
 
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    with_scalability: bool = True,
-) -> List[Fig8Point]:
-    """Deprecated shim over :class:`Fig8Experiment`."""
-    experiment = Fig8Experiment(
-        Fig8Params(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed,
-            with_scalability=with_scalability,
-        )
-    )
-    return experiment.execute().payload
-
-
 def _measured_scalability(
-    qps: float, horizon: float, cores: int, seed: int,
-    fast: Optional[RunResult] = None,
+    qps: float, horizon: float, cores: int, seed: int, fast: RunResult,
 ) -> float:
     """Panel (d): performance scalability from 2.0 to 2.2 GHz, measured as
     the latency-based performance gain per unit frequency gain.
 
-    Emulates 2.0 GHz by derating the 2.2 GHz baseline configuration by
-    1 - 2.0/2.2. The 2.0 GHz point uses an ad-hoc configuration, so it
-    runs outside the declarative grid (direct, uncached simulation).
+    ``fast`` is the 2.2 GHz baseline point from the grid. Emulates
+    2.0 GHz by derating the baseline configuration by 1 - 2.0/2.2. The
+    2.0 GHz point uses an ad-hoc configuration, so it runs outside the
+    declarative grid (direct, uncached simulation).
     """
     derate_to_2ghz = 1.0 - 2.0 / 2.2
     slow_config = ServerConfiguration(
@@ -282,12 +258,8 @@ def _measured_scalability(
         turbo_enabled=True,
         frequency_derate=derate_to_2ghz,
     )
-    if fast is None:
-        from repro.experiments.common import run_point
-
-        fast = run_point("memcached", "baseline", qps, horizon, cores, seed)
     slow = simulate(
-        get_workload("memcached"), slow_config, qps=qps, cores=cores,
+        WORKLOAD_FACTORIES["memcached"](), slow_config, qps=qps, cores=cores,
         horizon=horizon, seed=seed,
     )
     perf_gain = slow.avg_latency / fast.avg_latency - 1.0
@@ -298,12 +270,3 @@ def _measured_scalability(
 def average_power_reduction(points: Sequence[Fig8Point]) -> float:
     """The 'Avg' bar of Fig 8b (paper: ~23.5% vs its baseline)."""
     return sum(p.power_reduction for p in points) / len(points)
-
-
-def main() -> None:
-    experiment = Fig8Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

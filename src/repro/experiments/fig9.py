@@ -21,13 +21,7 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-    pct,
-)
+from repro.experiments.common import format_table, pct
 from repro.server import RunResult
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.units import seconds_to_us
@@ -151,30 +145,3 @@ class Fig9Experiment(Experiment):
 
     def quick_params(self) -> Fig9Params:
         return Fig9Params.quick()
-
-
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    configs: Sequence[str] = None,
-) -> Fig9Sweep:
-    """Deprecated shim over :class:`Fig9Experiment`."""
-    experiment = Fig9Experiment(
-        Fig9Params(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed,
-            configs=None if configs is None else tuple(configs),
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = Fig9Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

@@ -143,29 +143,3 @@ class GovernorStudyExperiment(Experiment):
 
     def quick_params(self) -> GovernorStudyParams:
         return GovernorStudyParams(qps=20_000, horizon=0.02)
-
-
-def run(
-    qps: float = 100_000,
-    horizon: float = 0.15,
-    seed: int = 42,
-    configs: Sequence[str] = ("NT_Baseline", "NT_AW"),
-    governors: Sequence[str] = GOVERNORS,
-) -> List[GovernorPoint]:
-    """Deprecated shim over :class:`GovernorStudyExperiment`."""
-    experiment = GovernorStudyExperiment(
-        GovernorStudyParams(
-            qps=qps, horizon=horizon, seed=seed,
-            configs=tuple(configs), governors=tuple(governors),
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = GovernorStudyExperiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

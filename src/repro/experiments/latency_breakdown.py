@@ -131,17 +131,3 @@ class LatencyBreakdownExperiment(Experiment):
         ]
         lines.append(format_table(["Dirty", "Frequency", "Flush time"], rows))
         return "\n".join(lines)
-
-
-def run() -> LatencyReport:
-    """Deprecated shim over :class:`LatencyBreakdownExperiment`."""
-    return LatencyBreakdownExperiment().analyze().payload
-
-
-def main() -> None:
-    experiment = LatencyBreakdownExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,8 +6,6 @@ workload at 50%/25% load and the key-value store at 20% load.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.analytical.motivation import motivation_table
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
 from repro.experiments.common import format_table, pct
@@ -43,17 +41,3 @@ class MotivationExperiment(Experiment):
         lines.append("")
         lines.append("paper: 23% / 41% / 55%")
         return "\n".join(lines)
-
-
-def run() -> List[Tuple[str, float, float]]:
-    """Deprecated shim over :class:`MotivationExperiment`."""
-    return MotivationExperiment().analyze().payload
-
-
-def main() -> None:
-    experiment = MotivationExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ exactly in the low-utilisation band datacenters occupy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analytical.proportionality import (
     ProportionalityReport,
@@ -24,12 +24,7 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-)
+from repro.experiments.common import format_table
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 
@@ -134,28 +129,3 @@ class ProportionalityExperiment(Experiment):
     def quick_params(self) -> ProportionalityParams:
         # Two rates: the proportionality metrics need a curve, not a point.
         return ProportionalityParams.quick(rates_kqps=(20.0, 100.0))
-
-
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-) -> ProportionalityComparison:
-    """Deprecated shim over :class:`ProportionalityExperiment`."""
-    experiment = ProportionalityExperiment(
-        ProportionalityParams(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed,
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = ProportionalityExperiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,13 +9,8 @@ stance in Sec 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.analytical.sensitivity import (
-    SensitivityEntry,
-    residency_sensitivity,
-    tornado,
-)
+from repro.analytical.sensitivity import residency_sensitivity, tornado
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
 from repro.experiments.common import format_table, pct
 
@@ -71,19 +66,3 @@ class SensitivityExperiment(Experiment):
         lines.append("No single-parameter error flips the conclusion: savings stay")
         lines.append("double-digit under every perturbation.")
         return "\n".join(lines)
-
-
-def run(relative_delta: float = 0.25) -> List[SensitivityEntry]:
-    """Deprecated shim over :class:`SensitivityExperiment`."""
-    return SensitivityExperiment(
-        SensitivityParams(relative_delta=relative_delta)
-    ).analyze().payload
-
-
-def main() -> None:
-    experiment = SensitivityExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

@@ -63,17 +63,3 @@ class SnoopExperiment(Experiment):
         rows = [[pct(duty, 0), pct(savings)] for duty, savings in report.duty_sweep]
         lines.append(format_table(["Snoop duty cycle", "AW savings"], rows))
         return "\n".join(lines)
-
-
-def run() -> SnoopReport:
-    """Deprecated shim over :class:`SnoopExperiment`."""
-    return SnoopExperiment().analyze().payload
-
-
-def main() -> None:
-    experiment = SnoopExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

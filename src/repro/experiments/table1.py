@@ -86,17 +86,3 @@ class Table1Experiment(Experiment):
             )
         )
         return "\n".join(lines)
-
-
-def run(design: AgileWattsDesign = None) -> List[Tuple[str, str, str, str]]:
-    """Deprecated shim over :class:`Table1Experiment`."""
-    return Table1Experiment(Table1Params(design=design)).analyze().payload
-
-
-def main() -> None:
-    experiment = Table1Experiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,8 +8,6 @@ in-place save/restore like no existing state.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.core.cstates import ComponentStates, _COMPONENT_STATES
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
 from repro.experiments.common import format_table
@@ -51,17 +49,3 @@ class Table2Experiment(Experiment):
             )
         )
         return "\n".join(lines)
-
-
-def run() -> List[Tuple[str, str, str, str, str, str]]:
-    """Deprecated shim over :class:`Table2Experiment`."""
-    return Table2Experiment().analyze().payload
-
-
-def main() -> None:
-    experiment = Table2Experiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

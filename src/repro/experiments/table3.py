@@ -75,17 +75,3 @@ class Table3Experiment(Experiment):
             lines.append("")
             lines.append(note)
         return "\n".join(lines)
-
-
-def run(design: AgileWattsDesign = None) -> PPABreakdown:
-    """Deprecated shim over :class:`Table3Experiment`."""
-    return Table3Experiment(Table3Params(design=design)).analyze().payload
-
-
-def main() -> None:
-    experiment = Table3Experiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

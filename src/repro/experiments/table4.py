@@ -77,17 +77,3 @@ class Table4Experiment(Experiment):
             )
         )
         return "\n".join(lines)
-
-
-def run(ufpg: UFPG = None) -> List[Tuple[str, str, str, str, str]]:
-    """Deprecated shim over :class:`Table4Experiment`."""
-    return Table4Experiment(Table4Params(ufpg=ufpg)).analyze().payload
-
-
-def main() -> None:
-    experiment = Table4Experiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

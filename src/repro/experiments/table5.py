@@ -9,7 +9,7 @@ at mid-low load where AW's absolute watt savings are largest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.analytical.cost import CostModel, yearly_savings_musd
 from repro.experiments.api import (
@@ -19,12 +19,7 @@ from repro.experiments.api import (
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    format_table,
-)
+from repro.experiments.common import format_table
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 
@@ -94,29 +89,3 @@ class Table5Experiment(Experiment):
 
     def quick_params(self) -> Table5Params:
         return Table5Params.quick()
-
-
-def run(
-    rates_kqps: Sequence[float] = None,
-    horizon: float = DEFAULT_HORIZON,
-    cores: int = DEFAULT_CORES,
-    seed: int = DEFAULT_SEED,
-    cost_model: CostModel = CostModel(),
-) -> Dict[str, float]:
-    """Deprecated shim over :class:`Table5Experiment`."""
-    experiment = Table5Experiment(
-        Table5Params(
-            rates_kqps=None if rates_kqps is None else tuple(rates_kqps),
-            horizon=horizon, cores=cores, seed=seed, cost_model=cost_model,
-        )
-    )
-    return experiment.execute().payload
-
-
-def main() -> None:
-    experiment = Table5Experiment()
-    print(experiment.render_text(experiment.execute()))
-
-
-if __name__ == "__main__":
-    main()

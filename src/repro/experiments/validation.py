@@ -7,9 +7,7 @@ accuracies of 96.1% / 95.2% / 94.4% / 94.9%.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.analytical.validation import ValidationResult, validate_power_model
+from repro.analytical.validation import validate_power_model
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
 from repro.experiments.common import format_table
 
@@ -58,17 +56,3 @@ class ValidationExperiment(Experiment):
         lines.append("paper accuracies: SPECpower 96.1% / Nginx 95.2% / "
                      "Spark 94.4% / Hive 94.9%")
         return "\n".join(lines)
-
-
-def run() -> List[ValidationResult]:
-    """Deprecated shim over :class:`ValidationExperiment`."""
-    return ValidationExperiment().analyze().payload
-
-
-def main() -> None:
-    experiment = ValidationExperiment()
-    print(experiment.render_text(experiment.analyze()))
-
-
-if __name__ == "__main__":
-    main()

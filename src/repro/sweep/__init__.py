@@ -14,8 +14,8 @@ points. This package makes that grid a first-class object:
 - :mod:`repro.sweep.progress` — the shared tty :class:`ProgressRenderer`
   threaded through ``repro run --jobs N`` and ``repro sweep``.
 
-Every experiment module routes its simulation through this layer (via the
-thin shims in :mod:`repro.experiments.common`), so a single
+Every registered experiment routes its simulation through this layer
+(:meth:`repro.experiments.api.Experiment.execute`), so a single
 ``SweepRunner`` configuration — e.g. ``python -m repro run --all --jobs 4``
 — parallelises the whole artifact regeneration.
 """

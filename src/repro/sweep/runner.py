@@ -943,7 +943,7 @@ class SweepRunner:
 
 
 # -- default runner ----------------------------------------------------------
-# The experiment shims (repro.experiments.common) route every point through
+# Registered experiments (repro.experiments.api) route every point through
 # this process-wide runner, so configuring it (e.g. from `--jobs N` on the
 # CLI) changes how the whole artifact pipeline executes.
 
@@ -951,7 +951,7 @@ _default_runner = SweepRunner()
 
 
 def default_runner() -> SweepRunner:
-    """The process-wide runner used by the experiment shims."""
+    """The process-wide runner experiments use unless given one."""
     return _default_runner
 
 

@@ -99,14 +99,14 @@ class TestPowerSide:
 
 class TestExperimentModule:
     def test_run_returns_variants(self):
-        from repro.experiments import ablation
+        from repro.experiments.ablation import AblationExperiment
 
-        assert len(ablation.run()) == 5
+        assert len(AblationExperiment().analyze().payload) == 5
 
-    def test_main_prints(self, capsys):
-        from repro.experiments import ablation
+    def test_main_prints(self):
+        from repro.experiments.ablation import AblationExperiment
 
-        ablation.main()
-        out = capsys.readouterr().out
+        experiment = AblationExperiment()
+        out = experiment.render_text(experiment.analyze())
         assert "Ablation" in out
         assert "no_cache_sleep_mode" in out

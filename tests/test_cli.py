@@ -110,19 +110,19 @@ class TestCommands:
             assert "Table 2" in handle.read()
 
     def test_experiment_ids_all_importable(self):
-        # Every registered experiment lives in an importable module; the
-        # legacy one-module-per-id artifacts also keep their run()/main()
-        # shims (the cluster family shares one module and has no shims).
+        # Every registered experiment class is reachable from its module,
+        # and the class is the only way to run it: no module keeps a
+        # second run()/main() entry point beside the Experiment API.
         import importlib
 
         from repro.experiments.api import get_experiment_class
 
         for experiment_id in EXPERIMENT_IDS:
-            module_name = get_experiment_class(experiment_id).__module__
-            module = importlib.import_module(module_name)
-            if module_name == f"repro.experiments.{experiment_id}":
-                assert hasattr(module, "main")
-                assert hasattr(module, "run")
+            cls = get_experiment_class(experiment_id)
+            module = importlib.import_module(cls.__module__)
+            assert getattr(module, cls.__name__) is cls
+            assert not hasattr(module, "main")
+            assert not hasattr(module, "run")
 
 
 class TestRunFormats:
@@ -289,18 +289,17 @@ class TestSweepCommand:
         assert all(r["completed"] > 0 for r in records)
 
     def test_sweep_parallel_matches_serial(self, capsys):
-        from repro.experiments.common import clear_cache
-        from repro.sweep import configure_default_runner
+        from repro.sweep import clear_shared_cache, configure_default_runner
 
         argv = [
             "sweep", "--config", "baseline", "--kqps", "10", "20",
             "--horizon", "0.02", "--seed", "7", "--no-cache",
         ]
         try:
-            clear_cache()
+            clear_shared_cache()
             assert main(argv) == EXIT_OK
             serial_out = capsys.readouterr().out
-            clear_cache()
+            clear_shared_cache()
             assert main(argv + ["--jobs", "2"]) == EXIT_OK
             parallel_out = capsys.readouterr().out
             assert serial_out == parallel_out

@@ -1,9 +1,10 @@
-"""DistributedExecutor guarantees that local worker start-up must keep.
+"""DistributedExecutor guarantees around worker start-up and queue reuse.
 
 Local workers start with the platform's default start method (fork on
 Linux), while external ``repro worker`` processes are bare
-interpreters. These tests pin what keeps the two in step and what keeps
-the coordinator's own databases sound across the fork.
+interpreters. These tests pin what keeps the two in step, what keeps
+the coordinator's own databases sound across the fork, and that a queue
+directory reused with a fresh store still settles.
 """
 
 import multiprocessing
@@ -91,3 +92,92 @@ def test_coordinator_databases_stay_usable_after_local_workers(
     assert executor.store.db_bytes() > 0
     assert executor.queue.is_drained()
     assert executor.queue.counts()["done"] == len(specs)
+
+
+def test_reused_queue_with_fresh_store_requeues_done_rows(tmp_path):
+    """Rows a first run marked done have no result in a second run's
+    fresh store; the coordinator must requeue them, not wait forever."""
+    from repro.store.serialize import result_to_dict
+
+    specs = [_spec(seed=seed) for seed in range(3)]
+    queue_dir = str(tmp_path / "queue")
+    first = DistributedExecutor(
+        queue_dir, store_dir=str(tmp_path / "store_a"), jobs=2,
+        lease_s=5.0, poll_s=0.05, max_wall_s=60.0,
+    )
+    try:
+        first.map_specs(specs)
+    finally:
+        first.close()
+    second = DistributedExecutor(
+        queue_dir, store_dir=str(tmp_path / "store_b"), jobs=2,
+        lease_s=5.0, poll_s=0.05, max_wall_s=30.0,
+    )
+    messages = []
+    try:
+        assert second.queue.counts()["done"] == len(specs)
+        results = second.map_specs(specs, log=messages.append)
+        assert second.queue.counts()["done"] == len(specs)
+    finally:
+        second.close()
+    assert [result_to_dict(r) for r in results] == [
+        result_to_dict(spec.execute()) for spec in specs
+    ]
+    assert any("requeued 3 done row(s)" in m for m in messages), messages
+
+
+def test_row_failed_after_the_heal_pass_is_not_settled_unhealed(tmp_path):
+    """A worker can trip over a second corrupt row while the coordinator
+    heals the first; that row must get its own heal, not be settled as
+    a failure on the re-read that follows the heal."""
+    import json
+    import sqlite3
+
+    from repro.distrib.chaos import corrupt_rows
+    from repro.distrib.queue import job_key
+    from repro.sweep.runner import RECORD, FailurePolicy
+
+    first, second = _spec(seed=0), _spec(seed=1)
+    executor = DistributedExecutor(
+        str(tmp_path / "queue"), store_dir=str(tmp_path / "store"), jobs=0,
+        policy=FailurePolicy(mode=RECORD), poll_s=0.05, max_wall_s=30.0,
+    )
+    queue, store = executor.queue, executor.store
+    queue.enqueue([first, second])
+    corrupt_rows(queue, [job_key(first), job_key(second)])
+    torn = {"kind": "corrupt", "error": "unreadable spec row", "attempts": 0}
+
+    def mark_failed(spec):
+        """What a worker's claim does on a row whose payload is torn."""
+        conn = sqlite3.connect(str(queue.path), timeout=30.0)
+        try:
+            with conn:
+                conn.execute(
+                    "UPDATE jobs SET state = 'failed', error = ? WHERE key = ?",
+                    (json.dumps(torn), job_key(spec)),
+                )
+        finally:
+            conn.close()
+
+    mark_failed(first)
+    heal = queue.heal
+    calls = []
+
+    def heal_then_worker_trips(specs):
+        healed = heal(specs)
+        if not calls:
+            # During the first heal pass, a worker fails the second row
+            # and the fleet then computes both points into the store.
+            mark_failed(second)
+            for spec in (first, second):
+                store.put(spec.cache_key, spec.execute(), spec=spec)
+        calls.append([job_key(spec) for spec in specs])
+        return healed
+
+    queue.heal = heal_then_worker_trips
+    try:
+        results = executor.map_specs([first, second])
+    finally:
+        executor.close()
+    assert calls[0] == [job_key(first)]
+    assert all(isinstance(result, RunResult) for result in results), results

@@ -216,6 +216,10 @@ class TestEveryExperimentQuick:
                 text = render(experiment, result, fmt)
                 assert isinstance(text, str) and text
 
+    def test_quick_of_static_experiment_is_equivalent(self):
+        quick = get_experiment("table2").quick()
+        assert quick.analyze().records == get_experiment("table2").analyze().records
+
 
 class TestRenderers:
     @pytest.fixture(scope="class")
@@ -262,32 +266,6 @@ class TestRenderers:
         assert output_extension("json") == "json"
         assert output_extension("jsonl") == "jsonl"
         assert output_extension("csv") == "csv"
-
-
-class TestLegacyShims:
-    """run()/main() keep their historical types and outputs."""
-
-    def test_run_shims_return_previous_types(self):
-        from repro.experiments import table1, table2, table5
-
-        rows = table1.run()
-        assert isinstance(rows, list) and isinstance(rows[0], tuple)
-        assert isinstance(table2.run(), list)
-        savings = table5.run(rates_kqps=[20], horizon=0.02)
-        assert isinstance(savings, dict)
-        assert all(isinstance(v, float) for v in savings.values())
-
-    def test_main_shims_print(self, capsys):
-        from repro.experiments import motivation
-
-        motivation.main()
-        out = capsys.readouterr().out
-        assert "Eq. 1" in out
-        assert out.endswith("\n")
-
-    def test_quick_of_static_experiment_is_equivalent(self):
-        quick = get_experiment("table2").quick()
-        assert quick.analyze().records == get_experiment("table2").analyze().records
 
 
 class TestReviewRegressions:

@@ -6,26 +6,35 @@ tens of seconds while still asserting the paper's qualitative claims.
 
 import pytest
 
-from repro.experiments import fig8, fig9, fig10, fig11, fig12, fig13, table5
-from repro.experiments.common import clear_cache
+from repro.experiments import fig8, fig9, fig10, fig11
+from repro.experiments.fig8 import Fig8Experiment, Fig8Params
+from repro.experiments.fig9 import Fig9Experiment, Fig9Params
+from repro.experiments.fig10 import Fig10Experiment, Fig10Params
+from repro.experiments.fig11 import Fig11Experiment, Fig11Params
+from repro.experiments.fig12 import Fig12Experiment, Fig12Params
+from repro.experiments.fig13 import Fig13Experiment, Fig13Params
+from repro.experiments.table5 import Table5Experiment, Table5Params
+from repro.sweep.runner import clear_shared_cache
 
 #: A reduced Memcached grid: low / mid / high load.
-RATES = [10, 100, 400]
+RATES = (10, 100, 400)
 HORIZON = 0.1
 SEED = 42
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_cache():
-    clear_cache()
+    clear_shared_cache()
     yield
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
     def points(self):
-        return fig8.run(rates_kqps=RATES, horizon=HORIZON, seed=SEED,
-                        with_scalability=True)
+        return Fig8Experiment(
+            Fig8Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED,
+                       with_scalability=True)
+        ).execute().payload
 
     def test_one_point_per_rate(self, points):
         assert [p.qps for p in points] == [r * 1000 for r in RATES]
@@ -79,7 +88,9 @@ class TestFig8:
 class TestFig9:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return fig9.run(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        return Fig9Experiment(
+            Fig9Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        ).execute().payload
 
     def test_all_configs_present(self, sweep):
         assert set(sweep.results) == set(fig9.TUNED_CONFIGS)
@@ -115,7 +126,9 @@ class TestFig9:
 class TestFig10:
     @pytest.fixture(scope="class")
     def points(self):
-        return fig10.run(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        return Fig10Experiment(
+            Fig10Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        ).execute().payload
 
     def test_aw_saves_power_against_all_configs(self, points):
         for p in points:
@@ -153,14 +166,17 @@ class TestFig10:
 class TestFig11:
     #: Fig 11 needs enough simulated time at high load for the turbo tank
     #: (2 J) to actually deplete, so it runs its own grid.
-    FIG11_RATES = [10, 300, 500]
+    FIG11_RATES = (10, 300, 500)
     FIG11_HORIZON = 0.4
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        return fig11.run(
-            rates_kqps=self.FIG11_RATES, horizon=self.FIG11_HORIZON, seed=SEED
-        )
+        return Fig11Experiment(
+            Fig11Params(
+                rates_kqps=self.FIG11_RATES, horizon=self.FIG11_HORIZON,
+                seed=SEED,
+            )
+        ).execute().payload
 
     def test_all_six_configs(self, sweep):
         assert set(sweep.results) == set(
@@ -197,7 +213,9 @@ class TestFig11:
 class TestFig12MySQL:
     @pytest.fixture(scope="class")
     def points(self):
-        return fig12.run(horizon=1.0, seed=SEED)
+        return Fig12Experiment(
+            Fig12Params(horizon=1.0, seed=SEED)
+        ).execute().payload
 
     def test_baseline_c6_heavy(self, points):
         # Sec 7.4: >= 40% C6 residency at all rates.
@@ -223,7 +241,9 @@ class TestFig12MySQL:
 class TestFig13Kafka:
     @pytest.fixture(scope="class")
     def points(self):
-        return fig13.run(horizon=0.5, seed=SEED)
+        return Fig13Experiment(
+            Fig13Params(horizon=0.5, seed=SEED)
+        ).execute().payload
 
     def test_low_rate_c6_heavy(self, points):
         by_label = {p.label: p for p in points}
@@ -244,12 +264,16 @@ class TestFig13Kafka:
 
 class TestTable5:
     def test_savings_positive_everywhere(self):
-        savings = table5.run(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        savings = Table5Experiment(
+            Table5Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        ).execute().payload
         assert all(v > 0 for v in savings.values())
 
     def test_band_order_of_magnitude(self):
         # Paper: $0.33-0.59M; our simulator's deltas run ~2x higher but
         # must stay in the same order of magnitude.
-        savings = table5.run(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        savings = Table5Experiment(
+            Table5Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
+        ).execute().payload
         for value in savings.values():
             assert 0.1 <= value <= 3.0

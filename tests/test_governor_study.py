@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.experiments import governor_study
+from repro.experiments.governor_study import (
+    GovernorStudyExperiment,
+    GovernorStudyParams,
+)
 
 
 @pytest.fixture(scope="module")
 def points():
-    return governor_study.run(qps=80_000, horizon=0.08, seed=42)
+    return GovernorStudyExperiment(
+        GovernorStudyParams(qps=80_000, horizon=0.08, seed=42)
+    ).execute().payload
 
 
 def _get(points, config, governor):
@@ -52,8 +57,8 @@ class TestGovernorStudy:
         assert aw_c1.residency_of("C6A") > 0.0
         assert aw_c1.residency_of("C6AE") == 0.0
 
-    def test_main_prints(self, capsys):
-        governor_study.main()
-        out = capsys.readouterr().out
+    def test_main_prints(self):
+        experiment = GovernorStudyExperiment()
+        out = experiment.render_text(experiment.execute())
         assert "Governor study" in out
         assert "oracle" in out

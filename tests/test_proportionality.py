@@ -54,9 +54,14 @@ class TestAnalyzeCurve:
 class TestProportionalityExperiment:
     @pytest.fixture(scope="class")
     def comparison(self):
-        from repro.experiments import proportionality
+        from repro.experiments.proportionality import (
+            ProportionalityExperiment,
+            ProportionalityParams,
+        )
 
-        return proportionality.run(rates_kqps=[10, 100, 400], horizon=0.08)
+        return ProportionalityExperiment(
+            ProportionalityParams(rates_kqps=(10, 100, 400), horizon=0.08)
+        ).execute().payload
 
     def test_aw_widens_dynamic_range(self, comparison):
         assert (
@@ -70,9 +75,15 @@ class TestProportionalityExperiment:
             < comparison.baseline.proportionality_gap
         )
 
-    def test_main_prints(self, capsys):
-        from repro.experiments import proportionality
+    def test_main_prints(self):
+        from repro.experiments.proportionality import (
+            ProportionalityExperiment,
+            ProportionalityParams,
+        )
 
-        points = proportionality.run(rates_kqps=[10, 400], horizon=0.05)
-        assert points.baseline.dynamic_range > 1.0
-        proportionality.main.__wrapped__ if hasattr(proportionality.main, "__wrapped__") else None
+        experiment = ProportionalityExperiment(
+            ProportionalityParams(rates_kqps=(10, 400), horizon=0.05)
+        )
+        result = experiment.execute()
+        assert result.payload.baseline.dynamic_range > 1.0
+        assert "Energy proportionality" in experiment.render_text(result)

@@ -70,15 +70,15 @@ class TestResidencyLever:
 
 class TestExperimentModule:
     def test_run_appends_residency_lever(self):
-        from repro.experiments import sensitivity
+        from repro.experiments.sensitivity import SensitivityExperiment
 
-        entries = sensitivity.run()
+        entries = SensitivityExperiment().analyze().payload
         assert entries[-1].parameter == "c1e_residency_shift"
 
-    def test_main_prints(self, capsys):
-        from repro.experiments import sensitivity
+    def test_main_prints(self):
+        from repro.experiments.sensitivity import SensitivityExperiment
 
-        sensitivity.main()
-        out = capsys.readouterr().out
+        experiment = SensitivityExperiment()
+        out = experiment.render_text(experiment.analyze())
         assert "Sensitivity" in out
         assert "swing" in out

@@ -773,32 +773,3 @@ class TestProgressRenderer:
         assert "pts/s" in line
         assert "ETA" in line
         assert "3 memo" in line and "1 store" in line
-
-
-class TestCommonShims:
-    def test_run_point_equals_spec_execution(self):
-        from repro.experiments.common import clear_cache, run_point
-
-        clear_cache()
-        via_shim = run_point("memcached", "baseline", 20_000, horizon=0.02, seed=7)
-        direct = _spec().execute()
-        assert via_shim.avg_core_power == direct.avg_core_power
-        assert via_shim.completed == direct.completed
-
-    def test_run_sweep_order(self):
-        from repro.experiments.common import run_sweep
-
-        results = run_sweep(
-            "memcached", "baseline", [10_000, 20_000], horizon=0.02, seed=7
-        )
-        assert [r.qps for r in results] == [10_000, 20_000]
-
-    def test_prefetch_warms_the_default_cache(self):
-        from repro.experiments.common import clear_cache, prefetch_points, run_point
-        from repro.sweep import shared_cache_size
-
-        clear_cache()
-        prefetch_points([("memcached", "baseline", 20_000)], horizon=0.02, seed=7)
-        warmed = shared_cache_size()
-        run_point("memcached", "baseline", 20_000, horizon=0.02, seed=7)
-        assert shared_cache_size() == warmed
