@@ -7,9 +7,7 @@ Run with::
 Attaches a :class:`~repro.simkit.trace.TraceRecorder` to a server node,
 then mines the trace for the things a power engineer would ask of a real
 system's residency counters: per-core transition rates, idle-interval
-length distribution, governor decisions per state, and whether package
-C-states could ever have engaged (spoiler: no — see
-``repro.uarch.package_cstates``).
+length distribution and governor decisions per state.
 """
 
 from collections import Counter, defaultdict
@@ -17,7 +15,6 @@ from collections import Counter, defaultdict
 from repro.server import ServerNode, named_configuration
 from repro.simkit.stats import Histogram
 from repro.simkit.trace import TraceRecorder
-from repro.uarch.package_cstates import package_state_opportunity
 from repro.units import US, seconds_to_us
 from repro.workloads import memcached_workload
 
@@ -62,18 +59,6 @@ def main() -> None:
     print(f"  overflow (> 500 us): {histogram.overflow}")
     mean_interval = sum(intervals) / len(intervals)
     print(f"  mean idle interval: {seconds_to_us(mean_interval):.1f} us")
-
-    # 3. Could package C-states have engaged at this operating point?
-    idle_fraction = 1.0 - result.utilization
-    name, fraction = package_state_opportunity(
-        per_core_idle_fraction=idle_fraction,
-        mean_idle_interval=mean_interval,
-        cores=result.cores,
-    )
-    print(f"\nPackage C-state opportunity: {name} "
-          f"(usable {fraction * 100:.1f}% of time)")
-    print("Core-level agility (C6A) is the only lever at this load —")
-    print("exactly the paper's positioning vs package-level approaches.")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+# repro: allow[DEAD001] MG1SetupModel is the analytic oracle the planned correctness checks use
 """Analytical request-latency model: M/G/1 with server setup times.
 
 The simulator measures latency; this model *predicts* it, giving an

@@ -29,6 +29,9 @@ Rule series (see each rule's docstring for the full rationale):
   captures handed to pools, module globals written in worker-reachable
   code but read in the parent, RNG/``Simulator`` instances shared
   across a fork, and parent-only imports in worker-reachable code.
+- **DEAD** — reachability over the same call graph's import edges:
+  every module must be reached from the ``repro.__main__`` entry point
+  (:mod:`repro.analyze.dead`).
 - **ANA** — hygiene of the analysis itself: unparseable files and
   malformed, unknown or stale suppression comments.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "CallGraph",
@@ -163,6 +163,7 @@ class ModuleInfo:
         "classes",
         "module_aliases",
         "from_imports",
+        "imports",
         "mutable_globals",
     )
 
@@ -178,6 +179,8 @@ class ModuleInfo:
         self.module_aliases: Dict[str, str] = {}
         #: Local name -> (module, original name) for ``from m import n``.
         self.from_imports: Dict[str, Tuple[str, str]] = {}
+        #: Every import statement, lazy ones included, in walk order.
+        self.imports: List[Union[ast.Import, ast.ImportFrom]] = []
         #: Module-level mutable containers: name -> binding line.
         self.mutable_globals: Dict[str, int] = {}
         self._index()
@@ -219,6 +222,8 @@ class ModuleInfo:
         # graph must follow `from repro.cluster.sharding import ...`
         # inside ScenarioSpec.execute.
         for node in ast.walk(self.tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.imports.append(node)
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or alias.name] = (
@@ -232,6 +237,11 @@ class ModuleInfo:
                         node.module,
                         alias.name,
                     )
+
+    @property
+    def is_package(self) -> bool:
+        """Whether this module is a package ``__init__``."""
+        return os.path.basename(self.path) == "__init__.py"
 
     def resolve_module_prefix(
         self, chain: Tuple[str, ...]

@@ -120,7 +120,11 @@ _THREADING_PRIMITIVES = frozenset(
 def run_conc_checks(paths: Sequence[str]) -> List[Finding]:
     """Run CONC001-004 over an analysed file set; returns raw findings
     (the engine applies suppressions and the baseline)."""
-    graph = CallGraph(paths)
+    return check_process_boundaries(CallGraph(paths))
+
+
+def check_process_boundaries(graph: CallGraph) -> List[Finding]:
+    """CONC001-004 over an already built call graph."""
     findings: List[Finding] = []
     for site in graph.sites:
         findings.extend(_check_site(graph, site))

@@ -3,10 +3,11 @@
 Per-file work (parse + every registered rule) is embarrassingly
 parallel, so with ``jobs > 1`` it fans out over a process pool; results
 merge deterministically (findings sort by location) regardless of which
-worker analysed which file. The project-level SPEC checks — which relate
-*pairs* of files — run once in the parent, after which suppression
-comments from every analysed file are matched centrally so one mechanism
-covers per-file and cross-module findings alike.
+worker analysed which file. The project-level SPEC, CONC and DEAD
+checks — which relate several files — run once in the parent, CONC and
+DEAD over one shared call graph. Suppression comments from every
+analysed file are then matched centrally, so one mechanism covers
+per-file and cross-module findings alike.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from repro.analyze.rules import FileContext, all_rules
 # happily report a clean file.
 import repro.analyze.det  # noqa: F401  (registration side effect)
 import repro.analyze.fastpath  # noqa: F401  (registration side effect)
-from repro.analyze.conc import run_conc_checks
+from repro.analyze.callgraph import CallGraph
+from repro.analyze.conc import check_process_boundaries
+from repro.analyze.dead import check_dead_modules
 from repro.analyze.speccheck import MANIFEST_PATH, run_project_checks
 from repro.analyze.suppress import (
     _ALLOW,
@@ -140,8 +143,9 @@ def run_lint(
         jobs: worker processes; ``None`` picks serial for small file
             sets and ``os.cpu_count()`` (capped at 8) above
             ``_PARALLEL_THRESHOLD`` files.
-        project_checks: run the cross-module SPEC series when the
-            analysed set contains the relevant modules.
+        project_checks: run the cross-module SPEC, CONC and DEAD series
+            (SPEC and DEAD only when the analysed set contains the
+            modules they relate).
         manifest_path: codec-shape manifest for SPEC003 (overridable so
             fixture trees can carry their own).
 
@@ -170,7 +174,9 @@ def run_lint(
 
     if project_checks:
         findings.extend(run_project_checks(files, manifest_path))
-        findings.extend(run_conc_checks(files))
+        graph = CallGraph(files)
+        findings.extend(check_process_boundaries(graph))
+        findings.extend(check_dead_modules(graph))
 
     active, suppressed = apply_suppressions(findings, by_path)
     return LintResult(

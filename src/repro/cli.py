@@ -500,8 +500,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 + [
                     f"{record['avg_core_power']:.2f}W",
                     f"{record['package_power']:.1f}W",
-                    f"{seconds_to_us(record['avg_latency']):.1f}us",
-                    f"{seconds_to_us(record['p99_latency']):.1f}us",
+                    _latency_cell(record["avg_latency"]),
+                    _latency_cell(record["p99_latency"]),
                     record["completed"],
                 ]
             )
@@ -513,6 +513,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     return EXIT_ERROR if n_failed else EXIT_OK
+
+
+def _latency_cell(seconds: Optional[float]) -> str:
+    """A sweep-table latency in microseconds; ``-`` when none was measured."""
+    return "-" if seconds is None else f"{seconds_to_us(seconds):.1f}us"
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -1083,7 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static determinism & invariant analysis (DET/FAST/SPEC rules)",
+        help=(
+            "static determinism & invariant analysis "
+            "(DET/FAST/SPEC/CONC/DEAD/ANA rules)"
+        ),
     )
     lint.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",

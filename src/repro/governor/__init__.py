@@ -2,7 +2,6 @@
 
 - :mod:`~repro.governor.idle` — idle-state (C-state) governors: a
   menu-style EWMA predictor plus fixed/oracle policies.
-- :mod:`~repro.governor.pstates` — P-state (DVFS) table and policies.
 """
 
 from repro.governor.idle import (
@@ -12,7 +11,6 @@ from repro.governor.idle import (
     OracleGovernor,
     ReplayOracleGovernor,
 )
-from repro.governor.pstates import PState, PStateTable
 
 __all__ = [
     "FixedGovernor",
@@ -20,6 +18,4 @@ __all__ = [
     "MenuGovernor",
     "OracleGovernor",
     "ReplayOracleGovernor",
-    "PState",
-    "PStateTable",
 ]

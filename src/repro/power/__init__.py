@@ -13,7 +13,6 @@ architecture composes:
   staggered wake-up and multi-zone controllers (Fig 2, Sec 5.3).
 - :mod:`~repro.power.retention` — context-retention structures: ungated
   registers, SRPG flops and ungated SRAM (Fig 5).
-- :mod:`~repro.power.rapl` — RAPL-style energy accounting over a simulation.
 """
 
 from repro.power.leakage import (
@@ -23,7 +22,6 @@ from repro.power.leakage import (
 )
 from repro.power.pdn import FIVR, LDO, MBVR, VoltageRegulator
 from repro.power.clock import ADPLL, ClockDistribution
-from repro.power.droop import InRushModel, IRDropModel
 from repro.power.powergate import PowerGate, StaggeredWakeupController, ZonedPowerGating
 from repro.power.retention import (
     RetentionPlan,
@@ -31,7 +29,6 @@ from repro.power.retention import (
     UngatedRegisterFile,
     UngatedSRAM,
 )
-from repro.power.rapl import EnergyCounter, RAPLDomain
 
 __all__ = [
     "LeakageModel",
@@ -43,8 +40,6 @@ __all__ = [
     "VoltageRegulator",
     "ADPLL",
     "ClockDistribution",
-    "InRushModel",
-    "IRDropModel",
     "PowerGate",
     "StaggeredWakeupController",
     "ZonedPowerGating",
@@ -52,6 +47,4 @@ __all__ = [
     "SRPGBank",
     "UngatedRegisterFile",
     "UngatedSRAM",
-    "EnergyCounter",
-    "RAPLDomain",
 ]

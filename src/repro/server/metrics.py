@@ -122,8 +122,12 @@ class RunResult:
         C-state ``residency`` fractions and per-core
         ``transitions_per_second`` dicts (key-sorted for stable output).
         This is the canonical record shape of the Experiment API and of
-        ``repro sweep --emit residency``.
+        ``repro sweep --emit residency``. The four latency fields are
+        ``None`` when no request completed.
         """
+        # A point that completed no request has no latency: null, not a
+        # fabricated 0.0 mean or a percentile of nothing.
+        sampled = self.server_latency.count > 0
         record: Dict[str, object] = {
             "workload": self.workload_name,
             "config": self.config_name,
@@ -134,10 +138,10 @@ class RunResult:
             "achieved_qps": self.achieved_qps,
             "avg_core_power": self.avg_core_power,
             "package_power": self.package_power,
-            "avg_latency": self.avg_latency,
-            "p99_latency": self.tail_latency,
-            "avg_latency_e2e": self.avg_latency_e2e,
-            "p99_latency_e2e": self.tail_latency_e2e,
+            "avg_latency": self.avg_latency if sampled else None,
+            "p99_latency": self.tail_latency if sampled else None,
+            "avg_latency_e2e": self.avg_latency_e2e if sampled else None,
+            "p99_latency_e2e": self.tail_latency_e2e if sampled else None,
             "turbo_grant_rate": self.turbo_grant_rate,
             "snoops_served": self.snoops_served,
         }

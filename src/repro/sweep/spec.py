@@ -41,7 +41,11 @@ from repro.cluster.balancer import (
 )
 from repro.errors import ConfigurationError
 from repro.governor.idle import FixedGovernor, MenuGovernor, ReplayOracleGovernor
-from repro.server.config import ServerConfiguration, named_configuration
+from repro.server.config import (
+    CONFIGURATION_NAMES,
+    ServerConfiguration,
+    named_configuration,
+)
 from repro.server.metrics import RunResult
 from repro.workloads import kafka_workload, memcached_workload, mysql_workload
 from repro.workloads.base import Workload
@@ -107,6 +111,38 @@ def register_governor(name: str, factory: Callable[[], object]) -> None:
 CacheKey = Tuple[object, ...]
 
 
+#: ScenarioSpec field annotation -> (description, accepted types).
+_FIELD_TYPES: Dict[str, Tuple[str, Tuple[type, ...]]] = {
+    "str": ("a string", (str,)),
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("a boolean", (bool,)),
+}
+
+
+def _check_field_type(name: str, annotation: str, value: object) -> None:
+    """Reject a spec-dict value whose type does not match its field.
+
+    Raises:
+        ConfigurationError: naming the field, the expected and the given
+            value.
+    """
+    optional = annotation.startswith("Optional[")
+    if optional:
+        if value is None:
+            return
+        annotation = annotation[len("Optional["):-1]
+    description, types = _FIELD_TYPES[annotation]
+    # bool subclasses int, so only a bool field may hold True/False.
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        expected = f"{description} or null" if optional else description
+        raise ConfigurationError(
+            f"ScenarioSpec field {name!r} must be {expected}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-parameterised simulation point.
@@ -170,6 +206,11 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r}; "
                 f"choose from {sorted(WORKLOAD_FACTORIES)}"
+            )
+        if self.config not in CONFIGURATION_NAMES:
+            raise ConfigurationError(
+                f"unknown configuration {self.config!r}; "
+                f"choose from {sorted(CONFIGURATION_NAMES)}"
             )
         if self.governor not in GOVERNOR_FACTORIES:
             raise ConfigurationError(
@@ -294,7 +335,8 @@ class ScenarioSpec:
         """Rebuild a spec from :meth:`to_dict` output.
 
         Raises:
-            ConfigurationError: on missing or unknown keys.
+            ConfigurationError: on missing or unknown keys, or a value
+                whose JSON type does not match its field.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -302,6 +344,9 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown ScenarioSpec fields {sorted(unknown)}; known: {sorted(known)}"
             )
+        for f in fields(cls):
+            if f.name in data:
+                _check_field_type(f.name, str(f.type), data[f.name])
         try:
             return cls(**data)
         except TypeError as exc:

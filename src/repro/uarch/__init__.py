@@ -4,8 +4,6 @@ Models the parts of a Skylake-class server processor the evaluation needs:
 
 - :mod:`~repro.uarch.core` — a CPU core: frequency points, C-state
   residency tracking, active/idle power.
-- :mod:`~repro.uarch.cache` — private L1/L2 with a dirty-line model
-  feeding the C6 flush-latency estimate.
 - :mod:`~repro.uarch.coherence` — snoop traffic generation and the cost
   of serving it in each idle state.
 - :mod:`~repro.uarch.turbo` — a token-bucket thermal/Turbo budget
@@ -14,31 +12,17 @@ Models the parts of a Skylake-class server processor the evaluation needs:
 """
 
 from repro.uarch.core import Core, CoreStats
-from repro.uarch.cache import PrivateCaches
 from repro.uarch.coherence import SnoopModel, SnoopTrafficGenerator
-from repro.uarch.snoopfilter import SnoopFilterModel
 from repro.uarch.turbo import TurboBudget, TurboConfig
 from repro.uarch.package import Package, PackageConfig
-from repro.uarch.package_cstates import (
-    PackageCState,
-    SimultaneousIdleModel,
-    package_state_opportunity,
-    skylake_package_cstates,
-)
 
 __all__ = [
     "Core",
     "CoreStats",
-    "PrivateCaches",
     "SnoopModel",
     "SnoopTrafficGenerator",
-    "SnoopFilterModel",
     "TurboBudget",
     "TurboConfig",
     "Package",
     "PackageConfig",
-    "PackageCState",
-    "SimultaneousIdleModel",
-    "package_state_opportunity",
-    "skylake_package_cstates",
 ]

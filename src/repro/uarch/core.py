@@ -96,10 +96,9 @@ class Core:
         self._start_time = start_time
         self._residency: Dict[str, float] = {}
         self._transitions: Dict[str, int] = {}
-        # Energy accounting is inlined (same arithmetic as
-        # :class:`~repro.power.rapl.EnergyCounter`, whose per-call guards
-        # would re-check what _accrue already validated on this hot path):
-        # piecewise-constant power integrated at every power change.
+        # Energy accounting is inlined, RAPL-style: piecewise-constant
+        # power integrated at every power change, with no per-call guards
+        # re-checking what _accrue already validated on this hot path.
         self._energy_acc = 0.0
         self._energy_time = start_time
         self._snoop_power_delta = 0.0

@@ -15,7 +15,6 @@ from repro.workloads.loadgen import LoadGenerator, OpenLoopPoisson, RoundRobinTh
 from repro.workloads.memcached import memcached_workload, MEMCACHED_RATES_KQPS
 from repro.workloads.kafka import kafka_workload, KAFKA_RATES
 from repro.workloads.mysql import mysql_workload, MYSQL_RATES
-from repro.workloads.etc_trace import memcached_etc_workload
 from repro.workloads.profiles import (
     ResidencyProfile,
     motivation_profiles,
@@ -34,7 +33,6 @@ __all__ = [
     "KAFKA_RATES",
     "mysql_workload",
     "MYSQL_RATES",
-    "memcached_etc_workload",
     "ResidencyProfile",
     "motivation_profiles",
     "validation_profiles",

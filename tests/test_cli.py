@@ -276,6 +276,24 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "invalid sweep" in capsys.readouterr().err
 
+    def test_zero_completion_point_prints_dashes(self, tmp_path, capsys):
+        # 100 QPS over 0.1 ms completes no request: the point has no
+        # latency to report, which must not crash the sweep.
+        argv = [
+            "sweep", "--workload", "memcached", "--config", "NT_AW",
+            "--qps", "100", "--horizon", "0.0001", "--no-cache",
+        ]
+        assert main(argv) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[-3:] == ["-", "-", "0"]
+        out_file = tmp_path / "points.jsonl"
+        assert main(argv + ["-o", str(out_file)]) == EXIT_OK
+        (record,) = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert record["completed"] == 0
+        for key in ("avg_latency", "p99_latency", "avg_latency_e2e",
+                    "p99_latency_e2e"):
+            assert record[key] is None
+
     def test_sweep_writes_jsonl(self, tmp_path, capsys):
         out_file = str(tmp_path / "points.jsonl")
         code = main([
@@ -379,6 +397,25 @@ class TestSweepGridFile:
         grid_file = tmp_path / "grid.jsonl"
         grid_file.write_text(json.dumps(record) + "\n")
         assert main(["sweep", "--grid", str(grid_file)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("point, message", [
+        ({"cores": 2.5}, "'cores' must be an integer"),
+        ({"turbo": "yes"}, "'turbo' must be a boolean or null"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"qps": "abc"}, "'qps' must be a number"),
+        ({"config": "nosuch"}, "unknown configuration 'nosuch'"),
+    ], ids=["float_cores", "string_turbo", "bool_seed", "string_qps",
+            "unknown_config"])
+    def test_wrongly_typed_or_unknown_value_is_usage_error(
+        self, tmp_path, capsys, point, message
+    ):
+        grid_file = tmp_path / "grid.json"
+        base = {"workload": "memcached", "config": "baseline", "qps": 5}
+        grid_file.write_text(json.dumps([dict(base, **point)]))
+        code = main(["sweep", "--grid", str(grid_file), "--no-cache"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid sweep" in err and message in err
 
 
 class TestSweepCaching:

@@ -11,6 +11,7 @@ import shutil
 
 from repro.analyze import run_conc_checks, run_lint, rule_catalog
 from repro.analyze.callgraph import CallGraph
+from repro.analyze.dead import check_dead_modules
 from repro.analyze.engine import discover_files
 
 REPO_SRC = os.path.join(
@@ -406,3 +407,126 @@ def test_conc004_same_import_elsewhere_not_flagged(tmp_path):
         "    return 0\n",
     )
     assert findings == []
+
+
+# -- DEAD001: modules no entry point reaches ---------------------------------
+CLI_MAIN = "from repro.cli import main\n"
+
+
+def dead_lint(tmp_path, modules, main=CLI_MAIN):
+    """Lint a fixture tree rooted at ``repro/__main__.py`` (unless
+    ``main`` is None); returns the LintResult."""
+    tree = {"__init__.py": "", "cli.py": "def main():\n    return 0\n"}
+    if main is not None:
+        tree["__main__.py"] = main
+    tree.update(modules)
+    for rel, source in tree.items():
+        write_module(tmp_path, rel, source)
+    return run_lint([str(tmp_path / "repro")])
+
+
+def dead_modules(result):
+    return sorted(
+        f.path.rsplit("repro/", 1)[-1]
+        for f in result.findings
+        if f.rule_id == "DEAD001"
+    )
+
+
+def test_dead001_orphan_module_flagged_at_first_statement(tmp_path):
+    result = dead_lint(tmp_path, {
+        "orphan.py": "# leading comment\n\"\"\"Nobody imports me.\"\"\"\nX = 1\n",
+    })
+    assert [f.rule_id for f in result.findings] == ["DEAD001"]
+    assert result.findings[0].line == 2
+    assert "repro.orphan" in result.findings[0].message
+
+
+def test_dead001_init_reexport_alone_does_not_rescue(tmp_path):
+    result = dead_lint(
+        tmp_path,
+        {
+            "pkg/__init__.py": (
+                "from repro.pkg.used import helper\n"
+                "from repro.pkg.orphan import Thing\n"
+            ),
+            "pkg/used.py": "def helper():\n    return 0\n",
+            "pkg/orphan.py": "class Thing:\n    pass\n",
+        },
+        main=CLI_MAIN + "from repro.pkg import helper\n",
+    )
+    assert dead_modules(result) == ["pkg/orphan.py"]
+
+
+def test_dead001_lazy_function_level_import_rescues(tmp_path):
+    result = dead_lint(tmp_path, {
+        "cli.py": (
+            "def main():\n"
+            "    from repro.lazy import run\n"
+            "    return run()\n"
+        ),
+        "lazy.py": "def run():\n    return 0\n",
+    })
+    assert dead_modules(result) == []
+
+
+def test_dead001_init_submodule_import_registers(tmp_path):
+    result = dead_lint(
+        tmp_path,
+        {
+            "experiments/__init__.py": "from repro.experiments import table1\n",
+            "experiments/api.py": "def run_all():\n    return 0\n",
+            "experiments/table1.py": "ID = 'table1'\n",
+        },
+        main=CLI_MAIN + "from repro.experiments.api import run_all\n",
+    )
+    assert dead_modules(result) == []
+
+
+def test_dead001_module_object_import_follows_every_reexport(tmp_path):
+    package = {
+        "analyze/__init__.py": (
+            "from repro.analyze.engine import run_lint\n"
+            "from repro.analyze.report import render\n"
+        ),
+        "analyze/engine.py": "def run_lint():\n    return 0\n",
+        "analyze/report.py": "def render():\n    return ''\n",
+    }
+    as_object = dead_lint(
+        tmp_path / "object", package,
+        main=CLI_MAIN + "from repro import analyze\n\nanalyze.run_lint()\n",
+    )
+    assert dead_modules(as_object) == []
+    by_name = dead_lint(
+        tmp_path / "name", package,
+        main=CLI_MAIN + "from repro.analyze import run_lint\n",
+    )
+    assert dead_modules(by_name) == ["analyze/report.py"]
+
+
+def test_dead001_suppression_covers_orphan_and_goes_stale_when_reached(
+    tmp_path,
+):
+    allow = "# repro: allow[DEAD001] kept as an analytic oracle\n"
+    kept = dead_lint(tmp_path / "kept", {"oracle.py": allow + "X = 1\n"})
+    assert kept.findings == []
+    assert [f.rule_id for f in kept.suppressed] == ["DEAD001"]
+    reached = dead_lint(
+        tmp_path / "reached",
+        {"oracle.py": allow + "X = 1\n"},
+        main=CLI_MAIN + "from repro.oracle import X\n",
+    )
+    assert [(f.rule_id, f.line) for f in reached.findings] == [("ANA003", 1)]
+
+
+def test_dead001_needs_the_entry_point_in_the_analysed_set(tmp_path):
+    result = dead_lint(tmp_path, {"orphan.py": "X = 1\n"}, main=None)
+    assert dead_modules(result) == []
+
+
+def test_real_tree_reaches_every_module_but_the_kept_oracle():
+    graph = CallGraph(discover_files([REPO_SRC]))
+    findings = check_dead_modules(graph)
+    assert [f.path for f in findings] == [
+        "src/repro/analytical/latency_model.py"
+    ]

@@ -1,12 +1,12 @@
-"""Tests for idle governors and the P-state table."""
+"""Tests for idle governors."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cstates import FrequencyPoint, agilewatts_catalog, skylake_baseline_catalog
+from repro.core.cstates import agilewatts_catalog, skylake_baseline_catalog
 from repro.errors import ConfigurationError
-from repro.governor import FixedGovernor, MenuGovernor, OracleGovernor, PState, PStateTable
+from repro.governor import FixedGovernor, MenuGovernor, OracleGovernor
 from repro.units import US
 
 
@@ -109,41 +109,3 @@ class TestOracleGovernor:
     def test_respects_latency_limit(self):
         gov = OracleGovernor(latency_limit=2 * US)
         assert gov.choose(skylake_baseline_catalog(), hint=1.0).name == "C1"
-
-
-class TestPStateTable:
-    def test_default_points(self):
-        table = PStateTable()
-        assert table.get("P1").frequency is FrequencyPoint.P1
-        assert table.get("Pn").frequency is FrequencyPoint.PN
-        assert table.get("Turbo").frequency is FrequencyPoint.TURBO
-
-    def test_turbo_disable(self):
-        table = PStateTable(turbo_enabled=False)
-        with pytest.raises(ConfigurationError):
-            table.get("Turbo")
-        assert len(table.states) == 2
-
-    def test_operating_point_pinned_at_p1(self):
-        assert PStateTable().operating_point().name == "P1"
-
-    def test_operating_point_requires_control_off(self):
-        with pytest.raises(ConfigurationError):
-            PStateTable(software_control=True).operating_point()
-
-    def test_dvfs_latency_microseconds(self):
-        latency = PStateTable().dvfs_latency("P1", "Pn")
-        assert 1 * US <= latency <= 100 * US
-
-    def test_powers_ordered_by_frequency(self):
-        table = PStateTable()
-        assert table.get("Pn").power_watts < table.get("P1").power_watts
-        assert table.get("P1").power_watts < table.get("Turbo").power_watts
-
-    def test_unknown_pstate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PStateTable().get("P7")
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PState("X", FrequencyPoint.P1, transition_latency=-1.0)

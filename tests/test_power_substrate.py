@@ -1,11 +1,11 @@
-"""Tests for the power substrate: leakage, PDN, clock, RAPL."""
+"""Tests for the power substrate: leakage, PDN, clock."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PowerModelError, SimulationError
-from repro.power import ADPLL, FIVR, LDO, MBVR, ClockDistribution, EnergyCounter, RAPLDomain
+from repro.errors import PowerModelError
+from repro.power import ADPLL, FIVR, LDO, MBVR, ClockDistribution
 from repro.power.leakage import (
     LeakageModel,
     node_scaling_factor,
@@ -180,54 +180,3 @@ class TestClockDistribution:
     def test_unknown_domain_rejected(self):
         with pytest.raises(PowerModelError):
             ClockDistribution().gate("gpu")
-
-
-class TestEnergyCounter:
-    def test_integrates_piecewise_constant(self):
-        c = EnergyCounter("t")
-        c.start(0.0, 2.0)
-        c.set_power(1.0, 4.0)
-        assert c.finish(2.0) == pytest.approx(2.0 * 1.0 + 4.0 * 1.0)
-
-    def test_zero_span(self):
-        c = EnergyCounter("t")
-        c.start(0.0, 5.0)
-        assert c.finish(0.0) == 0.0
-
-    def test_set_before_start_rejected(self):
-        with pytest.raises(SimulationError):
-            EnergyCounter("t").set_power(1.0, 1.0)
-
-    def test_time_backwards_rejected(self):
-        c = EnergyCounter("t")
-        c.start(0.0, 1.0)
-        c.set_power(2.0, 1.0)
-        with pytest.raises(SimulationError):
-            c.set_power(1.0, 1.0)
-
-    def test_negative_power_rejected(self):
-        c = EnergyCounter("t")
-        with pytest.raises(PowerModelError):
-            c.start(0.0, -1.0)
-
-
-class TestRAPLDomain:
-    def test_average_power(self):
-        dom = RAPLDomain("pkg")
-        a = dom.add_counter("core0")
-        b = dom.add_counter("core1")
-        a.start(0.0, 1.0)
-        b.start(0.0, 3.0)
-        dom.begin_window(0.0)
-        assert dom.average_power(2.0) == pytest.approx(4.0)
-
-    def test_add_counter_idempotent(self):
-        dom = RAPLDomain("pkg")
-        assert dom.add_counter("x") is dom.add_counter("x")
-
-    def test_zero_window_rejected(self):
-        dom = RAPLDomain("pkg")
-        dom.add_counter("x").start(0.0, 1.0)
-        dom.begin_window(1.0)
-        with pytest.raises(SimulationError):
-            dom.average_power(1.0)

@@ -1,4 +1,4 @@
-"""Tests for caches, coherence, turbo and package models."""
+"""Tests for coherence, turbo and package models."""
 
 import pytest
 
@@ -8,62 +8,12 @@ from repro.uarch import (
     Core,
     Package,
     PackageConfig,
-    PrivateCaches,
     SnoopModel,
     SnoopTrafficGenerator,
     TurboBudget,
     TurboConfig,
 )
-from repro.units import MHZ, US
-
-
-class TestPrivateCaches:
-    def test_dirtiness_grows_with_requests(self):
-        caches = PrivateCaches(write_fraction=1.0)
-        before = caches.dirty_fraction
-        for _ in range(10):
-            caches.record_request()
-        assert caches.dirty_fraction > before
-
-    def test_dirtiness_saturates(self):
-        caches = PrivateCaches(write_fraction=1.0, max_dirty_fraction=0.5)
-        for _ in range(10_000):
-            caches.record_request()
-        assert caches.dirty_fraction == pytest.approx(0.5)
-
-    def test_read_only_workload_stays_clean(self):
-        caches = PrivateCaches(write_fraction=0.0)
-        before = caches.dirty_fraction
-        for _ in range(100):
-            caches.record_request()
-        assert caches.dirty_fraction == before
-
-    def test_flush_resets_dirtiness_and_counts(self):
-        caches = PrivateCaches()
-        duration = caches.flush(800 * MHZ)
-        assert duration > 0
-        assert caches.dirty_fraction == 0.0
-        assert caches.flush_count == 1
-
-    def test_flush_time_tracks_dirtiness(self):
-        dirty = PrivateCaches()
-        clean = PrivateCaches()
-        clean.flush(800 * MHZ)
-        assert clean.flush_time(800 * MHZ) < dirty.flush_time(800 * MHZ)
-
-    def test_warm_refill(self):
-        caches = PrivateCaches()
-        caches.flush(800 * MHZ)
-        caches.reset_after_refill(0.25)
-        assert caches.dirty_fraction == 0.25
-
-    def test_bad_warm_fraction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PrivateCaches().reset_after_refill(0.9)
-
-    def test_bad_write_fraction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PrivateCaches(write_fraction=1.5)
+from repro.units import US
 
 
 class TestSnoopModel:
