@@ -12,10 +12,10 @@ from repro.sweep import ScenarioGrid, SweepRunner
 #: A small but non-trivial grid: 2 configs x 3 rates, ~7 ms of simulated
 #: time per point, sized so pool spin-up does not dwarf the work.
 GRID = ScenarioGrid.product(
-    configs=["baseline", "AW"],
+    config=["baseline", "AW"],
     qps=[20_000, 60_000, 100_000],
-    horizons=[0.02],
-    seeds=[7],
+    horizon=[0.02],
+    seed=[7],
 )
 
 

@@ -41,11 +41,11 @@ def main() -> None:
     horizon = 0.1 if quick else 0.3
 
     grid = ScenarioGrid.product(
-        workloads=["memcached"],
-        configs=CONFIGS,
+        workload=["memcached"],
+        config=CONFIGS,
         qps=[kqps * 1000 for kqps in rates_kqps],
-        horizons=[horizon],
-        seeds=[42],
+        horizon=[horizon],
+        seed=[42],
     )
     runner = SweepRunner(
         executor="process" if jobs > 1 else "serial", jobs=jobs

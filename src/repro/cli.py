@@ -17,6 +17,7 @@ Usage::
     python -m repro sweep --kqps 100 --telemetry-hz 50 --manifest runs.jsonl
     python -m repro trace --kqps 100 -o trace.json      # Perfetto trace
     python -m repro trace --nodes 4 --fanout 4 --hedge-ms 0.4 -o trace.json
+    python -m repro trace --kqps 100 --nodes 8 --sketch-error 0.01
     python -m repro report --all --quick -o report.html # one-page HTML
     python -m repro report fig8 table3 --telemetry-hz 20 -o report.html
     python -m repro cache stats          # result-store hygiene
@@ -37,6 +38,10 @@ simulated once process-wide), then analyzes and renders each experiment
 from the shared result map. ``--format`` selects table (default), json,
 jsonl or csv output; ``--out DIR`` writes one file per experiment.
 
+The axis flags of ``sweep`` (lists) and ``trace`` (one value each) are
+generated from the :class:`~repro.sweep.spec.ScenarioSpec` fields.
+``sweep --grid FILE`` replaces them all: giving any with it is an error.
+
 Simulated points persist in an on-disk result store (``--cache-dir``,
 ``$REPRO_CACHE_DIR``, default ``~/.cache/repro``), so repeated
 invocations only simulate what the store has not seen for the current
@@ -45,7 +50,8 @@ prunes or clears it.
 
 Exit codes: 0 on success, 1 on simulation/configuration errors (including
 sweeps that completed with skipped/recorded point failures), 2 on usage
-errors (unknown experiment, empty selection, bad sweep axis or grid file).
+errors (unknown experiment, empty selection, bad sweep axis or grid file,
+non-positive ``--jobs`` or ``--capacity``).
 """
 
 from __future__ import annotations
@@ -55,11 +61,12 @@ import contextlib
 import json
 import os
 import sys
-from typing import Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.api import (
     FORMATS,
+    Experiment,
     experiment_ids,
     get_experiment,
     output_extension,
@@ -82,12 +89,7 @@ from repro.sweep import (
     set_default_runner,
 )
 from repro.sweep.runner import EMIT_LEVELS
-from repro.sweep.spec import (
-    DEFAULT_CORES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEED,
-    GOVERNOR_FACTORIES,
-)
+from repro.sweep.spec import DEFAULT_HORIZON, SPEC_AXES, ScenarioSpec
 from repro.units import seconds_to_us
 
 #: Exit codes (sysexits-style: 2 matches argparse's own usage errors).
@@ -100,83 +102,110 @@ EXIT_USAGE = 2
 EXPERIMENT_IDS: List[str] = experiment_ids()
 
 
-def _make_store(no_cache: bool, cache_dir: Optional[str]) -> Optional[ResultStore]:
-    """Open the persistent result store unless disabled; never fatal."""
-    import sqlite3
-
-    if no_cache:
-        return None
-    try:
-        return ResultStore(cache_dir)
-    except (OSError, sqlite3.Error) as exc:
-        # Unwritable directory, corrupt database, incompatible sqlite:
-        # run uncached rather than refusing to run at all.
-        print(f"warning: result store disabled ({exc})", file=sys.stderr)
-        return None
-
-
-@contextlib.contextmanager
 def _configured_runner(
     jobs: Optional[int] = None,
     no_cache: bool = False,
     cache_dir: Optional[str] = None,
     policy: Optional[FailurePolicy] = None,
-    progress: Optional[ProgressRenderer] = None,
+    progress: Optional[str] = None,
     shards: Optional[int] = None,
-    manifest=None,
+    manifest: Optional[str] = None,
     queue_dir: Optional[str] = None,
-) -> Iterator[SweepRunner]:
-    """Point the process-wide runner at this command's configuration.
+) -> "contextlib.AbstractContextManager[SweepRunner]":
+    """Check the execution flags, open the result store, return the scope.
 
-    The previous runner is restored on exit, so CLI flags (store location,
-    failure policy, progress hooks) never leak into later programmatic use
-    of :func:`repro.sweep.default_runner` in the same process.
+    The scope points the process-wide runner at this command's
+    configuration (``progress``: a meter label; ``manifest``: a path;
+    ``queue_dir``: the ``--distributed`` queue, with the store as result
+    channel) and restores the previous runner on exit, so CLI flags never
+    leak into later programmatic use of :func:`repro.sweep.default_runner`.
+
+    Raises:
+        ConfigurationError: on ``--jobs`` below 1 (below 0 with
+            ``--distributed``, where 0 leaves the points to external
+            workers), or ``--distributed`` without a writable store.
     """
-    from repro.errors import ConfigurationError
+    import sqlite3
 
-    previous = default_runner()
-    store = _make_store(no_cache, cache_dir)
+    floor = 0 if queue_dir is not None else 1
+    if jobs is not None and jobs < floor:
+        raise ConfigurationError(f"--jobs must be at least {floor}, got {jobs}")
+    if shards is not None:
+        # --shards parallelises *within* each cluster point (node-range
+        # sharding, exact merge), not across points.
+        executor: object = ShardedExecutor(shards, jobs=jobs, policy=policy)
+    else:
+        executor = "process" if jobs is not None and jobs > 1 else "serial"
+    store = None
+    if not no_cache:
+        try:
+            store = ResultStore(cache_dir)
+        except (OSError, sqlite3.Error) as exc:
+            # Unwritable directory, corrupt database, incompatible sqlite:
+            # run uncached rather than refusing to run at all.
+            print(f"warning: result store disabled ({exc})", file=sys.stderr)
     distributed = None
     if queue_dir is not None:
-        # --distributed: coordinate lease-claiming worker processes over
-        # a shared queue directory; the store is the result channel.
-        from repro.distrib import DistributedExecutor
-
         if store is None:
             raise ConfigurationError(
                 "--distributed requires a writable result store: workers "
                 "return results through it (do not pass --no-cache)"
             )
-        distributed = DistributedExecutor(
+        from repro.distrib import DistributedExecutor
+
+        executor = distributed = DistributedExecutor(
             queue_dir,
             store_dir=str(store.root),
             jobs=jobs if jobs is not None else 3,
             policy=policy,
         )
-        executor: object = distributed
-    elif shards is not None:
-        # --shards parallelises *within* each cluster point (node-range
-        # sharding, exact merge) instead of across points.
-        executor = ShardedExecutor(shards, jobs=jobs, policy=policy)
-    else:
-        executor = "process" if jobs is not None and jobs > 1 else "serial"
-    runner = configure_default_runner(
-        executor=executor,
-        jobs=jobs,
-        progress=progress,
-        store=store,
-        policy=policy,
-        manifest=manifest,
-    )
-    try:
-        yield runner
-    finally:
-        if progress is not None:
-            progress.close()
-        set_default_runner(previous)
-        for owner in (distributed, store):
-            if owner is not None:
-                owner.close()
+
+    @contextlib.contextmanager
+    def scope() -> Iterator[SweepRunner]:
+        with contextlib.ExitStack() as stack:
+            for owner in (store, distributed):
+                if owner is not None:
+                    stack.callback(owner.close)
+            run_manifest = None
+            if manifest:
+                from repro.obs import RunManifest
+
+                run_manifest = stack.enter_context(RunManifest(manifest))
+            meter = None
+            if progress:
+                meter = ProgressRenderer(label=progress)
+                stack.callback(meter.close)
+            stack.callback(set_default_runner, default_runner())
+            yield configure_default_runner(
+                executor=executor,
+                jobs=jobs,
+                progress=meter,
+                store=store,
+                policy=policy,
+                manifest=run_manifest,
+            )
+
+    return scope()
+
+
+def _select_experiments(
+    ids: List[str], run_all: bool, quick: bool
+) -> List[Experiment]:
+    """The named experiments (every one with ``run_all``), ``--quick``-reduced.
+
+    Raises:
+        ConfigurationError: naming the unknown ids.
+    """
+    known = experiment_ids()
+    targets = known if run_all else ids
+    unknown = [i for i in targets if i not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
+            "run `python -m repro list`"
+        )
+    experiments = [get_experiment(experiment_id) for experiment_id in targets]
+    return [experiment.quick() for experiment in experiments] if quick else experiments
 
 
 def cmd_list() -> int:
@@ -200,53 +229,32 @@ def cmd_run(
     distributed: Optional[str] = None,
 ) -> int:
     """Run experiments through one batched sweep; print or write files."""
-    known = experiment_ids()
-    targets = known if run_all else ids
-    if not targets:
+    if not (run_all or ids):
         print("nothing to run: name experiments or pass --all", file=sys.stderr)
         return EXIT_USAGE
-    if distributed is not None and no_cache:
-        print(
-            "--distributed cannot be combined with --no-cache: workers "
-            "return results through the shared store",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    unknown = [i for i in targets if i not in known]
-    if unknown:
-        print(
-            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
-            "run `python -m repro list`",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if params and len(targets) != 1:
-        # key=value overrides target ONE Params dataclass; applying the
-        # same keys across experiments would fail (or worse, silently
-        # mean different things), so require an unambiguous selection.
-        print(
-            "--params overrides the parameters of exactly one experiment; "
-            f"got {len(targets)} selected",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    experiments = [get_experiment(experiment_id) for experiment_id in targets]
-    if quick:
-        experiments = [experiment.quick() for experiment in experiments]
-    if params:
-        try:
+    try:
+        experiments = _select_experiments(ids, run_all, quick)
+        if params:
+            if len(experiments) != 1:
+                # key=value overrides target ONE Params dataclass; applying
+                # the same keys across experiments would fail (or worse,
+                # silently mean different things).
+                raise ConfigurationError(
+                    "--params overrides the parameters of exactly one "
+                    f"experiment; got {len(experiments)} selected"
+                )
             # Overrides layer on top of --quick, so `--quick --params
             # nodes=2` keeps the reduced grid with one knob changed.
             experiments = [parse_param_overrides(experiments[0], params)]
-        except ReproError as exc:
-            print(f"invalid --params: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    progress = None
-    if jobs is not None and jobs > 1:
-        progress = ProgressRenderer(label="run")
-    with _configured_runner(
-        jobs, no_cache, cache_dir, progress=progress, queue_dir=distributed,
-    ) as runner:
+        runner_scope = _configured_runner(
+            jobs, no_cache, cache_dir,
+            progress="run" if jobs is not None and jobs > 1 else None,
+            queue_dir=distributed,
+        )
+    except ReproError as exc:
+        print(f"invalid run: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with runner_scope as runner:
         # One deduplicated batched sweep for the union of all grids:
         # shared points (Fig 10 ⊇ Fig 9, Table 5 ⊇ Fig 8) simulate once.
         try:
@@ -287,8 +295,6 @@ def _load_grid_file(path: str) -> ScenarioGrid:
     Raises:
         ReproError: on unreadable/empty/malformed files or invalid specs.
     """
-    from repro.errors import ConfigurationError
-
     try:
         with open(path) as handle:
             text = handle.read().strip()
@@ -312,136 +318,131 @@ def _load_grid_file(path: str) -> ScenarioGrid:
     return ScenarioGrid.from_dicts(dicts)
 
 
+class _AxisFlag(argparse.Action):
+    """Store an axis flag's value and note the flag in ``given_axis_flags``.
+
+    ``--grid`` rejects every given axis flag, even one that repeats its
+    default, which comparing values to defaults cannot see.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given_axis_flags += (option_string,)
+
+
+def _add_axis_flags(command: argparse.ArgumentParser, swept: bool) -> None:
+    """Add one flag per ScenarioSpec axis (see :data:`SPEC_AXES`).
+
+    The flag is ``--`` plus the field name with ``-`` for ``_``, typed,
+    defaulted and documented by the field; with ``swept`` (``sweep``) a
+    swept axis takes a list. An ``Optional[bool]`` axis becomes an
+    exclusive ``--X``/``--no-X`` pair and a bool that defaults to True a
+    ``--no-X`` switch, parsed to booleans ``args.X``/``args.no_X``. The
+    rate is ``--qps`` or ``--kqps``: lists on ``sweep``, one on ``trace``.
+    """
+    command.set_defaults(given_axis_flags=())
+    for axis in SPEC_AXES:
+        flag = "--" + axis.name.replace("_", "-")
+        nargs = "+" if swept and axis.swept else None
+        if axis.name == "qps":
+            rate = command if swept else command.add_mutually_exclusive_group()
+            rate.add_argument(
+                "--qps", action=_AxisFlag, nargs=nargs, type=float, help=axis.help
+            )
+            rate.add_argument(
+                "--kqps", action=_AxisFlag, nargs=nargs, type=float,
+                help="the rate in thousands of queries per second",
+            )
+        elif axis.value_type is bool:
+            negated = "--no-" + flag[2:]
+            spellings = (
+                [flag, negated] if axis.optional
+                else [negated if axis.default else flag]
+            )
+            pair = command.add_mutually_exclusive_group()
+            for spelling in spellings:
+                pair.add_argument(
+                    spelling, action=_AxisFlag, nargs=0, const=True, default=False,
+                    help=axis.help if spelling == spellings[0] else None,
+                )
+        else:
+            command.add_argument(
+                flag, action=_AxisFlag, nargs=nargs, type=axis.value_type,
+                default=[axis.default] if nargs else axis.default,
+                help=axis.help if axis.default is None
+                else axis.help + " (default: %(default)s)",
+            )
+
+
+def _axis_values(args: argparse.Namespace) -> Dict[str, Any]:
+    """ScenarioSpec keywords from the axis flags in ``args``, but ``qps``."""
+    values: Dict[str, Any] = {}
+    for axis in SPEC_AXES:
+        if axis.name == "qps":
+            continue
+        if axis.value_type is not bool:
+            values[axis.name] = getattr(args, axis.name)
+            continue
+        on = getattr(args, axis.name, False)
+        off = getattr(args, "no_" + axis.name, False)
+        values[axis.name] = True if on else False if off else axis.default
+    return values
+
+
 def _build_sweep_grid(args: argparse.Namespace) -> ScenarioGrid:
     """The swept grid: from ``--grid FILE`` or the axis flags.
 
     Raises:
         ReproError: on invalid axes, grid files, or conflicting inputs.
     """
-    from repro.errors import ConfigurationError
-
-    qps = list(args.qps or []) + [k * 1000.0 for k in args.kqps or []]
     if args.grid:
         # A grid file defines every axis itself; silently ignoring axis
         # flags would let `--grid f --governor oracle` lie to the user.
-        axis_flags = [
-            ("--qps/--kqps", bool(qps)),
-            ("--workload", args.workload != ["memcached"]),
-            ("--config", args.config != ["baseline"]),
-            ("--cores", args.cores != [DEFAULT_CORES]),
-            ("--horizon", args.horizon != [DEFAULT_HORIZON]),
-            ("--seed", args.seed != [DEFAULT_SEED]),
-            ("--governor", args.governor != ["menu"]),
-            ("--turbo/--no-turbo", args.turbo or args.no_turbo),
-            ("--no-snoops", args.no_snoops),
-            ("--nodes", args.nodes != [1]),
-            ("--balancer", args.balancer != ["random"]),
-            ("--fanout", args.fanout != [1]),
-            ("--hedge-ms", args.hedge_ms is not None),
-            ("--sketch-error", args.sketch_error is not None),
-            ("--telemetry-hz", args.telemetry_hz is not None),
-        ]
-        conflicting = [name for name, given in axis_flags if given]
-        if conflicting:
+        if args.given_axis_flags:
             raise ConfigurationError(
-                f"pass either --grid or axis flags, not both "
-                f"(got {', '.join(conflicting)})"
+                "pass either --grid or axis flags, not both "
+                f"(got {', '.join(dict.fromkeys(args.given_axis_flags))})"
             )
         return _load_grid_file(args.grid)
+    qps = list(args.qps or []) + [k * 1000.0 for k in args.kqps or []]
     if not qps:
         raise ConfigurationError("sweep needs at least one rate: pass --qps or --kqps")
-    turbo = None
-    if args.turbo:
-        turbo = True
-    elif args.no_turbo:
-        turbo = False
-    return ScenarioGrid.product(
-        workloads=args.workload,
-        configs=args.config,
-        qps=qps,
-        cores=args.cores,
-        horizons=args.horizon,
-        seeds=args.seed,
-        governors=args.governor,
-        turbo=turbo,
-        snoops=not args.no_snoops,
-        nodes=args.nodes,
-        balancers=args.balancer,
-        fanouts=args.fanout,
-        hedge_ms=args.hedge_ms,
-        sketch_error=args.sketch_error,
-        telemetry_hz=args.telemetry_hz,
-    )
+    return ScenarioGrid.product(qps=qps, **_axis_values(args))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a declarative scenario grid and emit per-point results."""
     try:
-        from repro.errors import ConfigurationError
-
-        if args.distributed is not None:
-            # Checked before the generic --timeout/--jobs rules: under
-            # --distributed, --jobs counts worker processes, and the
-            # distributed-specific messages are the useful ones.
-            if args.no_cache:
-                raise ConfigurationError(
-                    "--distributed cannot be combined with --no-cache: "
-                    "workers return results through the shared store"
-                )
-            if args.shards is not None:
-                raise ConfigurationError(
-                    "--distributed cannot be combined with --shards"
-                )
-            if args.timeout is not None:
+        if args.distributed is not None and args.shards is not None:
+            raise ConfigurationError("--distributed cannot be combined with --shards")
+        if args.timeout is not None:
+            # Accepting the flag but never enforcing it would be worse
+            # than rejecting it: only a parallel executor can interrupt a
+            # running point (the sharded one, like the serial one, runs
+            # points in order in this process).
+            if args.distributed is not None:
                 raise ConfigurationError(
                     "--distributed does not take --timeout: runaway "
                     "points are bounded by lease expiry instead"
                 )
-            probe = _make_store(False, args.cache_dir)
-            if probe is None:
-                raise ConfigurationError(
-                    "--distributed requires a writable result store"
-                )
-            probe.close()
-        if args.timeout is not None and args.distributed is None and (
-            args.jobs is None or args.jobs <= 1
-        ):
-            # Accepting the flag but never enforcing it would be worse
-            # than rejecting it: serial execution cannot interrupt a
-            # running point.
-            raise ConfigurationError("--timeout requires --jobs N (N > 1)")
-        if args.timeout is not None and args.shards is not None:
-            # The sharded executor runs points in order in this process;
-            # like the serial executor it cannot interrupt one.
-            raise ConfigurationError(
-                "--timeout cannot be combined with --shards"
-            )
-        if args.shards is not None and args.shards <= 0:
-            raise ConfigurationError(
-                f"--shards must be positive, got {args.shards}"
-            )
+            if args.jobs is None or args.jobs <= 1:
+                raise ConfigurationError("--timeout requires --jobs N (N > 1)")
+            if args.shards is not None:
+                raise ConfigurationError("--timeout cannot be combined with --shards")
         grid = _build_sweep_grid(args)
         policy = FailurePolicy(
             mode=args.on_error, timeout=args.timeout, retries=args.retries
+        )
+        runner_scope = _configured_runner(
+            args.jobs, args.no_cache, args.cache_dir, policy=policy,
+            progress="sweep" if args.progress else None, shards=args.shards,
+            manifest=args.manifest, queue_dir=args.distributed,
         )
     except ReproError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    progress = ProgressRenderer(label="sweep") if args.progress else None
-    if args.manifest:
-        from repro.obs import RunManifest
-
-        manifest_scope: "contextlib.AbstractContextManager" = RunManifest(
-            args.manifest
-        )
-    else:
-        manifest_scope = contextlib.nullcontext()
-    with manifest_scope as manifest, _configured_runner(
-        args.jobs, args.no_cache, args.cache_dir, policy=policy,
-        progress=progress, shards=args.shards, manifest=manifest,
-        queue_dir=args.distributed,
-    ) as runner:
+    with runner_scope as runner:
         try:
             results = runner.run_grid(grid)
         except ReproError as exc:
@@ -523,7 +524,6 @@ def _latency_cell(seconds: Optional[float]) -> str:
 def cmd_worker(args: argparse.Namespace) -> int:
     """Join a distributed sweep as one lease-claiming worker process."""
     from repro.distrib.worker import default_worker_id, worker_main
-    from repro.errors import ConfigurationError
 
     try:
         if args.lease <= 0:
@@ -552,34 +552,25 @@ def cmd_worker(args: argparse.Namespace) -> int:
     )
 
 
-def _trace_spec(args: argparse.Namespace):
+def _trace_spec(args: argparse.Namespace) -> ScenarioSpec:
     """Build the single ScenarioSpec a ``repro trace`` run records."""
-    from repro.sweep.spec import ScenarioSpec
-
     if (args.qps is None) == (args.kqps is None):
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError("trace needs exactly one rate: --qps or --kqps")
     qps = args.qps if args.qps is not None else args.kqps * 1000.0
-    turbo = True if args.turbo else (False if args.no_turbo else None)
-    return ScenarioSpec(
-        workload=args.workload, config=args.config, qps=qps,
-        cores=args.cores, horizon=args.horizon, seed=args.seed,
-        governor=args.governor, turbo=turbo, snoops=not args.no_snoops,
-        nodes=args.nodes, balancer=args.balancer, fanout=args.fanout,
-        hedge_ms=args.hedge_ms, telemetry_hz=args.telemetry_hz,
-    )
+    return ScenarioSpec(qps=qps, **_axis_values(args))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record one scenario into a Chrome trace-event JSON for Perfetto."""
     from repro.obs.chrometrace import export_chrome_trace
 
-    from repro.errors import ConfigurationError
-
     try:
+        if args.capacity is not None and args.capacity <= 0:
+            raise ConfigurationError(
+                f"--capacity must be positive, got {args.capacity}"
+            )
         spec = _trace_spec(args)
-    except ConfigurationError as exc:
+    except ReproError as exc:
         print(f"invalid trace: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -599,42 +590,30 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Build the one-page self-contained HTML repro report."""
     from repro.bench import find_repo_root
-    from repro.errors import ConfigurationError
     from repro.obs.report import build_report
 
-    known = experiment_ids()
-    targets = known if args.all else args.ids
-    if not targets and args.manifest is None:
+    if not (args.all or args.ids) and args.manifest is None:
         print(
             "nothing to report: name experiments, pass --all, or pass "
             "--manifest for a manifest-only report",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    unknown = [i for i in targets if i not in known]
-    if unknown:
-        print(
-            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
-            "run `python -m repro list`",
-            file=sys.stderr,
+    try:
+        experiments = _select_experiments(args.ids, args.all, args.quick)
+        runner_scope = _configured_runner(
+            args.jobs, args.no_cache, args.cache_dir,
+            progress="report" if args.jobs is not None and args.jobs > 1 else None,
         )
+    except ReproError as exc:
+        print(f"invalid report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    experiments = [get_experiment(experiment_id) for experiment_id in targets]
-    if args.quick:
-        experiments = [experiment.quick() for experiment in experiments]
-    progress = None
-    if args.jobs is not None and args.jobs > 1:
-        progress = ProgressRenderer(label="report")
     timeline = None
     timeline_label = ""
-    with _configured_runner(
-        args.jobs, args.no_cache, args.cache_dir, progress=progress
-    ) as runner:
+    with runner_scope as runner:
         try:
             results = run_experiments(experiments, runner=runner)
             if args.telemetry_hz is not None:
-                from repro.sweep.spec import ScenarioSpec
-
                 spec = ScenarioSpec(
                     workload="memcached", config="baseline", qps=100_000.0,
                     horizon=0.05 if args.quick else DEFAULT_HORIZON,
@@ -722,21 +701,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate AgileWatts (MICRO 2022) tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        handler=lambda args: cmd_list()
+    )
 
-    def add_cache_flags(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--no-cache", action="store_true",
-            help="do not read or write the persistent result store",
-        )
+    def add_cache_dir(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--cache-dir", metavar="DIR",
             help="result store location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
         )
 
+    def add_selection_flags(command: argparse.ArgumentParser) -> None:
+        command.add_argument("ids", nargs="*", help="experiment ids (see `list`)")
+        command.add_argument("--all", action="store_true", help="every experiment")
+        command.add_argument(
+            "--quick", action="store_true",
+            help="reduced grids (one light rate, short horizon) for smoke runs",
+        )
+
+    def add_runner_flags(
+        command: argparse.ArgumentParser, distributed: bool = True
+    ) -> None:
+        command.add_argument(
+            "-j", "--jobs", type=int, metavar="N",
+            help="simulate points over N worker processes",
+        )
+        command.add_argument(
+            "--no-cache", action="store_true",
+            help="do not read or write the persistent result store",
+        )
+        add_cache_dir(command)
+        if not distributed:
+            return
+        command.add_argument(
+            "--sanitize", action="store_true",
+            help="run with the runtime sim-sanitizer (SAN rules): checked "
+                 "engine loop plus periodic deep audits; results stay "
+                 "bit-identical, simulation runs a constant factor slower; "
+                 "worker processes inherit it via REPRO_SANITIZE",
+        )
+        command.add_argument(
+            "--distributed", metavar="QUEUE_DIR", default=None,
+            help="fan points out to lease-claiming worker processes over "
+                 "this queue directory (-j sets the local worker count, "
+                 "default 3; -j 0 starts none and leaves the points to "
+                 "external `repro worker --queue QUEUE_DIR` processes, which "
+                 "may join in any case); rerunning with the same directory "
+                 "resumes a crashed run, skipping store-hit points",
+        )
+
     run = sub.add_parser("run", help="run experiments (one batched sweep)")
-    run.add_argument("ids", nargs="*", help="experiment ids (see `list`)")
-    run.add_argument("--all", action="store_true", help="run everything")
+    add_selection_flags(run)
     run.add_argument(
         "-f", "--format", choices=list(FORMATS), default="table", dest="format",
         help="output format: human tables (default) or structured records",
@@ -746,34 +761,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one file per experiment (.txt/.json/.jsonl/.csv by format)",
     )
     run.add_argument(
-        "--quick", action="store_true",
-        help="reduced grids (one light rate, short horizon) for smoke runs",
-    )
-    run.add_argument(
         "--params", nargs="+", metavar="KEY=VALUE", default=None,
         help="override fields of the selected experiment's Params dataclass "
              "(typed by the field annotation; tuples parse from "
              "comma-separated items, e.g. fanouts=1,2,4); requires exactly "
              "one experiment",
     )
-    run.add_argument(
-        "-j", "--jobs", type=int, metavar="N",
-        help="simulate sweep points over N worker processes (with progress meter)",
-    )
-    run.add_argument(
-        "--sanitize", action="store_true",
-        help="run with the runtime sim-sanitizer (SAN rules): checked "
-             "engine loop plus periodic deep audits; results stay "
-             "bit-identical, simulation runs a constant factor slower",
-    )
-    run.add_argument(
-        "--distributed", metavar="QUEUE_DIR", default=None,
-        help="fan sweep points out to lease-claiming worker processes "
-             "over this queue directory (-j sets the local worker count; "
-             "external `repro worker` processes may join); rerunning "
-             "with the same directory resumes a crashed run",
-    )
-    add_cache_flags(run)
+    add_runner_flags(run)
+    run.set_defaults(handler=lambda args: cmd_run(
+        args.ids, args.all, args.output_dir, args.jobs,
+        no_cache=args.no_cache, cache_dir=args.cache_dir, fmt=args.format,
+        quick=args.quick, params=args.params, distributed=args.distributed,
+    ))
 
     sweep = sub.add_parser(
         "sweep", help="run a scenario grid (workload x config x rate x governor)"
@@ -783,68 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read the grid from a JSON/JSONL file of ScenarioSpec dicts "
              "(instead of the axis flags)",
     )
-    sweep.add_argument(
-        "--workload", nargs="+", default=["memcached"],
-        help="workload names (default: memcached)",
-    )
-    sweep.add_argument(
-        "--config", nargs="+", default=["baseline"],
-        help="named configurations (default: baseline)",
-    )
-    sweep.add_argument(
-        "--qps", nargs="+", type=float, help="request rates in queries/second"
-    )
-    sweep.add_argument(
-        "--kqps", nargs="+", type=float, help="request rates in thousands of QPS"
-    )
-    sweep.add_argument("--cores", nargs="+", type=int, default=[DEFAULT_CORES])
-    sweep.add_argument("--horizon", nargs="+", type=float, default=[DEFAULT_HORIZON])
-    sweep.add_argument("--seed", nargs="+", type=int, default=[DEFAULT_SEED])
-    sweep.add_argument(
-        "--governor", nargs="+", default=["menu"],
-        help=f"idle governors (choices: {sorted(GOVERNOR_FACTORIES)})",
-    )
-    turbo_group = sweep.add_mutually_exclusive_group()
-    turbo_group.add_argument(
-        "--turbo", action="store_true", help="force Turbo on for every config"
-    )
-    turbo_group.add_argument(
-        "--no-turbo", action="store_true", help="force Turbo off for every config"
-    )
-    sweep.add_argument(
-        "--no-snoops", action="store_true", help="disable background snoop traffic"
-    )
-    sweep.add_argument(
-        "--nodes", nargs="+", type=int, default=[1],
-        help="cluster sizes: simulate N server nodes behind a load "
-             "balancer (default: 1, the single-node path)",
-    )
-    sweep.add_argument(
-        "--balancer", nargs="+", default=["random"],
-        help="cluster load balancers (random, round_robin, jsq, power_of_two)",
-    )
-    sweep.add_argument(
-        "--fanout", nargs="+", type=int, default=[1],
-        help="leaf sub-requests per logical request (completes at the "
-             "slowest leaf); must not exceed --nodes",
-    )
-    sweep.add_argument(
-        "--hedge-ms", type=float, default=None, metavar="MS",
-        help="hedged requests: duplicate leaves still outstanding after "
-             "MS milliseconds onto another node (first answer wins)",
-    )
-    sweep.add_argument(
-        "--sketch-error", type=float, default=None, metavar="FRAC",
-        help="track latency with a mergeable bounded-memory DDSketch at "
-             "this relative-error guarantee (e.g. 0.01) instead of exact "
-             "samples — the fleet-scale memory knob",
-    )
-    sweep.add_argument(
-        "--telemetry-hz", type=float, default=None, metavar="HZ",
-        help="sample a simulated-time telemetry timeline (power, C-state "
-             "occupancy, load) at HZ samples per simulated second into "
-             "each result; metrics stay bit-identical to an unsampled run",
-    )
+    _add_axis_flags(sweep, swept=True)
     sweep.add_argument(
         "--manifest", metavar="FILE",
         help="append a run manifest (one JSON line per lifecycle event: "
@@ -856,12 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="split each cluster point into S node-range shards run on a "
              "process pool and merged exactly (bit-identical to the "
              "serial result); requires stateless balancing "
-             "(random/round_robin), fanout 1 and no hedging",
-    )
-    sweep.add_argument(
-        "-j", "--jobs", type=int, metavar="N",
-        help="simulate points over N worker processes (with --shards: "
-             "pool width for in-point sharding instead)",
+             "(random/round_robin), fanout 1 and no hedging; -j sets the "
+             "pool width",
     )
     sweep.add_argument(
         "--emit", choices=list(EMIT_LEVELS), default="headline",
@@ -895,20 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", metavar="FILE",
         help="write one JSON record per point (JSONL) instead of a table",
     )
-    sweep.add_argument(
-        "--sanitize", action="store_true",
-        help="run with the runtime sim-sanitizer (SAN rules); worker "
-             "processes inherit the setting via REPRO_SANITIZE",
-    )
-    sweep.add_argument(
-        "--distributed", metavar="QUEUE_DIR", default=None,
-        help="fan points out to lease-claiming worker processes over "
-             "this queue directory (-j sets the local worker count, "
-             "default 3; external `repro worker --queue QUEUE_DIR` "
-             "processes may join); rerunning with the same directory "
-             "resumes a crashed run, skipping store-hit points",
-    )
-    add_cache_flags(sweep)
+    add_runner_flags(sweep)
+    sweep.set_defaults(handler=cmd_sweep)
 
     worker = sub.add_parser(
         "worker",
@@ -956,6 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run claimed points under the runtime sim-sanitizer",
     )
+    worker.set_defaults(handler=cmd_worker)
 
     trace = sub.add_parser(
         "trace",
@@ -963,31 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(Perfetto/chrome://tracing): per-core C-state intervals, "
              "request lifecycle spans, hedge and snoop marks",
     )
-    trace.add_argument("--workload", default="memcached")
-    trace.add_argument("--config", default="baseline")
-    rate_group = trace.add_mutually_exclusive_group()
-    rate_group.add_argument("--qps", type=float, help="request rate in QPS")
-    rate_group.add_argument("--kqps", type=float, help="request rate in KQPS")
-    trace.add_argument("--cores", type=int, default=DEFAULT_CORES)
-    trace.add_argument(
-        "--horizon", type=float, default=0.05,
-        help="simulated seconds to record (default 0.05: traces grow "
-             "with every C-state transition and request)",
-    )
-    trace.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    trace.add_argument("--governor", default="menu")
-    trace_turbo = trace.add_mutually_exclusive_group()
-    trace_turbo.add_argument("--turbo", action="store_true")
-    trace_turbo.add_argument("--no-turbo", action="store_true")
-    trace.add_argument("--no-snoops", action="store_true")
-    trace.add_argument("--nodes", type=int, default=1)
-    trace.add_argument("--balancer", default="random")
-    trace.add_argument("--fanout", type=int, default=1)
-    trace.add_argument("--hedge-ms", type=float, default=None, metavar="MS")
-    trace.add_argument(
-        "--telemetry-hz", type=float, default=None, metavar="HZ",
-        help="additionally sample the telemetry timeline during the run",
-    )
+    _add_axis_flags(trace, swept=False)
+    # Traces grow with every C-state transition and request: record 50 ms
+    # unless asked for more.
+    trace.set_defaults(horizon=0.05)
     trace.add_argument(
         "--capacity", type=int, default=None, metavar="N",
         help="ring-buffer capacity in events (default: recorder default); "
@@ -997,6 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", metavar="FILE", default="trace.json",
         help="output path (default: trace.json)",
     )
+    trace.set_defaults(handler=cmd_trace)
 
     report = sub.add_parser(
         "report",
@@ -1004,12 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
              "figures, telemetry timeline, sweep manifest summary and "
              "benchmark trend",
     )
-    report.add_argument("ids", nargs="*", help="experiment ids (see `list`)")
-    report.add_argument("--all", action="store_true", help="report everything")
-    report.add_argument(
-        "--quick", action="store_true",
-        help="reduced experiment grids (CI smoke, seconds per experiment)",
-    )
+    add_selection_flags(report)
     report.add_argument(
         "--telemetry-hz", type=float, default=None, metavar="HZ",
         help="include a telemetry-timeline section sampled at HZ from a "
@@ -1026,11 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", metavar="FILE", default="report.html",
         help="output path (default: report.html)",
     )
-    report.add_argument(
-        "-j", "--jobs", type=int, metavar="N",
-        help="simulate experiment points over N worker processes",
-    )
-    add_cache_flags(report)
+    add_runner_flags(report, distributed=False)
+    report.set_defaults(handler=cmd_report)
 
     cache = sub.add_parser(
         "cache", help="inspect or clean the persistent result store"
@@ -1046,10 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with prune: additionally evict least-recently-accessed "
              "records until the store fits N bytes",
     )
-    cache.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="result store location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
+    add_cache_dir(cache)
+    cache.set_defaults(handler=cmd_cache)
 
     bench = sub.add_parser(
         "bench",
@@ -1085,6 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-compare", action="store_true",
         help="write results only; skip the baseline gate",
     )
+    bench.set_defaults(handler=cmd_bench)
 
     lint = sub.add_parser(
         "lint",
@@ -1136,13 +1030,13 @@ def build_parser() -> argparse.ArgumentParser:
              "manifest (run after an intentional, version-bumped codec "
              "change), then exit",
     )
+    lint.set_defaults(handler=cmd_lint)
     return parser
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run benchmark suites and gate against the committed baseline."""
     from repro import bench
-    from repro.errors import ConfigurationError
 
     if args.tolerance is not None and args.tolerance < 0:
         print(f"--tolerance must be >= 0, got {args.tolerance}", file=sys.stderr)
@@ -1244,28 +1138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         scope = contextlib.nullcontext()
     try:
         with scope:
-            if args.command == "list":
-                return cmd_list()
-            if args.command == "sweep":
-                return cmd_sweep(args)
-            if args.command == "worker":
-                return cmd_worker(args)
-            if args.command == "trace":
-                return cmd_trace(args)
-            if args.command == "report":
-                return cmd_report(args)
-            if args.command == "cache":
-                return cmd_cache(args)
-            if args.command == "bench":
-                return cmd_bench(args)
-            if args.command == "lint":
-                return cmd_lint(args)
-            return cmd_run(
-                args.ids, args.all, args.output_dir, args.jobs,
-                no_cache=args.no_cache, cache_dir=args.cache_dir,
-                fmt=args.format, quick=args.quick, params=args.params,
-                distributed=args.distributed,
-            )
+            return args.handler(args)
     except BrokenPipeError:
         # `repro ... | head` closes stdout early; that is the reader's
         # choice, not an error. Detach stdout so the interpreter's exit

@@ -261,55 +261,15 @@ def run_traced(
 ) -> Tuple["Any", TraceRecorder]:
     """Execute a :class:`~repro.sweep.spec.ScenarioSpec` with tracing on.
 
-    Mirrors ``spec.execute()`` but always uses the in-process execution
-    styles that carry a recorder: a standalone node for single-node
-    specs, the shared-simulator :class:`~repro.cluster.Cluster` for
-    *every* cluster spec (the partitioned/sharded fast path has no
-    shared recorder). Results are bit-identical either way, so the trace
-    annotates exactly the run the untraced spec would produce.
+    Calls ``spec.execute(trace=...)`` with a fresh recorder; the result
+    is bit-identical to the untraced run's, so the trace annotates
+    exactly that run.
 
     Returns:
         ``(RunResult, TraceRecorder)``.
     """
     trace = TraceRecorder(capacity=capacity, log=log)
-    if spec.is_cluster or spec.nodes > 1:
-        from repro.cluster import Cluster
-
-        cluster = Cluster(
-            workload_factory=spec.build_workload,
-            configuration=spec.build_configuration(),
-            qps=spec.qps,
-            nodes=spec.nodes,
-            cores=spec.cores,
-            horizon=spec.horizon,
-            seed=spec.seed,
-            balancer=spec.balancer,
-            fanout=spec.fanout,
-            hedge_s=None if spec.hedge_ms is None else spec.hedge_ms / 1e3,
-            snoops_enabled=spec.snoops,
-            governor_factory=spec.governor_factory(),
-            sketch_error=spec.sketch_error,
-            trace=trace,
-            telemetry_hz=spec.telemetry_hz,
-        )
-        return cluster.run(), trace
-
-    from repro.server.node import ServerNode
-
-    node = ServerNode(
-        workload=spec.build_workload(),
-        configuration=spec.build_configuration(),
-        qps=spec.qps,
-        cores=spec.cores,
-        horizon=spec.horizon,
-        seed=spec.seed,
-        snoops_enabled=spec.snoops,
-        governor_factory=spec.governor_factory(),
-        trace=trace,
-        sketch_error=spec.sketch_error,
-        telemetry_hz=spec.telemetry_hz,
-    )
-    return node.run(), trace
+    return spec.execute(trace=trace), trace
 
 
 def export_chrome_trace(

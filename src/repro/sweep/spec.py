@@ -8,11 +8,18 @@ denote the same result. That property backs the shared memo cache
 (:mod:`repro.sweep.runner`) and lets specs travel to worker processes as
 plain dicts.
 
-:class:`ScenarioGrid` builds sweeps declaratively::
+Each field declares its axis once: the annotation gives the type, the
+field default the default, and ``field(metadata=...)`` the help text
+(plus the grid default of ``workload`` and ``config``). :data:`SPEC_AXES`
+derives the rest; the ``repro sweep``/``repro trace`` flags and
+:meth:`ScenarioGrid.product` are generated from it.
+
+:class:`ScenarioGrid` builds sweeps declaratively; its keywords are the
+field names::
 
     grid = ScenarioGrid.product(
-        workloads=["memcached"],
-        configs=["baseline", "AW"],
+        workload=["memcached"],
+        config=["baseline", "AW"],
         qps=[10e3, 100e3, 500e3],
     )
     results = SweepRunner(executor="process", jobs=4).run_grid(grid)
@@ -21,13 +28,16 @@ plain dicts.
 from __future__ import annotations
 
 import inspect
-from dataclasses import asdict, dataclass, fields, replace
+import itertools
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -47,6 +57,7 @@ from repro.server.config import (
     named_configuration,
 )
 from repro.server.metrics import RunResult
+from repro.simkit.trace import TraceRecorder
 from repro.workloads import kafka_workload, memcached_workload, mysql_workload
 from repro.workloads.base import Workload
 
@@ -120,6 +131,13 @@ _FIELD_TYPES: Dict[str, Tuple[str, Tuple[type, ...]]] = {
 }
 
 
+def _split_optional(annotation: str) -> Tuple[bool, str]:
+    """``(optional, base)``: ``"Optional[float]"`` -> ``(True, "float")``."""
+    if annotation.startswith("Optional["):
+        return True, annotation[len("Optional["):-1]
+    return False, annotation
+
+
 def _check_field_type(name: str, annotation: str, value: object) -> None:
     """Reject a spec-dict value whose type does not match its field.
 
@@ -127,11 +145,9 @@ def _check_field_type(name: str, annotation: str, value: object) -> None:
         ConfigurationError: naming the field, the expected and the given
             value.
     """
-    optional = annotation.startswith("Optional[")
-    if optional:
-        if value is None:
-            return
-        annotation = annotation[len("Optional["):-1]
+    optional, annotation = _split_optional(annotation)
+    if optional and value is None:
+        return
     description, types = _FIELD_TYPES[annotation]
     # bool subclasses int, so only a bool field may hold True/False.
     if not isinstance(value, types) or (
@@ -147,59 +163,68 @@ def _check_field_type(name: str, annotation: str, value: object) -> None:
 class ScenarioSpec:
     """One fully-parameterised simulation point.
 
-    Attributes:
-        workload: workload name (see :data:`WORKLOAD_FACTORIES`).
-        config: named server configuration (see
-            :func:`repro.server.config.named_configuration`).
-        qps: offered aggregate request rate (queries per second).
-        cores: core count.
-        horizon: simulated seconds.
-        seed: RNG seed; equal seeds give bit-identical results.
-        governor: idle-governor name (see :data:`GOVERNOR_FACTORIES`).
-        turbo: ``None`` keeps the configuration's turbo setting; True/False
-            overrides it.
-        snoops: whether background snoop traffic is simulated.
-        nodes: cluster size; 1 simulates a single
-            :class:`~repro.server.node.ServerNode` exactly as before.
-        balancer: cluster load-balancer name (see
-            :data:`~repro.cluster.balancer.BALANCER_FACTORIES`); with
-            ``nodes=1`` the policy cannot affect results, so it is
-            validated then canonicalised to ``"random"`` (one cache key
-            per single-node point, not one per balancer name).
-        fanout: leaf sub-requests per logical request, joined at the
-            slowest leaf; must not exceed ``nodes``.
-        hedge_ms: optional hedged-request delay in milliseconds — leaves
-            still outstanding after this long are duplicated onto another
-            node and the first answer wins.
-        sketch_error: ``None`` (default) keeps exact latency percentiles;
-            a float in (0, 1) switches latency tracking to the mergeable
-            bounded-memory DDSketch backend with that relative-error
-            guarantee — the fleet-scale knob (see
-            :mod:`repro.simkit.sketch`).
-        telemetry_hz: ``None`` (default) disables the telemetry probes; a
-            positive rate samples simulated-time series at that many
-            samples per simulated second into ``RunResult.timeline``
-            (see :mod:`repro.obs.timeline`). Sampling never perturbs the
-            simulation — every other observable is bit-identical probes
-            on and off — but the result object differs (it carries the
-            timeline), so the knob is part of the cache identity.
+    Each field's ``metadata["help"]`` documents it; the same text is the
+    help of its ``repro sweep``/``repro trace`` flag.
     """
 
-    workload: str
-    config: str
-    qps: float
-    cores: int = DEFAULT_CORES
-    horizon: float = DEFAULT_HORIZON
-    seed: int = DEFAULT_SEED
-    governor: str = "menu"
-    turbo: Optional[bool] = None
-    snoops: bool = True
-    nodes: int = 1
-    balancer: str = "random"
-    fanout: int = 1
-    hedge_ms: Optional[float] = None
-    sketch_error: Optional[float] = None
-    telemetry_hz: Optional[float] = None
+    workload: str = field(metadata={
+        "help": "workload name (memcached, kafka, mysql or a registered one)",
+        "grid_default": "memcached",
+    })
+    config: str = field(metadata={
+        "help": "named server configuration (e.g. baseline, AW, NT_AW)",
+        "grid_default": "baseline",
+    })
+    qps: float = field(metadata={
+        "help": "offered aggregate request rate in queries per second",
+    })
+    cores: int = field(default=DEFAULT_CORES, metadata={
+        "help": "core count per node",
+    })
+    horizon: float = field(default=DEFAULT_HORIZON, metadata={
+        "help": "simulated seconds per point",
+    })
+    seed: int = field(default=DEFAULT_SEED, metadata={
+        "help": "RNG seed; equal seeds give bit-identical results",
+    })
+    governor: str = field(default="menu", metadata={
+        "help": "idle governor (menu, c1_only, oracle or a registered one)",
+    })
+    turbo: Optional[bool] = field(default=None, metadata={
+        "help": "force Turbo on (--turbo) or off (--no-turbo) for every "
+                "config; by default each config keeps its own setting",
+    })
+    snoops: bool = field(default=True, metadata={
+        "help": "whether background snoop traffic is simulated "
+                "(--no-snoops turns it off)",
+    })
+    nodes: int = field(default=1, metadata={
+        "help": "cluster size: N server nodes behind a load balancer "
+                "(1: the single-node path)",
+    })
+    balancer: str = field(default="random", metadata={
+        "help": "cluster load balancer (random, round_robin, jsq, "
+                "power_of_two); ignored with one node",
+    })
+    fanout: int = field(default=1, metadata={
+        "help": "leaf sub-requests per logical request, joined at the "
+                "slowest leaf; must not exceed --nodes",
+    })
+    hedge_ms: Optional[float] = field(default=None, metadata={
+        "help": "hedged requests: duplicate leaves still outstanding after "
+                "this many milliseconds onto another node (first answer "
+                "wins)",
+    })
+    sketch_error: Optional[float] = field(default=None, metadata={
+        "help": "track latency with a mergeable bounded-memory DDSketch at "
+                "this relative-error guarantee in (0, 1), e.g. 0.01, "
+                "instead of exact samples: the fleet-scale memory knob",
+    })
+    telemetry_hz: Optional[float] = field(default=None, metadata={
+        "help": "sample a simulated-time telemetry timeline (power, C-state "
+                "occupancy, load) at this many samples per simulated second "
+                "into the result; every other metric stays bit-identical",
+    })
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOAD_FACTORIES:
@@ -394,10 +419,16 @@ class ScenarioSpec:
     def governor_factory(self) -> Callable[[], object]:
         return GOVERNOR_FACTORIES[self.governor]
 
-    def execute(self) -> RunResult:
-        """Run this scenario to completion (uncached; see SweepRunner)."""
+    def execute(self, trace: Optional[TraceRecorder] = None) -> RunResult:
+        """Run this scenario to completion (uncached; see SweepRunner).
+
+        ``trace`` records the run (see :mod:`repro.obs.chrometrace`). It
+        sends every cluster spec through the shared-simulator
+        :class:`~repro.cluster.Cluster`, since the partitioned path has
+        no shared recorder; results are bit-identical either way.
+        """
         if self.is_cluster:
-            if self.uses_partitioned_arrivals:
+            if trace is None and self.uses_partitioned_arrivals:
                 from repro.cluster.sharding import execute_partitioned
 
                 return execute_partitioned(self)
@@ -418,6 +449,7 @@ class ScenarioSpec:
                 snoops_enabled=self.snoops,
                 governor_factory=self.governor_factory(),
                 sketch_error=self.sketch_error,
+                trace=trace,
                 telemetry_hz=self.telemetry_hz,
             )
             return cluster.run()
@@ -433,10 +465,46 @@ class ScenarioSpec:
             seed=self.seed,
             snoops_enabled=self.snoops,
             governor_factory=self.governor_factory(),
+            trace=trace,
             sketch_error=self.sketch_error,
             telemetry_hz=self.telemetry_hz,
         )
         return node.run()
+
+
+class Axis(NamedTuple):
+    """One :class:`ScenarioSpec` field as a sweep axis, derived from it.
+
+    ``value_type`` is the type of one value (``float`` for
+    ``Optional[float]``). A grid takes a list of values for a ``swept``
+    axis: every field that is neither ``Optional`` nor ``bool``.
+    ``default`` is the field default, or the ``grid_default`` metadata of
+    a required field (``dataclasses.MISSING`` for ``qps``).
+    """
+
+    name: str
+    value_type: type
+    optional: bool
+    swept: bool
+    default: Any
+    help: str
+
+
+def _axis(spec_field: Field[Any]) -> Axis:
+    optional, base = _split_optional(str(spec_field.type))
+    return Axis(
+        name=spec_field.name,
+        value_type=_FIELD_TYPES[base][1][-1],
+        optional=optional,
+        swept=not optional and base != "bool",
+        default=spec_field.metadata.get("grid_default", spec_field.default),
+        help=spec_field.metadata["help"],
+    )
+
+
+#: Every ScenarioSpec axis in field order: the source of the CLI's axis
+#: flags and of :meth:`ScenarioGrid.product`.
+SPEC_AXES: Tuple[Axis, ...] = tuple(_axis(f) for f in fields(ScenarioSpec))
 
 
 class ScenarioGrid:
@@ -451,55 +519,46 @@ class ScenarioGrid:
 
     # -- builders ----------------------------------------------------------
     @classmethod
-    def product(
-        cls,
-        workloads: Sequence[str] = ("memcached",),
-        configs: Sequence[str] = ("baseline",),
-        qps: Sequence[float] = (),
-        cores: Sequence[int] = (DEFAULT_CORES,),
-        horizons: Sequence[float] = (DEFAULT_HORIZON,),
-        seeds: Sequence[int] = (DEFAULT_SEED,),
-        governors: Sequence[str] = ("menu",),
-        turbo: Optional[bool] = None,
-        snoops: bool = True,
-        nodes: Sequence[int] = (1,),
-        balancers: Sequence[str] = ("random",),
-        fanouts: Sequence[int] = (1,),
-        hedge_ms: Optional[float] = None,
-        sketch_error: Optional[float] = None,
-        telemetry_hz: Optional[float] = None,
-    ) -> "ScenarioGrid":
-        """Cartesian product over the given axes.
+    def product(cls, **axes: Any) -> "ScenarioGrid":
+        """Cartesian product over the swept axes.
 
-        Iteration order is the nesting order of the arguments (workload
-        outermost, fanout innermost), matching how the paper's figures
-        sweep rate within configuration within workload. Cluster axes
-        default to the single-node identity (``nodes=1, fanout=1``).
+        Keywords are :class:`ScenarioSpec` field names. Swept axes (see
+        :data:`SPEC_AXES`) take sequences, the others one value; an
+        omitted axis takes its default, so cluster axes default to the
+        single-node identity (``nodes=1, fanout=1``). Points nest in
+        field order (workload outermost, fanout innermost), matching how
+        the paper's figures sweep rate within configuration within
+        workload.
 
         Raises:
-            ConfigurationError: if ``qps`` is empty.
+            ConfigurationError: on an unknown keyword, a swept axis given
+                one value instead of a sequence, or an empty ``qps``.
         """
-        if not qps:
-            raise ConfigurationError("ScenarioGrid.product needs at least one qps")
-        specs = [
-            ScenarioSpec(
-                workload=w, config=c, qps=q, cores=n, horizon=h, seed=s,
-                governor=g, turbo=turbo, snoops=snoops,
-                nodes=k, balancer=b, fanout=r, hedge_ms=hedge_ms,
-                sketch_error=sketch_error, telemetry_hz=telemetry_hz,
+        unknown = set(axes) - {axis.name for axis in SPEC_AXES}
+        if unknown:
+            raise ConfigurationError(
+                f"unknown ScenarioGrid.product axes {sorted(unknown)}; "
+                f"known: {[axis.name for axis in SPEC_AXES]}"
             )
-            for w in workloads
-            for c in configs
-            for q in qps
-            for n in cores
-            for h in horizons
-            for s in seeds
-            for g in governors
-            for k in nodes
-            for b in balancers
-            for r in fanouts
-        ]
-        return cls(specs)
+        if not axes.get("qps"):
+            raise ConfigurationError("ScenarioGrid.product needs at least one qps")
+        ranges: Dict[str, Iterable[Any]] = {}
+        scalars: Dict[str, Any] = {}
+        for axis in SPEC_AXES:
+            if not axis.swept:
+                scalars[axis.name] = axes.get(axis.name, axis.default)
+                continue
+            values = axes.get(axis.name, (axis.default,))
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ConfigurationError(
+                    f"ScenarioGrid.product axis {axis.name!r} takes a "
+                    f"sequence of values, got {values!r}"
+                )
+            ranges[axis.name] = values
+        return cls([
+            ScenarioSpec(**dict(zip(ranges, point)), **scalars)
+            for point in itertools.product(*ranges.values())
+        ])
 
     @classmethod
     def from_dicts(cls, dicts: Sequence[Dict[str, Any]]) -> "ScenarioGrid":

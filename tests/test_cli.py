@@ -332,8 +332,8 @@ class TestSweepGridFile:
         from repro.sweep import ScenarioGrid
 
         return ScenarioGrid.product(
-            configs=["baseline", "AW"], qps=[20_000],
-            horizons=[0.02], seeds=[7],
+            config=["baseline", "AW"], qps=[20_000],
+            horizon=[0.02], seed=[7],
         ).to_dicts()
 
     def test_grid_jsonl_end_to_end(self, tmp_path, capsys):
@@ -369,6 +369,24 @@ class TestSweepGridFile:
         code = main(["sweep", "--grid", str(grid_file), "--governor", "oracle"])
         assert code == EXIT_USAGE
         assert "--governor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--workload", "memcached"], ["--config", "baseline"],
+        ["--cores", "10"], ["--horizon", "0.4"], ["--seed", "42"],
+        ["--governor", "menu"], ["--nodes", "1"], ["--balancer", "random"],
+        ["--fanout", "1"],
+    ], ids=lambda flag: flag[0])
+    def test_grid_plus_axis_flag_at_its_default_is_usage_error(
+        self, tmp_path, capsys, flag
+    ):
+        # Giving the flag is the conflict, whatever its value: the file's
+        # specs would silently win over it.
+        grid_file = tmp_path / "grid.jsonl"
+        grid_file.write_text(json.dumps(self._grid_dicts()[0]) + "\n")
+        code = main(["sweep", "--grid", str(grid_file), "--no-cache", *flag])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "not both" in err and flag[0] in err
 
     def test_missing_grid_file_is_usage_error(self, capsys):
         assert main(["sweep", "--grid", "/nonexistent.jsonl"]) == EXIT_USAGE
@@ -416,6 +434,50 @@ class TestSweepGridFile:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "invalid sweep" in err and message in err
+
+
+class TestNonPositiveCounts:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kqps", "10", "--shards", "2", "--jobs", "0"],
+        ["sweep", "--kqps", "10", "--shards", "0"],
+        ["sweep", "--kqps", "10", "--jobs", "0"],
+        ["sweep", "--kqps", "10", "--jobs", "-2"],
+        ["sweep", "--kqps", "10", "--distributed", "QUEUE", "--jobs", "-1"],
+        ["run", "table2", "--jobs", "0"],
+        ["run", "table2", "--jobs", "-2"],
+        ["report", "table2", "--jobs", "0"],
+        ["report", "table2", "--jobs", "-2"],
+        ["trace", "--kqps", "10", "--capacity", "0"],
+        ["trace", "--kqps", "10", "--capacity", "-5"],
+    ], ids=[
+        "sweep_shards_jobs_0", "sweep_shards_0", "sweep_jobs_0", "sweep_jobs_-2",
+        "sweep_distributed_jobs_-1", "run_jobs_0", "run_jobs_-2",
+        "report_jobs_0", "report_jobs_-2", "trace_capacity_0",
+        "trace_capacity_-5",
+    ])
+    def test_is_usage_error(self, tmp_path, capsys, argv):
+        command, flag = argv[0], argv[-2]
+        argv = [str(tmp_path / "q") if arg == "QUEUE" else arg for arg in argv]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "trace.json")]
+        else:
+            argv += ["--cache-dir", str(tmp_path / "store")]
+        if command == "report":
+            argv += ["-o", str(tmp_path / "report.html")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"invalid {command}:" in err and flag.lstrip("-") in err
+
+    def test_distributed_jobs_zero_leaves_points_to_external_workers(
+        self, tmp_path
+    ):
+        from repro.cli import _configured_runner
+
+        with _configured_runner(
+            jobs=0, cache_dir=str(tmp_path / "store"),
+            queue_dir=str(tmp_path / "q"),
+        ) as runner:
+            assert runner.executor.jobs == 0
 
 
 class TestSweepCaching:

@@ -265,8 +265,8 @@ class TestClusterSpec:
 
     def test_grid_product_cluster_axes(self):
         grid = ScenarioGrid.product(
-            qps=[80_000], nodes=[2, 4], balancers=["random", "jsq"],
-            fanouts=[2], hedge_ms=0.5,
+            qps=[80_000], nodes=[2, 4], balancer=["random", "jsq"],
+            fanout=[2], hedge_ms=0.5,
         )
         assert len(grid) == 4
         assert {s.nodes for s in grid} == {2, 4}

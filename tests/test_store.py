@@ -312,8 +312,8 @@ class TestRunnerIntegration:
 
         store = ResultStore(tmp_path, salt="s1")
         grid = ScenarioGrid.product(
-            configs=["baseline", "AW"], qps=[10_000, 20_000],
-            horizons=[0.02], seeds=[7],
+            config=["baseline", "AW"], qps=[10_000, 20_000],
+            horizon=[0.02], seed=[7],
         )
         SweepRunner(executor="process", jobs=2, cache={}, store=store).run_grid(grid)
         assert len(store) == len(grid)

@@ -131,10 +131,10 @@ class TestScenarioSpec:
 class TestScenarioGrid:
     def test_product_order_and_length(self):
         grid = ScenarioGrid.product(
-            workloads=["memcached", "kafka"],
-            configs=["baseline", "AW"],
+            workload=["memcached", "kafka"],
+            config=["baseline", "AW"],
             qps=[1_000, 2_000],
-            seeds=[1],
+            seed=[1],
         )
         assert len(grid) == 8
         # workload outermost, qps innermost of the varied axes
@@ -143,10 +143,10 @@ class TestScenarioGrid:
 
     def test_product_requires_qps(self):
         with pytest.raises(ConfigurationError):
-            ScenarioGrid.product(configs=["baseline"])
+            ScenarioGrid.product(config=["baseline"])
 
     def test_dict_round_trip(self):
-        grid = ScenarioGrid.product(qps=[1_000, 2_000], seeds=[1, 2])
+        grid = ScenarioGrid.product(qps=[1_000, 2_000], seed=[1, 2])
         rebuilt = ScenarioGrid.from_dicts(grid.to_dicts())
         assert list(rebuilt) == list(grid)
 
@@ -159,8 +159,8 @@ class TestScenarioGrid:
 class TestSweepRunner:
     def test_serial_vs_parallel_parity(self):
         grid = ScenarioGrid.product(
-            configs=["baseline", "AW"], qps=[10_000, 40_000],
-            horizons=[0.02], seeds=[7],
+            config=["baseline", "AW"], qps=[10_000, 40_000],
+            horizon=[0.02], seed=[7],
         )
         serial = SweepRunner(cache={}).run_grid(grid)
         parallel = SweepRunner(executor="process", jobs=2, cache={}).run_grid(grid)
