@@ -2,8 +2,9 @@
 
 Sweeps fan simulation points out to worker processes
 (owned ``multiprocessing.Process`` workers in ``repro/sweep/runner.py``,
-``ProcessPoolExecutor`` in ``repro/cluster/sharding.py``, ``pool.map``
-in the analyzer itself). Every
+which also run the node-range shards of ``repro/cluster/sharding.py``;
+the distributed fleet in ``repro/distrib``; ``pool.map`` in the analyzer
+itself). Every
 one of those submissions is a serialization boundary where determinism
 can silently break. :mod:`repro.analyze.callgraph` resolves what
 actually crosses each boundary; the rules here flag the four hazard

@@ -131,8 +131,8 @@ def _configured_runner(
     if jobs is not None and jobs < floor:
         raise ConfigurationError(f"--jobs must be at least {floor}, got {jobs}")
     if shards is not None:
-        # --shards parallelises *within* each cluster point (node-range
-        # sharding, exact merge), not across points.
+        # --shards splits each cluster point into node-range jobs (exact
+        # merge) on the same workers that run the other points.
         executor: object = ShardedExecutor(shards, jobs=jobs, policy=policy)
     else:
         executor = "process" if jobs is not None and jobs > 1 else "serial"
@@ -417,18 +417,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigurationError("--distributed cannot be combined with --shards")
         if args.timeout is not None:
             # Accepting the flag but never enforcing it would be worse
-            # than rejecting it: only a parallel executor can interrupt a
-            # running point (the sharded one, like the serial one, runs
-            # points in order in this process).
+            # than rejecting it: only a worker process can be stopped,
+            # and the serial executor runs points in this process.
             if args.distributed is not None:
                 raise ConfigurationError(
                     "--distributed does not take --timeout: runaway "
                     "points are bounded by lease expiry instead"
                 )
-            if args.jobs is None or args.jobs <= 1:
-                raise ConfigurationError("--timeout requires --jobs N (N > 1)")
-            if args.shards is not None:
-                raise ConfigurationError("--timeout cannot be combined with --shards")
+            if args.shards is None and (args.jobs is None or args.jobs <= 1):
+                raise ConfigurationError("--timeout requires --jobs N (N > 1) or --shards")
         grid = _build_sweep_grid(args)
         policy = FailurePolicy(
             mode=args.on_error, timeout=args.timeout, retries=args.retries
@@ -791,11 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--shards", type=int, default=None, metavar="S",
-        help="split each cluster point into S node-range shards run on a "
-             "process pool and merged exactly (bit-identical to the "
-             "serial result); requires stateless balancing "
-             "(random/round_robin), fanout 1 and no hedging; -j sets the "
-             "pool width",
+        help="split each cluster point into S node-range shards run as "
+             "worker jobs and merged exactly (bit-identical to the serial "
+             "result); requires stateless balancing (random/round_robin), "
+             "fanout 1 and no hedging; -j sets the worker count (default S)",
     )
     sweep.add_argument(
         "--emit", choices=list(EMIT_LEVELS), default="headline",
@@ -814,9 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--timeout", type=float, metavar="SECONDS",
-        help="per-point wall-clock budget; an overrunning point's worker "
-             "is terminated (requires --jobs: only the parallel executor "
-             "can stop a point)",
+        help="per-point (per-shard with --shards) wall-clock budget; an "
+             "overrunning worker is terminated (requires --jobs N > 1 or "
+             "--shards: only a worker process can be stopped)",
     )
     sweep.add_argument(
         "--retries", type=int, default=0, metavar="N",

@@ -25,8 +25,9 @@ arrival process each node observes:
   approximated by giving each node an independent Erlang stream.
 
 Nodes are then fully independent simulations, so a cluster point splits
-into S contiguous *shards* of nodes that run on a process pool and merge
-with :func:`merge_node_results`, which replicates the aggregation
+into S contiguous *shards* of nodes that run as jobs on the sweep's owned
+worker processes (:class:`~repro.sweep.runner.ProcessExecutor` with
+``shards``) and merge with :func:`merge_node_results`, which replicates the aggregation
 formulas of ``Cluster.collect`` term by term **in node order**: scalar
 aggregates (energy, counters, residencies, per-node detail) are
 bit-identical whatever the shard count or completion order, and latency
@@ -41,7 +42,6 @@ equals ``execute_partitioned(spec)`` bit-for-bit for every S.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import STATELESS_BALANCERS
@@ -312,22 +312,6 @@ def execute_partitioned(spec: "ScenarioSpec") -> RunResult:
     return merge_node_results(spec, run_shard(spec, 0, spec.nodes))
 
 
-def _run_shard_payload(
-    payload: Tuple[Dict[str, object], int, int]
-) -> Tuple[int, List[RunResult]]:
-    """Worker-side entry point: rebuild the spec and run one shard.
-
-    Takes ``(spec_dict, lo, hi)`` so the pickled payload stays decoupled
-    from the dataclass layout, and returns ``(lo, results)`` so the
-    parent can reassemble node order regardless of completion order.
-    """
-    from repro.sweep.spec import ScenarioSpec
-
-    spec_dict, lo, hi = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    return lo, run_shard(spec, lo, hi)
-
-
 def run_sharded(
     spec: "ScenarioSpec", shards: int, jobs: Optional[int] = None
 ) -> RunResult:
@@ -339,37 +323,13 @@ def run_sharded(
             otherwise).
         shards: how many contiguous node ranges to split into (clamped
             to the node count).
-        jobs: process-pool width; defaults to the shard count.
+        jobs: worker processes; defaults to the shard count.
 
     Returns the merged cluster result, bit-identical to
     :func:`execute_partitioned` for any shard count.
     """
     check_shardable(spec)
-    ranges = shard_ranges(spec.nodes, shards)
-    if len(ranges) == 1:
-        return execute_partitioned(spec)
+    # Imported lazily: the runner imports spec, which imports this package.
+    from repro.sweep.runner import ShardedExecutor
 
-    # Same parent-only-registration guard as the sweep process executor:
-    # fail fast with an actionable message rather than point-by-point in
-    # the workers. Imported lazily — runner imports spec which imports
-    # this package.
-    from repro.sweep.runner import _check_worker_registries
-
-    _check_worker_registries([spec])
-    spec_dict = spec.to_dict()
-    workers = min(jobs or len(ranges), len(ranges))
-    if workers <= 0:
-        raise ConfigurationError(f"jobs must be positive, got {jobs}")
-    by_lo: Dict[int, List[RunResult]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_shard_payload, (spec_dict, lo, hi))
-            for lo, hi in ranges
-        ]
-        for future in futures:
-            lo, results = future.result()
-            by_lo[lo] = results
-    per_node: List[RunResult] = []
-    for lo, _ in ranges:
-        per_node.extend(by_lo[lo])
-    return merge_node_results(spec, per_node)
+    return ShardedExecutor(shards, jobs=jobs).map_specs([spec])[0]

@@ -1,9 +1,10 @@
 """The coordinator side: :class:`DistributedExecutor`.
 
-Slots in beside ``Serial``/``Sharded``/``Process`` behind the same
-``map_specs`` contract, but instead of running points it runs a
-**supervision loop** over a :class:`~repro.distrib.queue.JobQueue` and
-the ONE shared :class:`~repro.store.ResultStore`:
+Slots in beside ``Serial``/``Process`` behind the same ``map_specs``
+contract and settles points through the same ledger, but instead of
+running points it runs a **supervision loop** over a
+:class:`~repro.distrib.queue.JobQueue` and the ONE shared
+:class:`~repro.store.ResultStore`:
 
 1. enqueue the grid (idempotent — re-invoking over the same queue
    directory re-adopts done rows, in-flight leases and all);
@@ -39,7 +40,7 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.distrib import chaos as chaos_mod
 from repro.distrib.queue import DEFAULT_LEASE_S, DONE, JobQueue, job_key
@@ -48,15 +49,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.store import ResultStore
 from repro.store.db import close_all
 from repro.sweep.runner import (
-    RAISE,
-    RECORD,
+    FailureHook,
     FailurePolicy,
-    PointFailure,
+    Outcome,
+    ResultHook,
     _check_worker_registries,
-    _manifest_emit,
+    _Ledger,
 )
 from repro.sweep.spec import ScenarioSpec
-from repro.server.metrics import RunResult
 
 #: How many supervision ticks between heal/re-enqueue repair passes.
 #: Repairs scan every non-done row, so they run coarser than the poll.
@@ -230,17 +230,15 @@ class DistributedExecutor:
     def map_specs(
         self,
         specs: Sequence[ScenarioSpec],
-        on_result: Optional[Callable[[int, ScenarioSpec, RunResult], None]] = None,
-        on_failure: Optional[Callable[[int, ScenarioSpec, PointFailure], None]] = None,
+        on_result: Optional[ResultHook] = None,
+        on_failure: Optional[FailureHook] = None,
         log: Optional[Callable[[str], None]] = None,
         manifest=None,
-    ) -> List[Optional[Union[RunResult, PointFailure]]]:
+    ) -> List[Outcome]:
         # External workers are bare interpreters: fail fast on
         # parent-only registrations whatever the local start method.
         _check_worker_registries(specs, start_method="spawn")
-        results: List[Optional[Union[RunResult, PointFailure]]] = (
-            [None] * len(specs)
-        )
+        ledger = _Ledger(specs, self.policy, on_result, on_failure, manifest)
         # The runner dedups upstream, but keys map to index *lists* so a
         # direct caller with duplicate specs still gets every slot filled.
         waiting: Dict[str, Tuple[ScenarioSpec, List[int]]] = {}
@@ -270,37 +268,25 @@ class DistributedExecutor:
         def settle_result(key: str) -> None:
             spec, indices = waiting.pop(key)
             result = hits[spec.cache_key]
-            # Close the ledger row: covers the worker that died after
+            # Close the queue row: covers the worker that died after
             # the store write but before its commit (and is a no-op on
             # rows already done).
             self.queue.complete(key, "coordinator")
             for i in indices:
-                results[i] = result
-                if on_result is not None:
-                    on_result(i, spec, result)
+                ledger.succeed(i, result)
 
         def settle_failure(key: str, record: Dict[str, object]) -> None:
-            spec, indices = waiting.pop(key)
-            failure = PointFailure(
-                spec=spec,
-                error=str(record.get("error", "point failed")),
-                attempts=int(record.get("attempts", 0) or 0),
+            # Terminal already: the queue applied the retries.
+            _, indices = waiting.pop(key)
+            kind = record.get("kind", "error")
+            error = str(record.get("error", "point failed"))
+            ledger.terminal(
+                indices, int(record.get("attempts", 0) or 0), error,
+                SimulationError(f"distributed point failed ({kind}): {error}"),
+                kind=kind,
             )
-            _manifest_emit(
-                manifest, "failed", indices[0], spec,
-                attempt=failure.attempts, error=failure.error,
-                kind=record.get("kind", "error"),
-            )
-            if self.policy.mode == RAISE:
-                raise SimulationError(
-                    f"distributed point failed "
-                    f"({record.get('kind', 'error')}): {failure.error}"
-                )
-            for i in indices:
-                if self.policy.mode == RECORD:
-                    results[i] = failure
-                if on_failure is not None:
-                    on_failure(i, spec, failure)
+            if ledger.error is not None:
+                raise ledger.error
 
         start = time.monotonic()
         tick = 0
@@ -407,7 +393,7 @@ class DistributedExecutor:
                 self._wait_tick()
         finally:
             self._shutdown_workers()
-        return results
+        return ledger.results
 
     def _wait_tick(self) -> None:
         """Sleep one ``poll_s`` tick, or less if a local worker exits."""

@@ -5,14 +5,18 @@ to execute it:
 
 - :class:`SerialExecutor` runs points in order in the calling process;
 - :class:`ProcessExecutor` runs points on ``jobs`` owned worker
-  processes, one point in flight per worker, so thousand-point grids
+  processes, one job in flight per worker, so thousand-point grids
   hold O(jobs) task payloads in flight instead of the whole grid and any
-  point can be stopped by terminating its worker.
+  job can be stopped by terminating its worker. :class:`ShardedExecutor`
+  configures it to run each cluster point as node-range jobs.
 
-Both feed one shared memo cache keyed on the spec's canonical cache key, so
-experiments that revisit points (Fig 10 reuses Fig 9's baselines; Table 5
-reuses Fig 8's sweep) simulate each point exactly once per process,
-regardless of which runner instance asked first. A runner may additionally
+Those and :class:`~repro.distrib.DistributedExecutor` settle every point
+through one private ledger, so retry and failure-mode semantics are
+written once. All feed one shared memo cache keyed on the spec's
+canonical cache key, so experiments that revisit points (Fig 10 reuses
+Fig 9's baselines; Table 5 reuses Fig 8's sweep) simulate each point
+exactly once per process, regardless of which runner instance asked
+first. A runner may additionally
 carry a persistent :class:`~repro.store.ResultStore`, layered *under* the
 memo: misses consult the store before simulating, and fresh results are
 written back, so repeated CLI invocations reuse runs across processes.
@@ -35,13 +39,16 @@ import inspect
 import multiprocessing
 import signal
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait
+from pathlib import Path
 from time import monotonic
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Deque,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -49,6 +56,7 @@ from typing import (
     Union,
 )
 
+import repro.cluster.sharding as sharding
 from repro.cluster.balancer import (
     BALANCER_FACTORIES,
     IMPORT_TIME_BALANCER_FACTORIES,
@@ -93,13 +101,20 @@ def shared_cache_size() -> int:
     return len(_SHARED_CACHE)
 
 
-def _execute_spec_dict(data: Dict[str, object]) -> RunResult:
-    """Worker-side entry point: rebuild the spec and run it.
+def _execute_spec_dict(
+    data: Dict[str, object], node_range: Optional[Tuple[int, int]] = None
+) -> object:
+    """Worker-side entry point: rebuild the spec and run one job of it.
 
     Takes a plain dict (not a ScenarioSpec) so the pickled task payload
-    stays decoupled from the dataclass layout.
+    stays decoupled from the dataclass layout. A ``(lo, hi)`` node range
+    runs one shard (:func:`repro.cluster.sharding.run_shard`, looked up
+    on the module so wrappers installed there reach forked workers).
     """
-    return ScenarioSpec.from_dict(data).execute()
+    spec = ScenarioSpec.from_dict(data)
+    if node_range is None:
+        return spec.execute()
+    return sharding.run_shard(spec, *node_range)
 
 
 # -- failure handling ---------------------------------------------------------
@@ -121,14 +136,14 @@ class FailurePolicy:
             already running); ``"skip"`` drops the point (its result slot
             becomes ``None``); ``"record"`` keeps a :class:`PointFailure`
             in the result slot.
-        timeout: per-point wall-clock budget in seconds (process executor
-            only), measured from the moment an idle worker receives the
-            point, so queue wait does not count. A timed-out point is
-            treated as failed and its worker is ``terminate()``-d and
-            replaced, so a runaway simulation stops burning CPU at its
-            budget. The distributed executor ignores this field — there,
-            runaway points are bounded by lease expiry and requeued on
-            another worker.
+        timeout: per-job wall-clock budget in seconds (process executor,
+            sharded or not), measured from the moment an idle worker
+            receives the job (a point, or one shard of it), so queue wait
+            does not count. A timed-out job fails its point's attempt and
+            its worker is ``terminate()``-d and replaced, so a runaway
+            simulation stops burning CPU at its budget. The distributed
+            executor ignores this field — there, runaway points are
+            bounded by lease expiry and requeued on another worker.
         retries: how many times a failed/timed-out point is resubmitted
             before its failure becomes terminal.
     """
@@ -161,88 +176,147 @@ class PointFailure:
 #: (post-retry) failure under the ``skip``/``record`` modes.
 FailureHook = Callable[[int, ScenarioSpec, PointFailure], None]
 
+#: ``on_result(index, spec, result)`` — called once per settled success.
+ResultHook = Callable[[int, ScenarioSpec, RunResult], None]
+
+Outcome = Optional[Union[RunResult, PointFailure]]
+
 
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _manifest_finished(
-    manifest: Optional["RunManifest"],
-    index: int,
-    spec: ScenarioSpec,
-    attempt: int,
-    result: RunResult,
-    wall_s: float,
-) -> None:
-    """Emit a point's ``finished`` manifest line (no-op without manifest)."""
-    if manifest is None:
-        return
-    from repro.obs.manifest import spec_key
+class _Ledger:
+    """Settles the points of one ``map_specs`` call: the only place that
+    fills result slots, applies the :class:`FailurePolicy`, calls the
+    hooks and writes point-scoped manifest lines.
 
-    manifest.emit(
-        "finished",
-        point=index,
-        attempt=attempt,
-        key=spec_key(spec),
-        wall_s=round(wall_s, 6),
-        events_per_s=(
-            result.events_processed / wall_s if wall_s > 0 else None
-        ),
-    )
-
-
-def _manifest_emit(
-    manifest: Optional["RunManifest"],
-    event: str,
-    index: int,
-    spec: ScenarioSpec,
-    **fields: object,
-) -> None:
-    """Emit one point-scoped manifest line (no-op without manifest)."""
-    if manifest is None:
-        return
-    from repro.obs.manifest import spec_key
-
-    manifest.emit(event, point=index, key=spec_key(spec), **fields)
-
-
-def find_unregistered(specs: Sequence[ScenarioSpec]):
-    """Workload/governor names that worker processes would resolve wrongly.
-
-    Returns ``(workloads, governors)`` sorted name lists: the names used
-    by ``specs`` whose *current* factory differs from the import-time
-    registries of :mod:`repro.sweep.spec` — either registered dynamically
-    in this process only, or overriding a built-in name (workers would
-    silently use the built-in factory instead).
+    Under ``raise`` the first terminal failure is kept in :attr:`error`,
+    so an executor can drain what is running before raising it; later
+    failures are dropped.
     """
-    workloads = sorted(
-        name
-        for name in {s.workload for s in specs}
-        if WORKLOAD_FACTORIES.get(name) is not IMPORT_TIME_WORKLOAD_FACTORIES.get(name)
-    )
-    governors = sorted(
-        name
-        for name in {s.governor for s in specs}
-        if GOVERNOR_FACTORIES.get(name) is not IMPORT_TIME_GOVERNOR_FACTORIES.get(name)
-    )
-    return workloads, governors
+
+    def __init__(
+        self,
+        specs: Sequence[ScenarioSpec],
+        policy: Optional[FailurePolicy] = None,
+        on_result: Optional[ResultHook] = None,
+        on_failure: Optional[FailureHook] = None,
+        manifest: Optional["RunManifest"] = None,
+    ):
+        self.specs = specs
+        self.policy = policy or FailurePolicy()
+        self.on_result = on_result
+        self.on_failure = on_failure
+        self.manifest = manifest
+        self.results: List[Outcome] = [None] * len(specs)
+        self.error: Optional[BaseException] = None
+
+    def emit(self, event: str, i: int, **fields: object) -> None:
+        """Write one manifest line about point ``i`` (no-op without one)."""
+        if self.manifest is None:
+            return
+        from repro.obs.manifest import spec_key
+
+        self.manifest.emit(event, point=i, key=spec_key(self.specs[i]), **fields)
+
+    def succeed(
+        self, i: int, result: RunResult, attempt: Optional[int] = None, wall_s: float = 0.0
+    ) -> None:
+        """Settle point ``i`` with ``result``; an ``attempt`` that ran
+        here (not in a remote worker) gets its ``finished`` line."""
+        if attempt is not None:
+            self.emit(
+                "finished", i, attempt=attempt, wall_s=round(wall_s, 6),
+                events_per_s=(
+                    result.events_processed / wall_s if wall_s > 0 else None
+                ),
+            )
+        self.results[i] = result
+        if self.on_result is not None:
+            self.on_result(i, self.specs[i], result)
+
+    def fail(self, i: int, attempt: int, exc: BaseException) -> bool:
+        """Settle a failed attempt at point ``i``: True to retry it."""
+        if self.error is not None:
+            return False
+        if attempt <= self.policy.retries:
+            self.emit("retry", i, attempt=attempt, error=_describe(exc))
+            return True
+        self.terminal([i], attempt, _describe(exc), exc)
+        return False
+
+    def terminal(
+        self, indices: Sequence[int], attempts: int, error: str, exc: BaseException,
+        **fields: object,
+    ) -> None:
+        """Settle a failure past its retries, for every slot in
+        ``indices`` (duplicates of one point; the first names it)."""
+        self.emit("failed", indices[0], attempt=attempts, error=error, **fields)
+        if self.policy.mode == RAISE:
+            self.error = exc
+            return
+        failure = PointFailure(self.specs[indices[0]], error, attempts)
+        for i in indices:
+            if self.policy.mode == RECORD:
+                self.results[i] = failure
+            if self.on_failure is not None:
+                self.on_failure(i, self.specs[i], failure)
 
 
-def find_unregistered_balancers(specs: Sequence[ScenarioSpec]) -> List[str]:
-    """Balancer names worker processes would resolve wrongly.
+def _settle_here(
+    ledger: _Ledger, indices: Iterable[int], run: Callable[[ScenarioSpec], RunResult]
+) -> List[Outcome]:
+    """The reference attempt loop: settle each point in ``indices`` in
+    order, running every attempt here; re-raises under ``raise``."""
+    for i in indices:
+        attempt = 0
+        while True:
+            attempt += 1
+            ledger.emit("claimed", i, attempt=attempt)
+            started = monotonic()
+            try:
+                result = run(ledger.specs[i])
+            except Exception as exc:
+                if ledger.fail(i, attempt, exc):
+                    continue
+                if ledger.error is not None:
+                    raise
+            else:
+                ledger.succeed(i, result, attempt, monotonic() - started)
+            break
+    return ledger.results
 
-    Companion to :func:`find_unregistered` (kept separate so that
-    function's ``(workloads, governors)`` contract is unchanged). Every
-    spec is checked — ``ScenarioSpec.__post_init__`` validates the
-    balancer name in the worker regardless of node count, though
-    single-node specs canonicalise theirs to the built-in default and so
-    can never trip this.
+
+#: (spec axis, current registry, import-time registry) for each name a
+#: worker resolves. Single-node specs canonicalise their balancer to the
+#: built-in default, so theirs never trips the check.
+_WORKER_REGISTRIES = (
+    ("workload", WORKLOAD_FACTORIES, IMPORT_TIME_WORKLOAD_FACTORIES),
+    ("governor", GOVERNOR_FACTORIES, IMPORT_TIME_GOVERNOR_FACTORIES),
+    ("balancer", BALANCER_FACTORIES, IMPORT_TIME_BALANCER_FACTORIES),
+)
+
+
+def find_unregistered(specs: Sequence[ScenarioSpec]) -> Dict[str, List[str]]:
+    """Names that worker processes would resolve wrongly, by spec axis.
+
+    Maps ``"workload"``/``"governor"``/``"balancer"`` to the sorted names
+    used by ``specs`` whose *current* factory differs from the
+    import-time registry — either registered dynamically in this process
+    only, or overriding a built-in name (workers would silently use the
+    built-in factory instead). Axes with no such name are left out.
     """
-    return sorted(
-        name
-        for name in {s.balancer for s in specs}
-        if BALANCER_FACTORIES.get(name) is not IMPORT_TIME_BALANCER_FACTORIES.get(name)
-    )
+    found: Dict[str, List[str]] = {}
+    for axis, current, at_import in _WORKER_REGISTRIES:
+        names = sorted(
+            name
+            for name in {getattr(spec, axis) for spec in specs}
+            if current.get(name) is not at_import.get(name)
+        )
+        if names:
+            found[axis] = names
+    return found
 
 
 def _check_worker_registries(
@@ -261,19 +335,12 @@ def _check_worker_registries(
         start_method = multiprocessing.get_start_method()
     if start_method == "fork":
         return
-    workloads, governors = find_unregistered(specs)
-    balancers = find_unregistered_balancers(specs)
-    if not workloads and not governors and not balancers:
+    found = find_unregistered(specs)
+    if not found:
         return
-    parts = []
-    if workloads:
-        parts.append(f"workload(s) {workloads}")
-    if governors:
-        parts.append(f"governor(s) {governors}")
-    if balancers:
-        parts.append(f"balancer(s) {balancers}")
+    names = " and ".join(f"{axis}(s) {names}" for axis, names in found.items())
     raise ConfigurationError(
-        f"{' and '.join(parts)} registered or overridden only in this "
+        f"{names} registered or overridden only in this "
         f"process: {start_method!r} worker processes re-import "
         "repro.sweep.spec and will not see factories registered after "
         "import. Register them at import time of a module workers import "
@@ -296,100 +363,16 @@ class SerialExecutor:
     def __init__(self, policy: Optional[FailurePolicy] = None):
         self.policy = policy or FailurePolicy()
 
-    def _execute(self, spec: ScenarioSpec) -> RunResult:
-        """Run one point (subclass hook: ShardedExecutor overrides)."""
-        return spec.execute()
-
     def map_specs(
         self,
         specs: Sequence[ScenarioSpec],
-        on_result: Optional[Callable[[int, ScenarioSpec, RunResult], None]] = None,
+        on_result: Optional[ResultHook] = None,
         on_failure: Optional[FailureHook] = None,
         log: Optional[LogHook] = None,
         manifest: Optional["RunManifest"] = None,
-    ) -> List[Optional[Union[RunResult, PointFailure]]]:
-        results: List[Optional[Union[RunResult, PointFailure]]] = [None] * len(specs)
-        for i, spec in enumerate(specs):
-            attempts = 0
-            while True:
-                attempts += 1
-                _manifest_emit(manifest, "claimed", i, spec, attempt=attempts)
-                started = monotonic()
-                try:
-                    result = self._execute(spec)
-                except Exception as exc:
-                    if attempts <= self.policy.retries:
-                        _manifest_emit(
-                            manifest, "retry", i, spec,
-                            attempt=attempts, error=_describe(exc),
-                        )
-                        continue
-                    _manifest_emit(
-                        manifest, "failed", i, spec,
-                        attempt=attempts, error=_describe(exc),
-                    )
-                    if self.policy.mode == RAISE:
-                        raise
-                    failure = PointFailure(spec, _describe(exc), attempts)
-                    if self.policy.mode == RECORD:
-                        results[i] = failure
-                    if on_failure is not None:
-                        on_failure(i, spec, failure)
-                    break
-                else:
-                    _manifest_finished(
-                        manifest, i, spec, attempts, result,
-                        monotonic() - started,
-                    )
-                    results[i] = result
-                    if on_result is not None:
-                        on_result(i, spec, result)
-                    break
-        return results
-
-
-class ShardedExecutor(SerialExecutor):
-    """Run points in order, sharding shardable cluster points.
-
-    Each shardable cluster point (stateless balancer, single-leaf
-    requests, no hedging — see
-    :func:`repro.cluster.sharding.is_shardable`) is split into
-    ``shards`` contiguous node ranges executed on a process pool and
-    merged exactly, so its result is bit-identical to the serial run.
-    Single-node points run inline. A *non-shardable cluster* point
-    raises :class:`~repro.errors.ShardingError` with the reason —
-    requesting shards for a stateful-balancer point is a configuration
-    mistake to surface, not silently serialise — and the error then
-    follows the failure policy's mode like any other point failure.
-
-    Like :class:`SerialExecutor`, ``timeout`` is not enforced.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shards: int,
-        jobs: Optional[int] = None,
-        policy: Optional[FailurePolicy] = None,
-    ):
-        super().__init__(policy)
-        if shards <= 0:
-            raise ConfigurationError(f"shards must be positive, got {shards}")
-        if jobs is not None and jobs <= 0:
-            raise ConfigurationError(f"jobs must be positive, got {jobs}")
-        self.shards = shards
-        self.jobs = jobs
-
-    def _execute(self, spec: ScenarioSpec) -> RunResult:
-        from repro.cluster.sharding import check_shardable, run_sharded
-
-        if spec.is_cluster:
-            # Shardable points fan out; anything else (jsq/power_of_two,
-            # fanout, hedging) raises the documented ShardingError here.
-            check_shardable(spec)
-            return run_sharded(spec, self.shards, jobs=self.jobs)
-        return spec.execute()
+    ) -> List[Outcome]:
+        ledger = _Ledger(specs, self.policy, on_result, on_failure, manifest)
+        return _settle_here(ledger, range(len(specs)), ScenarioSpec.execute)
 
 
 #: How long an idle worker may take to exit after being told to stop
@@ -398,12 +381,12 @@ _EXIT_GRACE_S = 5.0
 
 
 def _worker_loop(conn) -> None:
-    """Body of one owned worker process: run spec dicts until told to stop.
+    """Body of one owned worker process: run jobs until told to stop.
 
-    Sends ``"ready"`` once, then answers each spec dict with
-    ``("ok", result)`` or ``("err", exception)``; an unpicklable exception
-    degrades to its description. ``None`` or a closed pipe ends the loop
-    normally, so the process's exit handlers still run.
+    Sends ``"ready"`` once, then answers each ``(spec_dict, node_range)``
+    job with ``("ok", result)`` or ``("err", exception)``; an unpicklable
+    exception degrades to its description. ``None`` or a closed pipe
+    ends the loop normally, so the process's exit handlers still run.
     """
     # A SIGTERM handler inherited through fork (an inline distributed
     # worker installs one) would turn the parent's terminate() into a
@@ -412,13 +395,13 @@ def _worker_loop(conn) -> None:
     conn.send("ready")
     while True:
         try:
-            data = conn.recv()
+            job = conn.recv()
         except EOFError:
             return
-        if data is None:
+        if job is None:
             return
         try:
-            result = _execute_spec_dict(data)
+            result = _execute_spec_dict(*job)
         except Exception as exc:  # ship, don't lose, worker-side failures
             try:
                 conn.send(("err", exc))
@@ -429,7 +412,7 @@ def _worker_loop(conn) -> None:
 
 
 class _Worker:
-    """One owned worker process and the point it is running, if any."""
+    """One owned worker process and the job it is running, if any."""
 
     __slots__ = ("conn", "process", "ready", "job")
 
@@ -442,8 +425,8 @@ class _Worker:
         child.close()
         #: Set once the worker's "ready" message arrives.
         self.ready = False
-        #: ``(index, attempt, dispatched_at, deadline)`` while busy.
-        self.job: Optional[Tuple[int, int, float, Optional[float]]] = None
+        #: ``(index, attempt, node range, deadline)`` while busy.
+        self.job: Optional[Tuple[int, "_Attempt", object, Optional[float]]] = None
 
     def receive(self) -> object:
         """The worker's next message, or ``None`` if it died instead.
@@ -485,30 +468,52 @@ def _shutdown(workers: Sequence[_Worker]) -> None:
         worker.stop(grace=_EXIT_GRACE_S if worker.job is None else 0.0)
 
 
+@dataclass
+class _Attempt:
+    """One attempt at a point on the workers, until it settles."""
+
+    number: int
+    #: When its first job reached a worker.
+    started: Optional[float] = None
+    #: Per-node results of its shards back so far, by first node.
+    parts: Dict[int, List[RunResult]] = field(default_factory=dict)
+
+
 class ProcessExecutor:
-    """Run points on ``jobs`` owned worker processes, one point each.
+    """Run points on ``jobs`` owned worker processes, one job each.
 
     Results are identical to :class:`SerialExecutor` for the same specs:
     each simulation is a deterministic function of its spec, and results
     are returned positionally regardless of completion order.
 
     Each worker is a long-lived process on its own pipe that holds at
-    most one point at a time, so a grid of thousands of points never
+    most one job at a time, so a grid of thousands of points never
     materialises more than ``jobs`` payloads (or results) at once, and a
-    point's clock starts when a worker receives it, never while queued.
+    job's clock starts when a worker receives it, never while queued.
     Completed results reach ``on_result`` as they arrive.
 
-    Failure handling follows the :class:`FailurePolicy`. A point fails
-    when its simulation raises, when its worker dies (exit or kill), or
-    when it outlives ``timeout`` — then its worker is terminated, so the
-    budget bounds worker CPU too. A lost worker is replaced in its slot.
-    Failed points are retried up to ``retries`` times, then either abort
-    the sweep (``raise`` — dispatch stops and in-flight points are
-    drained so their results are delivered first), are dropped
-    (``skip``), or yield a :class:`PointFailure` (``record``).
+    A job is a whole point, unless ``shards`` is set (see
+    :class:`ShardedExecutor`): then a cluster point that
+    :func:`repro.cluster.sharding.check_shardable` accepts runs as
+    ``shard_ranges(nodes, shards)`` node-range jobs that merge in node
+    order once all are back, bit-identical to the serial result (a
+    :class:`~repro.errors.ShardingError` is the point's failure).
+
+    Failure handling follows the :class:`FailurePolicy`. A point's
+    attempt fails when one of its jobs raises, when that job's worker
+    dies (exit or kill), or when the job outlives ``timeout`` — then its
+    worker is terminated, so the budget bounds worker CPU too. A lost
+    worker is replaced in its slot; results of a failed attempt's other
+    shards are dropped. Failed points are retried up to ``retries``
+    times, then either abort the sweep (``raise`` — dispatch stops and
+    in-flight jobs are drained so their points' results are delivered
+    first), are dropped (``skip``), or yield a :class:`PointFailure`
+    (``record``).
     """
 
     name = "process"
+    #: Node-range jobs per cluster point; ``None`` runs every point whole.
+    shards: Optional[int] = None
 
     def __init__(self, jobs: int = 4, policy: Optional[FailurePolicy] = None):
         if jobs <= 0:
@@ -516,105 +521,123 @@ class ProcessExecutor:
         self.jobs = jobs
         self.policy = policy or FailurePolicy()
 
+    def _node_ranges(self, spec: ScenarioSpec) -> List[Optional[Tuple[int, int]]]:
+        """The node range of each job an attempt at ``spec`` runs as.
+
+        ``[None]`` is one job running the whole point. A cluster point
+        sharding refuses has no jobs: it fails in :meth:`_run_here`.
+        """
+        if self.shards is None or not spec.is_cluster:
+            return [None]
+        if not sharding.is_shardable(spec):
+            return []
+        return sharding.shard_ranges(spec.nodes, self.shards)
+
+    def _run_here(self, spec: ScenarioSpec) -> RunResult:
+        """Run a point of at most one job in this process."""
+        if not self._node_ranges(spec):
+            sharding.check_shardable(spec)  # raises, naming the reason
+        return spec.execute()
+
     def map_specs(
         self,
         specs: Sequence[ScenarioSpec],
-        on_result: Optional[Callable[[int, ScenarioSpec, RunResult], None]] = None,
+        on_result: Optional[ResultHook] = None,
         on_failure: Optional[FailureHook] = None,
         log: Optional[LogHook] = None,
         manifest: Optional["RunManifest"] = None,
-    ) -> List[Optional[Union[RunResult, PointFailure]]]:
-        if not specs:
-            return []
-        if len(specs) == 1 and self.policy.timeout is None:
-            # Worker start-up costs more than one point; run it inline (no
+    ) -> List[Outcome]:
+        ledger = _Ledger(specs, self.policy, on_result, on_failure, manifest)
+        plans = [self._node_ranges(spec) for spec in specs]
+        if self.policy.timeout is None and sum(map(len, plans)) <= 1:
+            # Worker start-up costs more than one job; run it inline (no
             # workers, so no registry constraints). Not when a timeout is
             # set: only a worker process can be stopped.
-            return SerialExecutor(self.policy).map_specs(
-                specs, on_result, on_failure, log=log, manifest=manifest
-            )
+            return _settle_here(ledger, range(len(specs)), self._run_here)
         _check_worker_registries(specs)
+        # Points sharding refuses fail here, before any worker starts.
+        _settle_here(
+            ledger, [i for i, plan in enumerate(plans) if not plan], self._run_here
+        )
 
         policy = self.policy
-        results: List[Optional[Union[RunResult, PointFailure]]] = [None] * len(specs)
-        jobs = min(self.jobs, len(specs))
-        if jobs < self.jobs and log is not None:
-            # More workers than points is a configuration smell, not an
-            # error: clamp and say so rather than spawning idle processes.
-            log(
-                f"sweep: clamped --jobs {self.jobs} to {jobs} "
-                f"(only {len(specs)} point(s) to simulate)"
-            )
-        queue = deque((i, 1) for i in range(len(specs)))  # (index, attempt)
-        slots: List[Optional[_Worker]] = [None] * jobs
-        first_error: List[Optional[BaseException]] = [None]
+        queue: Deque[Tuple[int, _Attempt, object]] = deque()
+        running: Dict[int, _Attempt] = {}
 
-        def settle_failure(i: int, attempt: int, exc: BaseException) -> None:
-            if first_error[0] is not None:
-                return  # already aborting; drop secondary failures
-            if attempt <= policy.retries:
-                _manifest_emit(
-                    manifest, "retry", i, specs[i],
-                    attempt=attempt, error=_describe(exc),
-                )
-                queue.append((i, attempt + 1))
-                return
-            _manifest_emit(
-                manifest, "failed", i, specs[i],
-                attempt=attempt, error=_describe(exc),
+        def enqueue(i: int, number: int) -> None:
+            running[i] = attempt = _Attempt(number)
+            queue.extend((i, attempt, node_range) for node_range in plans[i])
+
+        for i, plan in enumerate(plans):
+            if plan:
+                enqueue(i, 1)
+        width = min(self.jobs, len(queue))
+        if log is not None and 0 < width < self.jobs:
+            # More workers than jobs is a configuration smell, not an
+            # error: clamp and say so rather than spawning idle processes.
+            unit = "point(s)" if self.shards is None else "job(s)"
+            log(
+                f"sweep: clamped --jobs {self.jobs} to {width} "
+                f"(only {len(queue)} {unit} to simulate)"
             )
-            if policy.mode == RAISE:
-                # Stop dispatching; in-flight points are drained so their
-                # results still reach on_result (and the caches).
-                first_error[0] = exc
-                queue.clear()
-                return
-            failure = PointFailure(specs[i], _describe(exc), attempt)
-            if policy.mode == RECORD:
-                results[i] = failure
-            if on_failure is not None:
-                on_failure(i, specs[i], failure)
+        slots: List[Optional[_Worker]] = [None] * width
 
         def settle(worker: _Worker, outcome: object) -> None:
-            """Turn a worker's outcome for its point into a result or a
-            failure — the only place either happens."""
-            i, attempt, dispatched, _ = worker.job
+            """Turn a worker's outcome for its job into its point's
+            result, failure or retry once the attempt is decided."""
+            i, attempt, node_range, _ = worker.job
             worker.job = None
+            if running.get(i) is not attempt:
+                return  # a shard of an attempt that already failed
             kind, payload = outcome
+            if kind == "ok" and node_range is not None:
+                attempt.parts[node_range[0]] = payload
+                if len(attempt.parts) < len(plans[i]):
+                    return
+                try:
+                    payload = sharding.merge_node_results(specs[i], [
+                        result
+                        for _, part in sorted(attempt.parts.items())
+                        for result in part
+                    ])
+                except Exception as exc:
+                    kind, payload = "err", exc
+            del running[i]
+            number = attempt.number
             if kind == "ok":
-                _manifest_finished(
-                    manifest, i, specs[i], attempt, payload,
-                    monotonic() - dispatched,
-                )
-                results[i] = payload
-                if on_result is not None:
-                    on_result(i, specs[i], payload)
-            else:
-                settle_failure(i, attempt, payload)
+                ledger.succeed(i, payload, number, monotonic() - attempt.started)
+            elif ledger.fail(i, number, payload):
+                enqueue(i, number + 1)
 
         try:
             while True:
+                if ledger.error is not None:
+                    # raise: stop dispatching; in-flight jobs are drained
+                    # so their points' results still reach on_result.
+                    queue.clear()
                 idle = [w for w in slots if w is not None and w.job is None]
                 for k, worker in enumerate(slots):
                     if worker is None and len(queue) > len(idle):
                         slots[k] = _Worker()
                         idle.append(slots[k])
                 for worker in idle:
-                    if not (worker.ready and queue):
-                        continue
-                    i, attempt = queue.popleft()
-                    _manifest_emit(
-                        manifest, "claimed", i, specs[i], attempt=attempt
-                    )
-                    now = monotonic()
-                    worker.job = (
-                        i, attempt, now,
-                        None if policy.timeout is None else now + policy.timeout,
-                    )
-                    try:
-                        worker.conn.send(specs[i].to_dict())
-                    except OSError:
-                        pass  # a dead worker is settled after wait() below
+                    while worker.ready and queue:
+                        i, attempt, node_range = queue.popleft()
+                        if running.get(i) is not attempt:
+                            continue  # a shard of an attempt that failed
+                        now = monotonic()
+                        if attempt.started is None:
+                            attempt.started = now
+                            ledger.emit("claimed", i, attempt=attempt.number)
+                        worker.job = (
+                            i, attempt, node_range,
+                            None if policy.timeout is None else now + policy.timeout,
+                        )
+                        try:
+                            worker.conn.send((specs[i].to_dict(), node_range))
+                        except OSError:
+                            pass  # a dead worker is settled after wait() below
+                        break
                 live = [w for w in slots if w is not None]
                 busy = [w for w in live if w.job is not None]
                 if not busy and not queue:
@@ -663,27 +686,46 @@ class ProcessExecutor:
                     i, attempt = worker.job[:2]
                     worker.stop()
                     slots[k] = None
-                    _manifest_emit(
-                        manifest, "timeout", i, specs[i],
-                        attempt=attempt, budget_s=policy.timeout,
-                    )
-                    if log is not None:
-                        # Name the cache key so the killed point is
-                        # identifiable in the store.
-                        log(
-                            "sweep: killed timed-out worker running spec "
-                            f"{specs[i].cache_key} (attempt {attempt}, "
-                            f"budget {policy.timeout}s)"
+                    if running.get(i) is attempt:
+                        ledger.emit(
+                            "timeout", i, attempt=attempt.number,
+                            budget_s=policy.timeout,
                         )
+                        if log is not None:
+                            # Name the cache key so the killed point is
+                            # identifiable in the store.
+                            log(
+                                "sweep: killed timed-out worker running spec "
+                                f"{specs[i].cache_key} (attempt "
+                                f"{attempt.number}, budget {policy.timeout}s)"
+                            )
                     settle(worker, ("err", PointTimeoutError(
                         f"point exceeded {policy.timeout}s "
                         f"(spec {specs[i].cache_key}; worker killed)"
                     )))
         finally:
             _shutdown([w for w in slots if w is not None])
-        if first_error[0] is not None:
-            raise first_error[0]
-        return results
+        if ledger.error is not None:
+            raise ledger.error
+        return ledger.results
+
+
+class ShardedExecutor(ProcessExecutor):
+    """A :class:`ProcessExecutor` with ``shards``, on ``jobs`` workers
+    (default: ``shards``). Requesting shards for a non-shardable cluster
+    point (stateful balancer, fanout, hedging) is a configuration mistake
+    to surface, not silently serialise: the point fails under the policy.
+    """
+
+    name = "sharded"
+
+    def __init__(
+        self, shards: int, jobs: Optional[int] = None, policy: Optional[FailurePolicy] = None
+    ):
+        if shards <= 0:
+            raise ConfigurationError(f"shards must be positive, got {shards}")
+        super().__init__(shards if jobs is None else jobs, policy)
+        self.shards = shards
 
 
 ExecutorLike = Union[SerialExecutor, ProcessExecutor]
@@ -758,7 +800,7 @@ class SweepRunner:
 
     def run_many(
         self, specs: Sequence[ScenarioSpec]
-    ) -> List[Optional[Union[RunResult, PointFailure]]]:
+    ) -> List[Outcome]:
         """All points, memoised, order-preserving.
 
         Duplicate and already-cached specs are simulated at most once; the
@@ -777,13 +819,12 @@ class SweepRunner:
         for i, spec in enumerate(specs):
             unique.setdefault(spec.cache_key, spec)
             first_index.setdefault(spec.cache_key, i)
+        lines = _Ledger(specs, manifest=self.manifest)
         memo_hits = 0
-        for key, spec in unique.items():
+        for key in unique:
             if key in self.cache:
                 memo_hits += 1
-                _manifest_emit(
-                    self.manifest, "memo_hit", first_index[key], spec
-                )
+                lines.emit("memo_hit", first_index[key])
         misses = [spec for key, spec in unique.items() if key not in self.cache]
 
         # The store is an accelerator, never a dependency: any I/O error
@@ -825,10 +866,7 @@ class SweepRunner:
                 else:
                     self.cache[spec.cache_key] = stored
                     store_hits += 1
-                    _manifest_emit(
-                        self.manifest, "store_hit",
-                        first_index[spec.cache_key], spec,
-                    )
+                    lines.emit("store_hit", first_index[spec.cache_key])
             misses = remaining
 
         total = len(misses)
@@ -859,8 +897,15 @@ class SweepRunner:
         if callable(note_hits):
             note_hits(memo_hits, store_hits)
 
+        recorded: Dict[CacheKey, PointFailure] = {}
         if misses:
             settled = [0]
+            # An executor that reads its results back out of this very
+            # store (the distributed one) has them written there already.
+            own = getattr(self.executor, "store", None)
+            write_back = own is None or self.store is None or (
+                Path(own.root).resolve() != Path(self.store.root).resolve()
+            )
             # Fresh results are written back in batched transactions
             # (single connection + executemany) instead of one sqlite
             # round-trip per point. Flushing every STORE_FLUSH_CHUNK
@@ -883,7 +928,7 @@ class SweepRunner:
 
             def on_result(i: int, spec: ScenarioSpec, result: RunResult) -> None:
                 self.cache[spec.cache_key] = result
-                if store_ok[0]:
+                if store_ok[0] and write_back:
                     pending_writes.append((spec.cache_key, result, spec))
                     if len(pending_writes) >= STORE_FLUSH_CHUNK:
                         store_call(flush_writes)
@@ -915,27 +960,25 @@ class SweepRunner:
                 if "manifest" in params:
                     extra["manifest"] = self.manifest
             try:
-                self.executor.map_specs(
+                outcomes = self.executor.map_specs(
                     misses, on_result, on_failure, log=self.log, **extra
                 )
             finally:
                 store_call(flush_writes)
+            recorded = {
+                spec.cache_key: outcome
+                for spec, outcome in zip(misses, outcomes or ())
+                if isinstance(outcome, PointFailure)
+            }
 
-        mode = getattr(self.executor, "policy", FailurePolicy()).mode
-        out: List[Optional[Union[RunResult, PointFailure]]] = []
-        for spec in specs:
-            key = spec.cache_key
-            if key in self.cache:
-                out.append(self.cache[key])
-            elif key in self.last_failures and mode == RECORD:
-                out.append(self.last_failures[key])
-            else:
-                out.append(None)
-        return out
+        return [
+            self.cache.get(spec.cache_key, recorded.get(spec.cache_key))
+            for spec in specs
+        ]
 
     def run_grid(
         self, grid: ScenarioGrid
-    ) -> List[Optional[Union[RunResult, PointFailure]]]:
+    ) -> List[Outcome]:
         return self.run_many(list(grid))
 
     def clear_cache(self) -> None:

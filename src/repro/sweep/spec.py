@@ -342,7 +342,7 @@ class ScenarioSpec:
         stream exactly (Poisson/Erlang thinning) and merges per-node
         results instead of paying the shared-simulator O(nodes)
         per-arrival balancer scan — and ``--shards`` can spread the same
-        node ranges over a process pool bit-identically (see
+        node ranges over worker processes bit-identically (see
         :mod:`repro.cluster.sharding`). Stateful balancers and coupled
         requests keep the shared-simulator :class:`Cluster` path.
         """

@@ -337,13 +337,13 @@ def test_conc_findings_respect_suppressions(tmp_path):
 
 
 def test_real_tree_is_conc_clean():
-    """Every real submission boundary (sweep runner, sharding, the
-    analyzer's own pool) passes its own analysis."""
+    """Every real submission boundary (sweep runner workers and the
+    shards they run, the analyzer's own pool) passes its own analysis."""
     files = discover_files([REPO_SRC])
     graph = CallGraph(files)
     # The analysis saw the real boundaries, it didn't vacuously pass.
     apis = sorted(site.api for site in graph.sites)
-    assert "process" in apis and "submit" in apis and "map" in apis
+    assert "process" in apis and "map" in apis
     # The sweep executor's owned workers are a process site rooted at
     # their loop, and the spec execution they run is worker-reachable.
     roots = {
@@ -358,6 +358,8 @@ def test_real_tree_is_conc_clean():
     }
     reachable = {info.label for info in graph.worker_reachable()}
     assert "repro.sweep.runner._execute_spec_dict" in reachable
+    # Shard jobs run on those same workers, through the sharding module.
+    assert "repro.cluster.sharding.run_shard" in reachable
     assert run_conc_checks(files) == []
 
 

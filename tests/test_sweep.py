@@ -618,9 +618,7 @@ class TestWorkerRegistryCheck:
         from repro.sweep.runner import _check_worker_registries, find_unregistered
 
         specs = [_spec(workload=failing_workload), _spec()]
-        workloads, governors = find_unregistered(specs)
-        assert workloads == [failing_workload]
-        assert governors == []
+        assert find_unregistered(specs) == {"workload": [failing_workload]}
         with pytest.raises(ConfigurationError, match="import time"):
             _check_worker_registries(specs, start_method="spawn")
         # fork workers inherit the registration: no error
@@ -677,13 +675,12 @@ class TestWorkerRegistryCheck:
         original = WORKLOAD_FACTORIES["memcached"]
         register_workload("memcached", lambda: memcached_workload())
         try:
-            workloads, _ = find_unregistered([_spec()])
-            assert workloads == ["memcached"]
+            assert find_unregistered([_spec()]) == {"workload": ["memcached"]}
             with pytest.raises(ConfigurationError, match="overridden"):
                 _check_worker_registries([_spec()], start_method="spawn")
         finally:
             WORKLOAD_FACTORIES["memcached"] = original
-        assert find_unregistered([_spec()]) == ([], [])
+        assert find_unregistered([_spec()]) == {}
 
 
 class TestOracleGovernor:
