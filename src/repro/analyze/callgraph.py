@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "CallGraph",
@@ -238,6 +238,15 @@ class ModuleInfo:
                         alias.name,
                     )
 
+    def alias_submodule_imports(self, analysed: Collection[str]) -> None:
+        """Record ``from pkg import sub`` as a module alias of ``pkg.sub``
+        when that is an analysed module, so ``sub.f()`` resolves like it
+        would after ``import pkg.sub as sub``."""
+        for local, (module, name) in self.from_imports.items():
+            dotted = f"{module}.{name}"
+            if dotted in analysed:
+                self.module_aliases[local] = dotted
+
     @property
     def is_package(self) -> bool:
         """Whether this module is a package ``__init__``."""
@@ -433,6 +442,8 @@ class CallGraph:
                 continue  # unreadable/unparseable: ANA004 reports it
             module = ModuleInfo(path, tree)
             self.modules[module.dotted] = module
+        for module in self.modules.values():
+            module.alias_submodule_imports(self.modules)
         for module in self.modules.values():
             for info in module.functions.values():
                 self.info_by_node[id(info.node)] = info

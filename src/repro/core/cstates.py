@@ -363,7 +363,11 @@ class CStateCatalog:
         """
         if predicted_idle < 0:
             raise CStateError(f"predicted idle must be >= 0, got {predicted_idle}")
-        states = self.enabled_idle_states
+        # Runs once per idle entry: read the cache without the property
+        # frame once it is built.
+        states = self._enabled_cache
+        if states is None:
+            states = self.enabled_idle_states
         chosen = states[0]
         for state in states:
             if state.target_residency > predicted_idle:

@@ -92,7 +92,8 @@ class MenuGovernor(IdleGovernor):
         self._observations += 1
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
-        return catalog.select(self.predicted_idle, self.latency_limit)
+        # predicted_idle, inlined: choose runs once per idle entry.
+        return catalog.select(self._ewma * self.caution, self.latency_limit)
 
 
 class FixedGovernor(IdleGovernor):

@@ -26,6 +26,13 @@ completions, C-state entries and wakes are never cancelled). The
 ``fast_path=False`` reference mode routes the same call sites through the
 original Event-allocating scheduler so the golden bit-identity tests can
 replay both and compare.
+
+Each C-state transition is one call into the package
+(:meth:`~repro.uarch.package.Package.enter_idle` /
+:meth:`~repro.uarch.package.Package.wake`), which updates the core, the
+package power total and the turbo tank together; the reference mode
+keeps the original per-object chain (core transition, package power
+read, turbo update and grant, DVFS) that the fused calls must match.
 """
 
 from __future__ import annotations
@@ -188,7 +195,7 @@ class ServerNode:
         self._loadgen: LoadGenerator = (
             loadgen if loadgen is not None else OpenLoopPoisson(qps, seed=seed + 1)
         )
-        self._sample_service = workload.service.sample
+        self._sample_service = workload.service.sampler()
         self._frequency_derate = configuration.frequency_derate
 
         catalog = configuration.catalog
@@ -247,6 +254,27 @@ class ServerNode:
             san.add_audit(self._audit_package_power)
         self._pool_append = self._request_pool.append
         self._turbo = self.package.turbo
+        if fast_path:
+            self._enter_idle = self.package.enter_idle
+            self._wake = self.package.wake
+        else:
+            self._enter_idle = self._reference_enter_idle
+            self._wake = self._reference_wake
+
+    def _reference_enter_idle(self, core: Core, time: float, state: CState) -> None:
+        """Unfused twin of :meth:`Package.enter_idle` (reference mode)."""
+        core.enter_idle(time, state)
+        self._turbo.update(time, self.package.package_power)
+
+    def _reference_wake(self, core: Core, time: float) -> float:
+        """Unfused twin of :meth:`Package.wake` (reference mode)."""
+        exit_latency = core.wake(time)
+        frequency = self._turbo.frequency_for_burst(time, self.package.package_power)
+        if frequency is not core.frequency:
+            # Same-frequency DVFS is an exact no-op (zero-span accrual on
+            # an existing key, unchanged power): skip the call entirely.
+            core.set_frequency(time, frequency)
+        return exit_latency
 
     def _audit_package_power(self) -> None:
         """SAN003 deep audit: fixed-point accumulator vs full re-sum.
@@ -351,7 +379,7 @@ class ServerNode:
         rt.busy = True
         rt.in_service = rt.queue.popleft()
         service_time = self._sample_service(
-            rt.core.frequency, self._frequency_derate
+            rt.core._frequency, self._frequency_derate
         )
         self._sched(service_time, rt.finish_cb)
 
@@ -375,11 +403,23 @@ class ServerNode:
             # Fire while the core still reads busy, so a callback that
             # synchronously injects back into this node queues safely.
             on_complete(now)
-        rt.busy = False
-        if rt.queue:
-            self._start_service(rt)
+        queue = rt.queue
+        if queue:
+            # Start the next request inline; the core stays busy.
+            rt.in_service = queue.popleft()
+            self._sched(
+                self._sample_service(rt.core._frequency, self._frequency_derate),
+                rt.finish_cb,
+            )
         else:
-            self._go_idle(rt)
+            # _go_idle, inlined: the governor picks the state to enter.
+            rt.busy = False
+            state = rt.governor.choose(self._catalog)
+            rt.mode = _ENTERING
+            rt.idle_since = now
+            rt.wake_pending = False
+            rt.entering_state = state
+            self._sched(state.entry_latency, rt.entry_cb)
 
     # -- idle path -----------------------------------------------------------------
     def _go_idle(self, rt: _CoreRuntime) -> None:
@@ -393,8 +433,7 @@ class ServerNode:
     def _entry_complete(self, rt: _CoreRuntime) -> None:
         state = rt.entering_state
         now = self.sim.now
-        rt.core.enter_idle(now, state)
-        self._turbo.update(now, self.package.package_power)
+        self._enter_idle(rt.core, now, state)
         rt.mode = _IDLE
         trace = self.trace
         if trace.enabled:
@@ -411,22 +450,24 @@ class ServerNode:
         trace = self.trace
         if trace.enabled:
             trace.record(now, f"core{rt.core.core_id}", "wake", rt.core.state.name)
-        exit_latency = rt.core.wake(now)
-        frequency = self._turbo.frequency_for_burst(now, self.package.package_power)
-        if frequency is not rt.core.frequency:
-            # Same-frequency DVFS is an exact no-op (zero-span accrual on
-            # an existing key, unchanged power): skip the call entirely.
-            rt.core.set_frequency(now, frequency)
+        exit_latency = self._wake(rt.core, now)
         rt.mode = _WAKING
         self._sched(exit_latency, rt.wake_cb)
 
     def _wake_complete(self, rt: _CoreRuntime) -> None:
         rt.mode = _ACTIVE
-        if rt.queue and not rt.busy:
-            self._start_service(rt)
-        elif not rt.queue:
+        queue = rt.queue
+        if not queue:
             # Spurious wake (race with service completion): go back idle.
             self._go_idle(rt)
+        elif not rt.busy:
+            # _start_service, inlined: a wake almost always finds work.
+            rt.busy = True
+            rt.in_service = queue.popleft()
+            self._sched(
+                self._sample_service(rt.core._frequency, self._frequency_derate),
+                rt.finish_cb,
+            )
 
     # -- snoop path -----------------------------------------------------------------
     def _on_snoop(self, idx: int) -> None:

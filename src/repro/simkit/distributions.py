@@ -9,6 +9,13 @@ All distributions expose:
 
 - ``sample() -> float`` — one variate (always >= 0 for the provided types)
 - ``mean`` — the analytic mean, used by load calculators and tests
+
+Hot consumers inline the stdlib algorithms instead of calling them:
+:meth:`LogNormal.sampler` (and the fused service-time sampler in
+:mod:`repro.workloads.base`) repeat ``Random.normalvariate`` + ``exp``,
+and :class:`~repro.workloads.loadgen.OpenLoopPoisson` repeats
+``Random.expovariate``, operation for operation, so every draw is
+bit-identical to the stdlib call it replaces.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -31,12 +40,12 @@ class Distribution:
         """A zero-argument callable drawing from the same stream as
         :meth:`sample`.
 
-        The default is the bound :meth:`sample` itself. Subclasses whose
-        sample is a single :mod:`random` call override this with a
-        C-dispatching :func:`~functools.partial`, which skips one Python
-        frame per draw — service-time sampling runs once per simulated
-        request, so the frame is measurable at scale. Both entry points
-        consume the identical random stream.
+        The default is the bound :meth:`sample` itself. Subclasses
+        override this with a cheaper equivalent — a C-dispatching
+        :func:`~functools.partial` of a single :mod:`random` call, or the
+        stdlib algorithm inlined — since service-time sampling runs once
+        per simulated request, so each frame is measurable at scale. Both
+        entry points consume the identical random stream.
         """
         return self.sample
 
@@ -83,8 +92,12 @@ class Exponential(Distribution):
     def sample(self) -> float:
         return self._rng.expovariate(self._lambd)
 
-    def sampler(self) -> Callable[[], float]:
-        return partial(self._rng.expovariate, self._lambd)
+    def inline_params(self) -> Tuple[Callable[[], float], float]:
+        """``(random, lambd)``: the uniform source and rate an inlined
+        ``-log(1.0 - random()) / lambd`` draw needs to replay
+        :meth:`sample` exactly (``lambd`` is ``1.0 / mean``, which is not
+        always the caller's rate bit for bit)."""
+        return self._rng.random, self._lambd
 
     @property
     def mean(self) -> float:
@@ -142,9 +155,35 @@ class LogNormal(Distribution):
         return self._rng.lognormvariate(self._mu, self._sigma)
 
     def sampler(self) -> Callable[[], float]:
+        """One-frame draws: ``Random.lognormvariate`` inlined.
+
+        The loop is CPython's ``normalvariate`` (Kinderman-Monahan ratio
+        of uniforms) followed by ``exp``, with the same operations in the
+        same order, so it consumes the stream exactly as :meth:`sample`.
+        """
         if self._sigma == 0:
             return self.sample
-        return partial(self._rng.lognormvariate, self._mu, self._sigma)
+        random_, mu, sigma = self.inline_params()
+
+        def draw() -> float:
+            while True:
+                u1 = random_()
+                u2 = 1.0 - random_()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    return exp(mu + z * sigma)
+
+        return draw
+
+    def inline_params(self) -> Tuple[Callable[[], float], float, float]:
+        """``(random, mu, sigma)``: the uniform source and log-space
+        parameters an inlined draw needs (see :meth:`sampler`)."""
+        return self._rng.random, self._mu, self._sigma
+
+    @property
+    def sigma(self) -> float:
+        """Standard deviation of the log (0 means a constant)."""
+        return self._sigma
 
     @property
     def mean(self) -> float:

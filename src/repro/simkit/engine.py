@@ -104,13 +104,13 @@ class Simulator:
         self._peak_pending = 0
         #: Runtime sanitizer hook. None unless REPRO_SANITIZE was on at
         #: construction; components register deep audits on it and
-        #: ``run()`` dispatches to the checked twin loop when present.
+        #: ``run()`` dispatches to the instrumented loop when present.
         self.sanitizer: Optional[_sanitizer.SimSanitizer] = (
             _sanitizer.SimSanitizer() if _sanitizer.is_enabled() else None
         )
         # Telemetry tick hook (see set_tick_hook): None unless a
         # TimelineSampler attached, in which case run() dispatches to the
-        # _run_ticked twin loop. The hot loop itself is untouched, so
+        # _run_instrumented loop. The hot loop itself is untouched, so
         # probes-off costs exactly one branch per run() call.
         self._tick_hook: Optional[Callable[[float], None]] = None
         self._tick_hz = 0.0
@@ -276,11 +276,8 @@ class Simulator:
         even if the last event fires earlier, so residency accounting that
         closes out at ``sim.now`` covers the full horizon.
         """
-        if self.sanitizer is not None:
-            self._run_checked(until, max_events)
-            return
-        if self._tick_hook is not None:
-            self._run_ticked(until, max_events)
+        if self.sanitizer is not None or self._tick_hook is not None:
+            self._run_instrumented(until, max_events)
             return
         if self._running:
             raise SimulationError("simulator is not re-entrant")
@@ -319,88 +316,40 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
 
-    def _run_ticked(
+    def _run_instrumented(
         self, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Twin of :meth:`run` interleaving telemetry ticks between events.
+        """Twin of :meth:`run` with the sanitizer and the tick hook armed.
 
-        Kept as a separate loop so the probes-off hot path stays exactly
-        as fast. Ticks at ``k / hz`` fire before any event at or after
-        that instant; they are not heap events, so the event sequence,
-        sequence numbers and counters are bit-identical to an untracked
-        run. Remaining ticks up to ``until`` fire after the last event so
-        a ``run(until=horizon)`` samples the full horizon; when the
-        ``max_events`` budget stops the run early, pending ticks stay
-        pending for the next call.
+        :meth:`run` dispatches here once per call when either hook is
+        present, so the bare loop stays branch-free. Event execution
+        order, clock updates and counters are identical to :meth:`run`,
+        so a run that raises no violation is bit-identical to a bare one.
+
+        Sanitizer (SAN001 + deep audits): per pop it verifies strictly
+        increasing ``(time, seq)`` heap order (which subsumes monotonic
+        event time and unique sequence numbers), that the sequence number
+        was actually issued by this simulator's counter, and that no
+        event fires behind the clock — the check the bare loop
+        deliberately omits. ``(last_time, last_seq)`` reset per call: a
+        past-the-bound entry pushed back here is legitimately re-popped
+        by the next run.
+
+        Ticks: ticks at ``k / hz`` fire before any event at or after that
+        instant; they are not heap events, so the event sequence,
+        sequence numbers and counters match an unticked run. Remaining
+        ticks up to ``until`` fire after the last event so a
+        ``run(until=horizon)`` samples the full horizon; when the
+        ``max_events`` budget stops a run without ``until``, pending
+        ticks stay pending for the next call.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        queue = self._queue
-        heappop = heapq.heappop
-        event_class = Event
-        until_t = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        executed = 0
+        san = self.sanitizer
         hook = self._tick_hook
-        assert hook is not None
         hz = self._tick_hz
         index = self._tick_index
-        try:
-            while queue:
-                entry = heappop(queue)
-                payload = entry[2]
-                if payload.__class__ is event_class:
-                    if payload.cancelled:
-                        continue
-                    payload = payload.callback
-                time = entry[0]
-                if time > until_t or executed >= budget:
-                    heapq.heappush(queue, entry)
-                    break
-                tick = index / hz
-                while tick <= time:
-                    hook(tick)
-                    index += 1
-                    tick = index / hz
-                self.now = time
-                executed += 1
-                self._events_processed += 1
-                payload()
-        finally:
-            self._tick_index = index
-            self._running = False
-        if until is not None:
-            tick = index / hz
-            while tick <= until_t:
-                hook(tick)
-                index += 1
-                tick = index / hz
-            self._tick_index = index
-            if self.now < until:
-                self.now = until
-
-    def _run_checked(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The sanitized twin of :meth:`run` (SAN001 + deep audits).
-
-        Kept as a separate loop so the unchecked hot path stays exactly
-        as fast; event execution order, clock updates and counters are
-        identical, so a run that raises no violation is bit-identical to
-        an unsanitized run. Per pop it verifies strictly increasing
-        ``(time, seq)`` heap order (which subsumes monotonic event time
-        and unique sequence numbers), that the sequence number was
-        actually issued by this simulator's counter, and that no event
-        fires behind the clock — the check the fast loop deliberately
-        omits. ``(last_time, last_seq)`` reset per call: a past-the-bound
-        entry pushed back here is legitimately re-popped by the next run.
-        """
-        san = self.sanitizer
-        assert san is not None
-        if self._running:
-            raise SimulationError("simulator is not re-entrant")
-        self._running = True
         queue = self._queue
         heappop = heapq.heappop
         event_class = Event
@@ -413,31 +362,32 @@ class Simulator:
             while queue:
                 entry = heappop(queue)
                 time = entry[0]
-                seq = entry[1]
-                if time < last_time or (
-                    time == last_time and seq <= last_seq
-                ):
-                    raise _sanitizer.violation(
-                        "SAN001", "simkit.engine",
-                        f"heap yielded (t={time!r}, seq={seq}) after "
-                        f"(t={last_time!r}, seq={last_seq}): heap order "
-                        "corrupted (non-monotonic event time or "
-                        "duplicate sequence)",
-                    )
-                if seq < 0 or seq >= self._seq:
-                    raise _sanitizer.violation(
-                        "SAN001", "simkit.engine",
-                        f"popped sequence number {seq} was never issued "
-                        f"(counter at {self._seq}): the heap was "
-                        "tampered with outside the scheduling API",
-                    )
-                if time < self.now:
-                    raise _sanitizer.violation(
-                        "SAN001", "simkit.engine",
-                        f"event at t={time!r} fires behind the clock "
-                        f"(now={self.now!r}): executing it would move "
-                        "simulation time backwards",
-                    )
+                if san is not None:
+                    seq = entry[1]
+                    if time < last_time or (
+                        time == last_time and seq <= last_seq
+                    ):
+                        raise _sanitizer.violation(
+                            "SAN001", "simkit.engine",
+                            f"heap yielded (t={time!r}, seq={seq}) after "
+                            f"(t={last_time!r}, seq={last_seq}): heap order "
+                            "corrupted (non-monotonic event time or "
+                            "duplicate sequence)",
+                        )
+                    if seq < 0 or seq >= self._seq:
+                        raise _sanitizer.violation(
+                            "SAN001", "simkit.engine",
+                            f"popped sequence number {seq} was never issued "
+                            f"(counter at {self._seq}): the heap was "
+                            "tampered with outside the scheduling API",
+                        )
+                    if time < self.now:
+                        raise _sanitizer.violation(
+                            "SAN001", "simkit.engine",
+                            f"event at t={time!r} fires behind the clock "
+                            f"(now={self.now!r}): executing it would move "
+                            "simulation time backwards",
+                        )
                 payload = entry[2]
                 if payload.__class__ is event_class:
                     if payload.cancelled:
@@ -446,33 +396,36 @@ class Simulator:
                 if time > until_t or executed >= budget:
                     heapq.heappush(queue, entry)
                     break
-                hook = self._tick_hook
                 if hook is not None:
-                    tick = self._tick_index / self._tick_hz
+                    tick = index / hz
                     while tick <= time:
                         hook(tick)
-                        self._tick_index += 1
-                        tick = self._tick_index / self._tick_hz
-                last_time = time
-                last_seq = seq
+                        index += 1
+                        tick = index / hz
+                if san is not None:
+                    last_time = time
+                    last_seq = seq
                 self.now = time
                 executed += 1
                 self._events_processed += 1
                 payload()
-                san.tick()
+                if san is not None:
+                    san.tick()
         finally:
+            self._tick_index = index
             self._running = False
         if until is not None:
-            hook = self._tick_hook
             if hook is not None:
-                tick = self._tick_index / self._tick_hz
+                tick = index / hz
                 while tick <= until_t:
                     hook(tick)
-                    self._tick_index += 1
-                    tick = self._tick_index / self._tick_hz
+                    index += 1
+                    tick = index / hz
+                self._tick_index = index
             if self.now < until:
                 self.now = until
-        san.flush()
+        if san is not None:
+            san.flush()
 
     def drain(self) -> None:
         """Discard all pending events without executing them."""

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-import repro.cluster.sharding as sharding
+from repro.cluster import sharding
 from repro.cluster.balancer import (
     BALANCER_FACTORIES,
     IMPORT_TIME_BALANCER_FACTORIES,

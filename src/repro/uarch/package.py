@@ -15,6 +15,15 @@ re-summing all cores per event. The fixed-point total (units of
 many transitions accumulate or in which order cores fire. The package also
 integrates core energy piecewise between transitions, giving an O(1) live
 socket-energy reading.
+
+The hot transitions are fused: :meth:`Package.enter_idle` and
+:meth:`Package.wake` each update the core, the fixed-point total and the
+turbo tank in one call, doing what the
+:meth:`Core.enter_idle <repro.uarch.core.Core.enter_idle>` /
+:meth:`Core.wake <repro.uarch.core.Core.wake>` +
+:meth:`TurboBudget.update <repro.uarch.turbo.TurboBudget.update>` chain
+does, bit for bit. That chain stays the reference the golden replay
+(``fast_path=False``) runs.
 """
 
 from __future__ import annotations
@@ -22,9 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.errors import ConfigurationError
-from repro.uarch.core import INV_POWER_SCALE, Core
+from repro.core.cstates import CState, FrequencyPoint
+from repro.errors import ConfigurationError, SimulationError
+from repro.uarch.core import INV_POWER_SCALE, POWER_SCALE, Core
 from repro.uarch.turbo import TurboBudget, TurboConfig
+
+
+_P1 = FrequencyPoint.P1
+_PN = FrequencyPoint.PN
+_TURBO = FrequencyPoint.TURBO
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,154 @@ class Package:
             # cost of package accounting).
             core.attach_to_package(self)
             self._core_power_int += core.power_fixed_point
+
+    # -- fused transitions --------------------------------------------------
+    # One call per C-state transition of an attached core. Each does what
+    # the reference chain does (Core.enter_idle / Core.wake, Core's
+    # _commit_power, package_power, TurboBudget.update /
+    # frequency_for_burst, Core.set_frequency) with the same float
+    # operations in the same order, and keeps every check of that chain.
+    # They read the fixed-point total, so only an incremental package may
+    # call them; the uarch classes share this accounting contract, which
+    # is why these reach into Core and TurboBudget state directly.
+    def enter_idle(self, core: Core, time: float, state: CState) -> None:
+        """Move ``core`` from C0 into the idle ``state`` at ``time``.
+
+        Accrues the core's C0 residency, counts the entry, integrates its
+        energy, applies the power delta to the package total and
+        integrates the turbo tank up to ``time``.
+
+        Raises:
+            SimulationError: if the core is not active, ``state`` is not
+                idle, or time runs backwards on the core or the tank.
+        """
+        current = core._state
+        if not current._active:
+            raise SimulationError(
+                f"core {core.core_id}: cannot enter {state.name} from "
+                f"{current.name}"
+            )
+        if state._active:
+            raise SimulationError(f"core {core.core_id}: {state.name} is not idle")
+        since = core._state_since
+        if time < since:
+            raise SimulationError(
+                f"core {core.core_id}: time ran backwards ({time} < {since})"
+            )
+        residency = core._residency
+        residency[current.name] = residency.get(current.name, 0.0) + (time - since)
+        core._state_since = time
+        core._state = state
+        name = state.name
+        transitions = core._transitions
+        transitions[name] = transitions.get(name, 0) + 1
+        if state.frequency is not None:
+            core._frequency = state.frequency
+        core._energy_acc += core._power * (time - core._energy_time)
+        core._energy_time = time
+        power = state.power_watts + core._snoop_power_delta
+        power_int = int(power * POWER_SCALE)
+        core._power = power
+        self._core_power_int += power_int - core._power_int
+        core._power_int = power_int
+        turbo = self.turbo
+        previous = turbo._time
+        if time < previous:
+            raise SimulationError(
+                f"turbo budget time ran backwards ({time} < {previous})"
+            )
+        package_power = (
+            self._core_power_int * INV_POWER_SCALE + self._uncore
+        ) * self._sockets
+        if package_power < 0:
+            raise SimulationError("package power must be >= 0")
+        level = turbo._level + (turbo._sustained - turbo._package_power) * (
+            time - previous
+        )
+        if level < 0.0:
+            level = 0.0
+        elif level > turbo._tank:
+            level = turbo._tank
+        turbo._level = level
+        turbo._time = time
+        turbo._package_power = package_power
+
+    def wake(self, core: Core, time: float) -> float:
+        """Wake ``core`` back to C0 at ``time``; returns the exit latency.
+
+        Accrues the idle residency, counts the C0 entry, ramps a Pn core
+        back to P1, integrates the core's energy and the turbo tank, and
+        records in the tank the package power at that pre-grant
+        frequency. It then asks the tank for the burst's frequency and
+        commits the core's C0 power at it (DVFS at zero span: no
+        residency or energy to accrue).
+
+        Raises:
+            SimulationError: if the core is already active, or time runs
+                backwards on the core or the tank.
+        """
+        current = core._state
+        if current._active:
+            raise SimulationError(f"core {core.core_id}: already active")
+        since = core._state_since
+        if time < since:
+            raise SimulationError(
+                f"core {core.core_id}: time ran backwards ({time} < {since})"
+            )
+        residency = core._residency
+        residency[current.name] = residency.get(current.name, 0.0) + (time - since)
+        core._state_since = time
+        core._snoop_power_delta = 0.0
+        core._state = core.catalog.active
+        frequency = core._frequency
+        if frequency is _PN:
+            # Waking from a Pn state (C1E/C6AE) ramps back to base.
+            frequency = _P1
+        transitions = core._transitions
+        transitions["C0"] = transitions.get("C0", 0) + 1
+        core._energy_acc += core._power * (time - core._energy_time)
+        core._energy_time = time
+        power_int = int(frequency.active_power_watts * POWER_SCALE)
+        turbo = self.turbo
+        previous = turbo._time
+        if time < previous:
+            raise SimulationError(
+                f"turbo budget time ran backwards ({time} < {previous})"
+            )
+        # The tank records the package power at the pre-grant frequency:
+        # the reference chain's set_frequency never tells it.
+        package_power = (
+            (self._core_power_int + power_int - core._power_int)
+            * INV_POWER_SCALE + self._uncore
+        ) * self._sockets
+        if package_power < 0:
+            raise SimulationError("package power must be >= 0")
+        level = turbo._level + (turbo._sustained - turbo._package_power) * (
+            time - previous
+        )
+        if level < 0.0:
+            level = 0.0
+        elif level > turbo._tank:
+            level = turbo._tank
+        turbo._level = level
+        turbo._time = time
+        turbo._package_power = package_power
+        if not turbo.enabled:
+            granted = _P1
+        elif level / turbo._tank >= turbo._threshold:
+            turbo._grants += 1
+            granted = _TURBO
+        else:
+            turbo._denials += 1
+            granted = _P1
+        if granted is not frequency:
+            frequency = granted
+            power_int = int(granted.active_power_watts * POWER_SCALE)
+        core._frequency = frequency
+        core._power = frequency.active_power_watts
+        self._core_power_int += power_int - core._power_int
+        core._power_int = power_int
+        return current.exit_latency
 
     # -- incremental accounting --------------------------------------------
     def energy_joules(self, time: float) -> float:

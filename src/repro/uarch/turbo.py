@@ -56,7 +56,10 @@ class TurboBudget:
     """Joule-denominated turbo headroom tank.
 
     Drive it with :meth:`update` whenever package power changes, then ask
-    :meth:`frequency_for_burst` when a core starts a busy period.
+    :meth:`frequency_for_burst` when a core starts a busy period. The
+    fused :meth:`Package.enter_idle <repro.uarch.package.Package.enter_idle>`
+    and :meth:`Package.wake <repro.uarch.package.Package.wake>` do both
+    inline on the fast path; these methods are the reference they match.
     """
 
     def __init__(self, config: TurboConfig = TurboConfig(), enabled: bool = True):
@@ -67,8 +70,8 @@ class TurboBudget:
         self._package_power = 0.0
         self._grants = 0
         self._denials = 0
-        # update()/frequency_for_burst() run on every C-state transition;
-        # pin the (frozen) config scalars as plain attributes.
+        # The tank is integrated on every C-state transition; pin the
+        # (frozen) config scalars as plain attributes.
         self._sustained = config.sustained_watts
         self._tank = config.tank_joules
         self._threshold = config.grant_threshold

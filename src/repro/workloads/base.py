@@ -14,10 +14,13 @@ the AW model charges the ~1% fmax penalty of the extra power gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log
+from random import NV_MAGICCONST
+from typing import Callable, Optional
 
 from repro.core.cstates import FrequencyPoint
 from repro.errors import WorkloadError
-from repro.simkit.distributions import Distribution
+from repro.simkit.distributions import Distribution, LogNormal
 from repro.units import US
 
 
@@ -37,13 +40,11 @@ class ServiceTimeModel:
     base_frequency: FrequencyPoint = FrequencyPoint.P1
 
     def __post_init__(self) -> None:
-        # sample() runs once per simulated request; memoise the frequency
-        # ratio per (frequency, derate) operating point — there are only a
-        # handful — so the hot path is two RNG draws and an FMA. The
-        # component samplers dispatch at C level (Distribution.sampler).
+        # A service time is drawn once per simulated request; memoise the
+        # frequency ratio per (frequency, derate) operating point — there
+        # are only a handful — so the hot path is two draws and an FMA.
         self._ratio_cache: dict = {}
-        self._sample_scalable = self.scalable.sampler()
-        self._sample_fixed = self.fixed.sampler()
+        self._sample = self.sampler()
 
     def _frequency_ratio(
         self, frequency: FrequencyPoint, frequency_derate: float
@@ -61,9 +62,64 @@ class ServiceTimeModel:
             self._ratio_cache[key] = ratio
         return ratio
 
+    def sampler(self) -> Callable[[Optional[FrequencyPoint], float], float]:
+        """The per-request draw ``(frequency, derate) -> service time``.
+
+        Equal to ``scalable.sample() * ratio + fixed.sample()``, scalable
+        first. When both components are :class:`LogNormal` with sigma > 0
+        (Memcached, Kafka) both lognormal draws are inlined here (see
+        :meth:`LogNormal.sampler`), so a request costs one frame; other
+        models call their components' samplers.
+        """
+        ratio_get = self._ratio_cache.get
+        frequency_ratio = self._frequency_ratio
+        scalable, fixed = self.scalable, self.fixed
+        if not (
+            type(scalable) is LogNormal and type(fixed) is LogNormal
+            and scalable.sigma > 0 and fixed.sigma > 0
+        ):
+            sample_scalable = scalable.sampler()
+            sample_fixed = fixed.sampler()
+
+            def sample(
+                frequency: Optional[FrequencyPoint], derate: float
+            ) -> float:
+                ratio = ratio_get((frequency, derate))
+                if ratio is None:
+                    ratio = frequency_ratio(frequency, derate)
+                return sample_scalable() * ratio + sample_fixed()
+
+            return sample
+
+        random_s, mu_s, sigma_s = scalable.inline_params()
+        random_f, mu_f, sigma_f = fixed.inline_params()
+
+        def sample_lognormal_pair(
+            frequency: Optional[FrequencyPoint], derate: float
+        ) -> float:
+            ratio = ratio_get((frequency, derate))
+            if ratio is None:
+                ratio = frequency_ratio(frequency, derate)
+            while True:
+                u1 = random_s()
+                u2 = 1.0 - random_s()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            scaled = exp(mu_s + z * sigma_s) * ratio
+            while True:
+                u1 = random_f()
+                u2 = 1.0 - random_f()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            return scaled + exp(mu_f + z * sigma_f)
+
+        return sample_lognormal_pair
+
     def sample(
         self,
-        frequency: FrequencyPoint = None,
+        frequency: Optional[FrequencyPoint] = None,
         frequency_derate: float = 0.0,
     ) -> float:
         """One service time at the given operating point.
@@ -73,10 +129,7 @@ class ServiceTimeModel:
             frequency_derate: fractional fmax loss (AW's ~1% power-gate
                 penalty); slows the scalable component only.
         """
-        ratio = self._ratio_cache.get((frequency, frequency_derate))
-        if ratio is None:
-            ratio = self._frequency_ratio(frequency, frequency_derate)
-        return self._sample_scalable() * ratio + self._sample_fixed()
+        return self._sample(frequency, frequency_derate)
 
     def mean_at(
         self,

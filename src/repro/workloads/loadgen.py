@@ -11,6 +11,7 @@ consumes it event by event.
 
 from __future__ import annotations
 
+from math import log
 from typing import Callable, Iterator
 
 from repro.errors import WorkloadError
@@ -82,15 +83,12 @@ class ArrivalStream:
     def start(self) -> None:
         """Arm the stream: schedule the first in-window arrival."""
         self._iter = self._loadgen.arrivals(self._horizon)
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
+        horizon = self._horizon
         for t in self._iter:
-            if t >= self._horizon:
-                # Generators bound arrivals to [0, horizon), but guard
-                # anyway so a custom LoadGenerator cannot fire past the
-                # accounting window; keep consuming in case later yields
-                # are in-window.
+            # Generators bound arrivals to [0, horizon), but guard anyway
+            # so a custom LoadGenerator cannot fire past the accounting
+            # window; keep consuming in case later yields are in-window.
+            if t >= horizon:
                 continue
             self._next_arrival = t
             self._schedule_at(t, self._fired_cb)
@@ -103,8 +101,15 @@ class ArrivalStream:
         # fires first. (Ties against events scheduled by *earlier*
         # dispatches are resolved by scheduling order, as with any event
         # source; the stochastic float-time workloads here never tie.)
+        # The chaining loop is start()'s, inlined: one frame per arrival.
         arrival = self._next_arrival
-        self._schedule_next()
+        horizon = self._horizon
+        for t in self._iter:
+            if t >= horizon:
+                continue
+            self._next_arrival = t
+            self._schedule_at(t, self._fired_cb)
+            break
         self._on_arrival(arrival)
 
 
@@ -129,11 +134,13 @@ class OpenLoopPoisson(LoadGenerator):
     def arrivals(self, horizon: float) -> Iterator[float]:
         if horizon <= 0:
             raise WorkloadError(f"horizon must be positive, got {horizon}")
-        sample = self._interarrival.sampler()
-        t = sample()
+        # Random.expovariate, inlined: divide by the rate (multiplying by
+        # the mean gives different bits).
+        random_, lambd = self._interarrival.inline_params()
+        t = -log(1.0 - random_()) / lambd
         while t < horizon:
             yield t
-            t += sample()
+            t += -log(1.0 - random_()) / lambd
 
     def expected_count(self, horizon: float) -> float:
         return self._qps * horizon

@@ -363,6 +363,36 @@ def test_real_tree_is_conc_clean():
     assert run_conc_checks(files) == []
 
 
+def test_from_package_import_submodule_resolves_calls(tmp_path):
+    # `from repro.cluster import sharding` binds the submodule, so a
+    # worker's `sharding.run_shard(...)` reaches run_shard exactly as
+    # after `import repro.cluster.sharding as sharding`.
+    write_module(tmp_path, "cluster/__init__.py", "")
+    write_module(
+        tmp_path, "cluster/sharding.py",
+        "def run_shard(spec, lo, hi):\n"
+        "    return (spec, lo, hi)\n",
+    )
+    write_module(
+        tmp_path, "sweep/runner.py",
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "\n"
+        "from repro.cluster import sharding\n"
+        "\n"
+        "def work(spec):\n"
+        "    return sharding.run_shard(spec, 0, 1)\n"
+        "\n"
+        "def parent(specs):\n"
+        "    with ProcessPoolExecutor() as pool:\n"
+        "        for spec in specs:\n"
+        "            pool.submit(work, spec)\n",
+    )
+    graph = CallGraph(discover_files([str(tmp_path / "repro")]))
+    reachable = {info.label for info in graph.worker_reachable()}
+    assert "repro.sweep.runner.work" in reachable
+    assert "repro.cluster.sharding.run_shard" in reachable
+
+
 def test_injected_lambda_fails_lint_with_anchor(tmp_path):
     """Acceptance: a lambda submission injected into the *real* sweep
     runner is caught, anchored to its exact file:line."""
