@@ -40,6 +40,12 @@ GOLDEN_SPECS = [
                  nodes=2, balancer="round_robin", hedge_ms=1.0),
     ScenarioSpec("memcached", "baseline", qps=50_000, horizon=0.04, seed=11,
                  nodes=4, fanout=4, balancer="power_of_two"),
+    # 24 nodes: power-of-two sampling past Random.sample's pool branch
+    # (n > 21 for d = 2), plus hedging; and random picks at fan-out 3.
+    ScenarioSpec("memcached", "AW", qps=300_000, horizon=0.005, seed=7,
+                 nodes=24, fanout=2, balancer="power_of_two", hedge_ms=0.02),
+    ScenarioSpec("memcached", "baseline", qps=200_000, horizon=0.005, seed=7,
+                 nodes=24, fanout=3, balancer="random"),
 ]
 
 
