@@ -49,8 +49,10 @@ HOT_PATH_MODULES = frozenset(
     {
         "server/node.py",
         "workloads/loadgen.py",
+        "cluster/balancer.py",
         "cluster/cluster.py",
         "cluster/fanout.py",
+        "simkit/stats.py",
     }
 )
 

@@ -24,9 +24,54 @@ from __future__ import annotations
 
 import abc
 import random
+from math import ceil, log
 from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
+
+
+def _sample(
+    getrandbits: Callable[[int], int], population: Sequence[int], k: int
+) -> List[int]:
+    """``random.Random.sample(population, k)``, inlined, bit for bit.
+
+    ``getrandbits`` is the bound method of the :class:`random.Random`
+    whose ``sample`` this replaces: it draws the same bits, leaves the
+    generator in the same state and returns the same list, without the
+    ``sample`` and per-index ``_randbelow`` frames. Both of CPython's
+    branches are kept: the pool swap while an ``n``-list is smaller than
+    a ``k``-set, and the rejection set above that. Each index is
+    ``_randbelow_with_getrandbits``: draw ``n.bit_length()`` bits and
+    reject values ``>= n``. Pinned against the stdlib by
+    ``tests/test_inlined_picks.py``.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    result = [0] * k
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            below = n - i
+            bits = below.bit_length()
+            j = getrandbits(bits)
+            while j >= below:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[below - 1]  # move non-selected item into vacancy
+    else:
+        bits = n.bit_length()
+        selected = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j]
+    return result
 
 
 class LoadBalancer(abc.ABC):
@@ -36,6 +81,10 @@ class LoadBalancer(abc.ABC):
     :meth:`pick` once per logical request (and once per hedge decision).
     Implementations must be deterministic functions of the RNG stream and
     the observed loads, so cluster runs stay bit-reproducible.
+
+    ``pick`` runs once per logical request, so the built-in policies
+    test their arguments with one chained comparison and call
+    :meth:`_check_pick` only to raise the specific error.
     """
 
     #: Registry name (set by subclasses).
@@ -63,6 +112,12 @@ class LoadBalancer(abc.ABC):
         """
 
     def _check_pick(self, k: int, loads: Sequence[int]) -> None:
+        """Raise on a pick before :meth:`setup`, a fanout outside
+        ``[1, n_nodes]`` or a load vector of the wrong length.
+
+        ``1 <= k <= self.n_nodes == len(loads)`` is true exactly when
+        none of these raises.
+        """
         if self.n_nodes <= 0:
             raise ConfigurationError("balancer used before setup()")
         if not 1 <= k <= self.n_nodes:
@@ -81,8 +136,9 @@ class RandomBalancer(LoadBalancer):
     name = "random"
 
     def pick(self, k: int, loads: Sequence[int]) -> List[int]:
-        self._check_pick(k, loads)
-        return self.rng.sample(range(self.n_nodes), k)
+        if not 1 <= k <= self.n_nodes == len(loads):
+            self._check_pick(k, loads)
+        return _sample(self.rng.getrandbits, range(self.n_nodes), k)
 
 
 class RoundRobinBalancer(LoadBalancer):
@@ -95,7 +151,8 @@ class RoundRobinBalancer(LoadBalancer):
         self._cursor = 0
 
     def pick(self, k: int, loads: Sequence[int]) -> List[int]:
-        self._check_pick(k, loads)
+        if not 1 <= k <= self.n_nodes == len(loads):
+            self._check_pick(k, loads)
         targets = [(self._cursor + j) % self.n_nodes for j in range(k)]
         self._cursor = (self._cursor + k) % self.n_nodes
         return targets
@@ -107,9 +164,11 @@ class JoinShortestQueueBalancer(LoadBalancer):
     name = "jsq"
 
     def pick(self, k: int, loads: Sequence[int]) -> List[int]:
-        self._check_pick(k, loads)
-        order = sorted(range(self.n_nodes), key=lambda i: (loads[i], i))
-        return order[:k]
+        if not 1 <= k <= self.n_nodes == len(loads):
+            self._check_pick(k, loads)
+        # sorted() is stable over ascending indices, so equal loads keep
+        # index order: the (loads[i], i) key without a frame per node.
+        return sorted(range(self.n_nodes), key=loads.__getitem__)[:k]
 
 
 class PowerOfDChoicesBalancer(LoadBalancer):
@@ -130,12 +189,22 @@ class PowerOfDChoicesBalancer(LoadBalancer):
         self.d = d
 
     def pick(self, k: int, loads: Sequence[int]) -> List[int]:
-        self._check_pick(k, loads)
+        if not 1 <= k <= self.n_nodes == len(loads):
+            self._check_pick(k, loads)
+        getrandbits = self.rng.getrandbits
+        d = self.d
         available = list(range(self.n_nodes))
         targets: List[int] = []
         for _ in range(k):
-            candidates = self.rng.sample(available, min(self.d, len(available)))
-            best = min(candidates, key=lambda i: (loads[i], i))
+            candidates = _sample(getrandbits, available, min(d, len(available)))
+            # The least (loads[i], i), compared directly.
+            best = candidates[0]
+            best_load = loads[best]
+            for i in candidates:
+                load = loads[i]
+                if load < best_load or (load == best_load and i < best):
+                    best = i
+                    best_load = load
             targets.append(best)
             available.remove(best)
         return targets

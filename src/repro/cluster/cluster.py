@@ -49,6 +49,31 @@ NODE_SEED_STRIDE = 9973
 BALANCER_SEED_OFFSET = 777_001
 
 
+def node_detail_row(index: int, seed: int, result: RunResult) -> Dict[str, object]:
+    """One node's JSON-safe ``node_detail`` entry of a cluster result.
+
+    Shared by :meth:`Cluster.collect` and the sharded merge, so both
+    paths write the same row. A node that completed nothing has no
+    latency, so both latency fields are ``None`` there.
+    """
+    served = result.completed > 0
+    return {
+        "node": index,
+        "seed": seed,
+        "completed": result.completed,
+        "avg_leaf_latency": result.avg_latency if served else None,
+        "p99_leaf_latency": result.tail_latency if served else None,
+        "avg_core_power": result.avg_core_power,
+        "package_power": result.package_power,
+        "turbo_grant_rate": result.turbo_grant_rate,
+        "snoops_served": result.snoops_served,
+        "residency": {s: v for s, v in sorted(result.residency.items())},
+        "transitions_per_second": {
+            s: v for s, v in sorted(result.transitions_per_second.items())
+        },
+    }
+
+
 class Cluster:
     """K server nodes behind a load balancer with request fan-out.
 
@@ -153,8 +178,7 @@ class Cluster:
     def run(self) -> RunResult:
         """Simulate the full horizon and aggregate cluster observables."""
         ArrivalStream(
-            self.sim, self._loadgen, self.horizon,
-            lambda arrival: self.dispatcher.dispatch(),
+            self.sim, self._loadgen, self.horizon, self.dispatcher.dispatch
         ).start()
         for node in self.server_nodes:
             node.start()
@@ -199,27 +223,6 @@ class Cluster:
         residency = {name: value / k for name, value in residency.items()}
         transitions = {name: value / k for name, value in transitions.items()}
 
-        node_detail = [
-            {
-                "node": i,
-                "seed": node.seed,
-                "completed": result.completed,
-                "avg_leaf_latency": result.avg_latency,
-                "p99_leaf_latency": (
-                    result.tail_latency if result.completed else None
-                ),
-                "avg_core_power": result.avg_core_power,
-                "package_power": result.package_power,
-                "turbo_grant_rate": result.turbo_grant_rate,
-                "snoops_served": result.snoops_served,
-                "residency": {s: v for s, v in sorted(result.residency.items())},
-                "transitions_per_second": {
-                    s: v for s, v in sorted(result.transitions_per_second.items())
-                },
-            }
-            for i, (node, result) in enumerate(zip(self.server_nodes, per_node))
-        ]
-
         return RunResult(
             config_name=self.configuration.name,
             workload_name=self._workloads[0].name,
@@ -235,7 +238,10 @@ class Cluster:
             turbo_grant_rate=sum(r.turbo_grant_rate for r in per_node) / k,
             network_latency=self._workloads[0].network_latency,
             snoops_served=sum(r.snoops_served for r in per_node),
-            node_detail=node_detail,
+            node_detail=[
+                node_detail_row(i, node.seed, result)
+                for i, (node, result) in enumerate(zip(self.server_nodes, per_node))
+            ],
             hedges_issued=self.dispatcher.hedges_issued,
             # All K nodes advance one shared simulator, so these are the
             # fleet-wide engine counters, not a per-node average.

@@ -9,14 +9,22 @@ that composition over any set of node-like objects, plus the standard
 mitigation: *hedged requests*, where leaves still outstanding after a
 fixed delay are duplicated onto another node and the first answer wins.
 
-Nodes are duck-typed: anything with ``inject(on_complete)`` (accept one
-request now, call ``on_complete(completion_time)`` when served) and an
-``in_flight`` count works — :class:`repro.server.node.ServerNode` in
-production, trivial stubs in tests.
+Nodes are duck-typed: anything with ``arrive(time, on_complete)`` (accept
+one request arriving now, at simulated ``time``; call
+``on_complete(completion_time)`` when served) and an ``in_flight`` count
+works — :class:`repro.server.node.ServerNode` in production, trivial
+stubs in tests.
+
+Hot-path discipline: a logical request costs one dispatch frame, one
+balancer pick and one frame per leaf constructed; each leaf goes
+straight into its node's bound ``arrive`` and joins in its own
+``__call__``, and node loads are read with a C-level ``attrgetter``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from repro.cluster.balancer import LoadBalancer
@@ -24,6 +32,9 @@ from repro.errors import ConfigurationError
 from repro.simkit.engine import Simulator
 from repro.simkit.stats import PercentileTracker
 from repro.simkit.trace import NULL_TRACE, TraceRecorder
+
+#: Reads one node's load without a Python frame.
+_in_flight = attrgetter("in_flight")
 
 
 class _Logical:
@@ -42,8 +53,9 @@ class _Logical:
 class _Leaf:
     """One leaf sub-request (possibly duplicated by a hedge).
 
-    The leaf *is* its own completion callback (``inject(leaf)``), so
-    dispatching a request allocates no per-leaf closure.
+    The leaf *is* its own completion callback (``arrive(time, leaf)``),
+    so dispatching a request allocates no per-leaf closure, and the join
+    runs in that one frame.
     """
 
     __slots__ = ("dispatcher", "logical", "home", "done", "ordinal")
@@ -58,7 +70,20 @@ class _Leaf:
         self.ordinal = 0
 
     def __call__(self, now: float) -> None:
-        self.dispatcher._leaf_done(self, now)
+        if self.done:
+            return  # the hedged duplicate lost the race
+        self.done = True
+        logical = self.logical
+        logical.remaining -= 1
+        dispatcher = self.dispatcher
+        trace = dispatcher.trace
+        if trace.enabled:
+            trace.record(now, "lb", "leaf_done", (logical.lid, self.ordinal))
+        if logical.remaining == 0:
+            dispatcher._latency_add(now - logical.arrival)
+            dispatcher.completed += 1
+            if trace.enabled:
+                trace.record(now, "lb", "complete", logical.lid)
 
 
 class FanoutDispatcher:
@@ -66,7 +91,7 @@ class FanoutDispatcher:
 
     Args:
         sim: the shared simulator (supplies the clock for hedge timers).
-        nodes: node-like targets (``inject``/``in_flight``).
+        nodes: node-like targets (``arrive``/``in_flight``).
         balancer: a :class:`LoadBalancer` already ``setup()`` for
             ``len(nodes)``.
         fanout: leaves per logical request (distinct nodes).
@@ -99,12 +124,15 @@ class FanoutDispatcher:
             raise ConfigurationError(f"hedge delay must be positive, got {hedge_s}")
         self.sim = sim
         self.nodes = list(nodes)
+        #: Each node's ``arrive``, bound once: a leaf is sent in one call.
+        self._arrive = [node.arrive for node in self.nodes]
         self.balancer = balancer
         self.fanout = fanout
         self.hedge_s = hedge_s
         #: Logical (join-on-slowest-leaf) request latency; exact by
         #: default, sketch-backed when ``sketch_error`` is set.
         self.latency = PercentileTracker(sketch_error=sketch_error)
+        self._latency_add = self.latency.add
         #: Logical requests fully completed.
         self.completed = 0
         #: Duplicate leaves issued by the hedge timer.
@@ -114,15 +142,18 @@ class FanoutDispatcher:
         self._trace_seq = 0
 
     # -- dispatch ----------------------------------------------------------
-    def _loads(self) -> List[int]:
-        return [node.in_flight for node in self.nodes]
-
-    def dispatch(self) -> None:
-        """Fan one logical request (arriving now) out over the cluster."""
-        arrival = self.sim.now
-        targets = self.balancer.pick(self.fanout, self._loads())
+    def dispatch(self, arrival: float) -> None:
+        """Fan one logical request arriving now, at simulated time
+        ``arrival``, out over the cluster."""
+        targets = self.balancer.pick(
+            self.fanout, list(map(_in_flight, self.nodes))
+        )
         logical = _Logical(arrival, len(targets))
-        leaves = [_Leaf(self, logical, idx) for idx in targets]
+        # Plain loops, not comprehensions: before CPython 3.12 each
+        # comprehension is one more frame per logical request.
+        leaves: List[_Leaf] = []
+        for idx in targets:
+            leaves.append(_Leaf(self, logical, idx))
         trace = self.trace
         if trace.enabled:
             lid = self._trace_seq
@@ -132,31 +163,15 @@ class FanoutDispatcher:
             for ordinal, leaf in enumerate(leaves):
                 leaf.ordinal = ordinal
                 trace.record(arrival, "lb", "leaf", (lid, ordinal, leaf.home))
+        # Every leaf is recorded before any is sent, so a traced node's
+        # ``arrival`` spans follow the dispatcher's ``leaf`` spans.
+        arrive = self._arrive
         for leaf in leaves:
-            self._send(leaf, leaf.home)
+            arrive[leaf.home](arrival, leaf)
         if self.hedge_s is not None:
-            self.sim.schedule(
-                self.hedge_s, lambda: self._hedge(leaves), label="hedge"
-            )
-
-    def _send(self, leaf: _Leaf, node_index: int) -> None:
-        # The leaf is callable: it is its own completion callback.
-        self.nodes[node_index].inject(leaf)
-
-    def _leaf_done(self, leaf: _Leaf, now: float) -> None:
-        if leaf.done:
-            return  # the hedged duplicate lost the race
-        leaf.done = True
-        logical = leaf.logical
-        logical.remaining -= 1
-        trace = self.trace
-        if trace.enabled:
-            trace.record(now, "lb", "leaf_done", (logical.lid, leaf.ordinal))
-        if logical.remaining == 0:
-            self.latency.add(now - logical.arrival)
-            self.completed += 1
-            if trace.enabled:
-                trace.record(now, "lb", "complete", logical.lid)
+            # Never cancelled, so no Event handle; one sequence number,
+            # as schedule() would take.
+            self.sim.schedule_fast(self.hedge_s, partial(self._hedge, leaves))
 
     def _hedge(self, leaves: Sequence[_Leaf]) -> None:
         """Duplicate still-outstanding leaves onto *other* nodes.
@@ -165,8 +180,10 @@ class FanoutDispatcher:
         hedge is issued there — a same-node duplicate would only inflate
         the slow node's queue.
         """
-        if len(self.nodes) == 1:
+        n_nodes = len(self.nodes)
+        if n_nodes == 1:
             return
+        now = self.sim.now
         for leaf in leaves:
             if leaf.done:
                 continue
@@ -174,15 +191,14 @@ class FanoutDispatcher:
             # in-flight count, and a stale snapshot would let a
             # queue-aware balancer dog-pile every duplicate onto the
             # same least-loaded node.
-            alt = self.balancer.pick(1, self._loads())[0]
+            alt = self.balancer.pick(1, list(map(_in_flight, self.nodes)))[0]
             if alt == leaf.home:
                 # Duplicating onto the same (slow) node buys nothing.
-                alt = (alt + 1) % len(self.nodes)
+                alt = (alt + 1) % n_nodes
             self.hedges_issued += 1
             trace = self.trace
             if trace.enabled:
                 trace.record(
-                    self.sim.now, "lb", "hedge",
-                    (leaf.logical.lid, leaf.ordinal, alt),
+                    now, "lb", "hedge", (leaf.logical.lid, leaf.ordinal, alt)
                 )
-            self._send(leaf, alt)
+            self._arrive[alt](now, leaf)

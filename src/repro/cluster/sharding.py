@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import STATELESS_BALANCERS
-from repro.cluster.cluster import NODE_SEED_STRIDE
+from repro.cluster.cluster import NODE_SEED_STRIDE, node_detail_row
 from repro.errors import ConfigurationError, ShardingError
 from repro.obs.timeline import merge_timelines
 from repro.server.metrics import RunResult
@@ -205,27 +205,13 @@ def merge_node_results(
     residency = {name: value / k for name, value in residency.items()}
     transitions = {name: value / k for name, value in transitions.items()}
 
+    # Built before the latency merge on purpose: each row's p99 sorts its
+    # node's samples in place, and the exact-mode merge concatenates them
+    # as they stand, so this order fixes the merged mean's bits.
     node_detail = [
-        {
-            "node": i,
-            "seed": spec.seed + NODE_SEED_STRIDE * i,
-            "completed": result.completed,
-            "avg_leaf_latency": result.avg_latency,
-            "p99_leaf_latency": (
-                result.tail_latency if result.completed else None
-            ),
-            "avg_core_power": result.avg_core_power,
-            "package_power": result.package_power,
-            "turbo_grant_rate": result.turbo_grant_rate,
-            "snoops_served": result.snoops_served,
-            "residency": {s: v for s, v in sorted(result.residency.items())},
-            "transitions_per_second": {
-                s: v for s, v in sorted(result.transitions_per_second.items())
-            },
-        }
+        node_detail_row(i, spec.seed + NODE_SEED_STRIDE * i, result)
         for i, result in enumerate(per_node)
     ]
-
     merged = RunResult(
         config_name=per_node[0].config_name,
         workload_name=per_node[0].workload_name,

@@ -88,7 +88,7 @@ class _Request:
                  on_complete: Optional[Callable[[float], None]] = None):
         self.arrival = arrival
         #: Cluster hook: called with the completion time when the request
-        #: finishes service (see :meth:`ServerNode.inject`).
+        #: finishes service (see :meth:`ServerNode.arrive`).
         self.on_complete = on_complete
         #: Span id for trace export; only written inside ``trace.enabled``
         #: branches (stale values on recycled requests are never read).
@@ -170,7 +170,7 @@ class ServerNode:
         #: clock; standalone nodes own a private one.
         self.sim = sim if sim is not None else Simulator()
         #: When True the node never arms its own load generator: requests
-        #: arrive solely through :meth:`inject` (cluster dispatch).
+        #: arrive solely through :meth:`arrive` (cluster dispatch).
         self.external_arrivals = external_arrivals
         self.fast_path = fast_path
         # One call-site indirection selects the scheduling path: both
@@ -308,7 +308,7 @@ class ServerNode:
         misbehaving generators do this) takes effect.
         """
         ArrivalStream(
-            self.sim, self._loadgen, self.horizon, self._on_arrival,
+            self.sim, self._loadgen, self.horizon, self.arrive,
             fast_path=self.fast_path,
         ).start()
 
@@ -328,21 +328,20 @@ class ServerNode:
         self._sched_at(when, self._runtimes[idx].snoop_cb)
 
     # -- request path ------------------------------------------------------------
-    def inject(self, on_complete: Optional[Callable[[float], None]] = None) -> None:
-        """Accept one externally-generated request at the current sim time.
-
-        Cluster dispatchers call this instead of the node's own load
-        generator; ``on_complete(completion_time)`` fires when the request
-        finishes service (never for requests still in flight at the
-        horizon, which — as in the standalone node — simply don't count).
-        """
-        self._on_arrival(self.sim.now, on_complete)
-
-    def _on_arrival(
+    def arrive(
         self,
         arrival: float,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> None:
+        """Accept one request arriving now, at simulated time ``arrival``.
+
+        The node's own arrival stream calls this with the arrival time
+        alone; cluster dispatchers pass ``on_complete``, which fires with
+        the completion time when the request finishes service (never for
+        requests still in flight at the horizon, which — as in the
+        standalone node — simply don't count). ``arrival`` must be the
+        simulator's current time.
+        """
         n_cores = self.n_cores
         index = self._getrandbits(self._core_bits)
         while index >= n_cores:
@@ -362,26 +361,35 @@ class ServerNode:
             self._trace_seq = span + 1
             request.trace_id = span
             trace.record(arrival, f"core{index}", "arrival", span)
-        rt.queue.append(request)
         mode = rt.mode
         if mode is _ACTIVE:
-            if not rt.busy:
-                self._start_service(rt)
-        elif mode is _IDLE:
-            self._begin_wake(rt)
+            if rt.busy:
+                rt.queue.append(request)
+            else:
+                # Start service inline. An active core that is not busy
+                # has an empty queue (a wake or a finish that finds work
+                # keeps it busy), so this request is next in FIFO order.
+                rt.busy = True
+                rt.in_service = request
+                self._sched(
+                    self._sample_service(rt.core._frequency, self._frequency_derate),
+                    rt.finish_cb,
+                )
+            return
+        rt.queue.append(request)
+        if mode is _IDLE:
+            # _begin_wake, inlined: the mode test above is its check.
+            rt.governor.observe_idle(arrival - rt.idle_since)
+            rt.snoop_token += 1  # invalidate in-flight snoop service
+            core = rt.core
+            if trace.enabled:
+                trace.record(arrival, f"core{index}", "wake", core.state.name)
+            exit_latency = self._wake(core, arrival)
+            rt.mode = _WAKING
+            self._sched(exit_latency, rt.wake_cb)
         elif mode is _ENTERING:
             rt.wake_pending = True
         # WAKING: the pending wake will drain the queue.
-
-    def _start_service(self, rt: _CoreRuntime) -> None:
-        if rt.busy or not rt.queue:
-            raise SimulationError("invalid service start")
-        rt.busy = True
-        rt.in_service = rt.queue.popleft()
-        service_time = self._sample_service(
-            rt.core._frequency, self._frequency_derate
-        )
-        self._sched(service_time, rt.finish_cb)
 
     def _finish_service(self, rt: _CoreRuntime) -> None:
         request = rt.in_service
@@ -401,7 +409,7 @@ class ServerNode:
         self.in_flight -= 1
         if on_complete is not None:
             # Fire while the core still reads busy, so a callback that
-            # synchronously injects back into this node queues safely.
+            # synchronously arrives back at this node queues safely.
             on_complete(now)
         queue = rt.queue
         if queue:
@@ -533,7 +541,7 @@ class ServerNode:
 
         Standalone nodes arm the arrival stream and snoop traffic; nodes
         embedded in a cluster (``external_arrivals=True``) arm snoops
-        only — logical arrivals reach them through :meth:`inject`.
+        only — logical arrivals reach them through :meth:`arrive`.
         """
         if not self.external_arrivals:
             self._schedule_arrivals()

@@ -98,7 +98,11 @@ class PercentileTracker:
 
     Exact mode (the default): samples are appended in O(1) and sorted
     lazily on the first query after a mutation; the sorted array is then
-    cached until the next ``add``/``add_many`` invalidates it. An
+    cached until the next ``add``/``add_many`` grows it. ``add`` is the
+    sample list's own bound ``append`` (no Python frame per sample), so
+    the cache is keyed on the sample count at the last sort rather than
+    a dirty flag: samples are only ever appended, so a changed count is
+    exactly "mutated since the last sort". An
     ``analyze()`` pass reading p50/p95/p99/p99.9 therefore sorts once,
     not once per percentile — recording millions of latencies costs
     O(n log n) total instead of the O(n^2) of sorted insertion or the
@@ -116,18 +120,24 @@ class PercentileTracker:
 
     def __init__(self, sketch_error: Optional[float] = None) -> None:
         self._samples: List[float] = []
-        self._dirty = False
+        #: ``len(_samples)`` when it was last sorted.
+        self._sorted_count = 0
         self._sketch: Optional[DDSketch] = None
         if sketch_error is not None:
             self._sketch = DDSketch(relative_error=sketch_error)
-            self._bind_sketch_hot_path()
+        self._bind_hot_path()
 
-    def _bind_sketch_hot_path(self) -> None:
-        # Instance-attribute override: sketch-mode add/add_many go
-        # straight to the sketch with no per-sample dispatch branch, and
-        # the exact-mode class methods stay byte-identical to before.
-        self.add = self._sketch.add
-        self.add_many = self._sketch.add_many
+    def _bind_hot_path(self) -> None:
+        # Instance-attribute override of the class methods, re-run
+        # whenever ``_samples`` or ``_sketch`` is replaced: exact-mode
+        # ``add`` is the sample list's C-level append, and sketch-mode
+        # add/add_many go straight to the sketch — no per-sample Python
+        # frame or backend dispatch branch either way.
+        if self._sketch is None:
+            self.add = self._samples.append
+        else:
+            self.add = self._sketch.add
+            self.add_many = self._sketch.add_many
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -138,17 +148,16 @@ class PercentileTracker:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        if self._sketch is not None:
-            self._bind_sketch_hot_path()
+        self._bind_hot_path()
 
     @classmethod
     def _from_sketch(cls, sketch: DDSketch) -> "PercentileTracker":
         """Wrap an existing sketch (merge and store-decode paths)."""
         tracker = cls.__new__(cls)
         tracker._samples = []
-        tracker._dirty = False
+        tracker._sorted_count = 0
         tracker._sketch = sketch
-        tracker._bind_sketch_hot_path()
+        tracker._bind_hot_path()
         return tracker
 
     @property
@@ -162,19 +171,19 @@ class PercentileTracker:
         return self._sketch
 
     def add(self, value: float) -> None:
+        # Shadowed per instance by _bind_hot_path; kept for the type.
         self._samples.append(value)
-        self._dirty = True
 
     def add_many(self, values: Sequence[float]) -> None:
         self._samples.extend(values)
-        self._dirty = True
 
     @property
     def _sorted(self) -> List[float]:
-        if self._dirty:
-            self._samples.sort()
-            self._dirty = False
-        return self._samples
+        samples = self._samples
+        if len(samples) != self._sorted_count:
+            samples.sort()
+            self._sorted_count = len(samples)
+        return samples
 
     @property
     def count(self) -> int:
@@ -256,7 +265,7 @@ class PercentileTracker:
             return PercentileTracker._from_sketch(self._sketch.merge(other._sketch))
         merged = PercentileTracker()
         merged._samples = self._samples + other._samples
-        merged._dirty = bool(merged._samples)
+        merged._bind_hot_path()
         return merged
 
     @classmethod
@@ -291,7 +300,7 @@ class PercentileTracker:
         for tracker in trackers:
             out.extend(tracker._samples)
         merged._samples = out
-        merged._dirty = bool(out)
+        merged._bind_hot_path()
         return merged
 
     def percentiles(self, ps: Sequence[float]) -> List[float]:

@@ -251,6 +251,17 @@ def test_fast002_flags_event_allocation_on_hot_path(tmp_path):
     assert rule_ids(result.findings) == ["FAST002"]
 
 
+@pytest.mark.parametrize("module", ["cluster/balancer.py", "simkit/stats.py"])
+def test_fast002_covers_per_request_cluster_modules(tmp_path, module):
+    # A balancer pick and a latency append run once per logical request.
+    result = lint_one(
+        tmp_path, module,
+        "from repro.simkit.engine import Event\n\n"
+        "def make(t, seq, cb):\n    return Event(t, seq, cb)\n",
+    )
+    assert rule_ids(result.findings) == ["FAST002"]
+
+
 def test_fast002_ignores_cold_modules(tmp_path):
     result = lint_one(
         tmp_path, "simkit/replay.py",

@@ -18,6 +18,7 @@ from repro.store.serialize import result_to_dict
 from repro.sweep import ScenarioGrid, ScenarioSpec, SweepRunner, result_record
 
 import random
+from functools import partial
 
 
 def _spec(**overrides):
@@ -106,7 +107,7 @@ class _FixedDelayNode:
         self.in_flight = 0
         self.served = 0
 
-    def inject(self, on_complete=None):
+    def arrive(self, time, on_complete=None):
         self.in_flight += 1
 
         def done():
@@ -125,7 +126,7 @@ class TestFanoutDispatcher:
         balancer = JoinShortestQueueBalancer()
         balancer.setup(3, random.Random(1))
         dispatcher = FanoutDispatcher(sim, nodes, balancer, fanout=3)
-        sim.schedule_at(0.0, dispatcher.dispatch)
+        sim.schedule_at(0.0, partial(dispatcher.dispatch, 0.0))
         sim.run()
         assert dispatcher.completed == 1
         assert dispatcher.latency.samples == [0.003]
@@ -148,7 +149,7 @@ class TestFanoutDispatcher:
         dispatcher = FanoutDispatcher(
             sim, [slow, fast], balancer, fanout=1, hedge_s=0.002
         )
-        sim.schedule_at(0.0, dispatcher.dispatch)
+        sim.schedule_at(0.0, partial(dispatcher.dispatch, 0.0))
         sim.run()
         # leaf went to the slow node (round robin starts at 0); the hedge
         # fired at 2 ms onto the fast node and answered at 3 ms, beating
@@ -171,7 +172,7 @@ class TestFanoutDispatcher:
         dispatcher = FanoutDispatcher(
             sim, nodes, balancer, fanout=2, hedge_s=0.002
         )
-        sim.schedule_at(0.0, dispatcher.dispatch)
+        sim.schedule_at(0.0, partial(dispatcher.dispatch, 0.0))
         sim.run()
         # Leaves went to idle nodes 0 and 1; at hedge time the two
         # duplicates must land on the two distinct idle nodes 2 and 3.
@@ -187,7 +188,7 @@ class TestFanoutDispatcher:
         dispatcher = FanoutDispatcher(
             sim, nodes, balancer, fanout=2, hedge_s=0.005
         )
-        sim.schedule_at(0.0, dispatcher.dispatch)
+        sim.schedule_at(0.0, partial(dispatcher.dispatch, 0.0))
         sim.run()
         assert dispatcher.hedges_issued == 0
         assert dispatcher.completed == 1

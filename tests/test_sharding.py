@@ -217,6 +217,54 @@ class TestMergeSemantics:
             assert detail["completed"] > 0
             assert detail["p99_leaf_latency"] > 0
 
+    def test_zero_completion_node_has_no_latency(self):
+        # A node that completes nothing has no latency to average: both
+        # leaf-latency fields are None, on either execution path.
+        shared = ScenarioSpec(
+            "memcached", "AW", 1e3, horizon=0.0005, seed=1,
+            nodes=8, balancer="jsq", fanout=4,
+        ).execute()
+        partitioned = execute_partitioned(_cluster_spec(
+            config="AW", qps=4e3, horizon=0.0005, seed=1, nodes=4,
+            balancer="round_robin",
+        ))
+        for detail in shared.node_detail + partitioned.node_detail:
+            if detail["completed"]:
+                assert detail["avg_leaf_latency"] > 0
+                assert detail["p99_leaf_latency"] > 0
+            else:
+                assert detail["avg_leaf_latency"] is None
+                assert detail["p99_leaf_latency"] is None
+        assert shared.completed == 0
+        assert [d["completed"] for d in partitioned.node_detail] == [0, 1, 1, 0]
+
+    def test_node_detail_rows_equal_across_paths(self):
+        # With no completions the shared simulator and the partitioned
+        # path see the same per-node state, so their rows must match.
+        from repro.simkit.trace import TraceRecorder
+
+        spec = _cluster_spec(
+            config="AW", qps=200, horizon=0.001, seed=1, nodes=4,
+            balancer="round_robin",
+        )
+        partitioned = execute_partitioned(spec)
+        shared = spec.execute(trace=TraceRecorder())
+        assert partitioned.completed == shared.completed == 0
+        assert shared.node_detail == partitioned.node_detail
+        assert all(d["avg_leaf_latency"] is None for d in shared.node_detail)
+
+    @pytest.mark.parametrize("balancer,mean_hex", [
+        ("random", "0x1.c218a33e28223p-17"),
+        ("round_robin", "0x1.bb9398a60e0e3p-17"),
+    ])
+    def test_merged_mean_bits_pinned(self, balancer, mean_hex):
+        # The exact merge concatenates each node's samples in the order
+        # they stand after that node's node_detail row (its p99) sorted
+        # them, and the mean's float sum runs in that order: merging
+        # before the rows are built moves the last bits.
+        merged = execute_partitioned(_cluster_spec(balancer=balancer))
+        assert merged.avg_latency.hex() == mean_hex
+
     def test_wrong_node_count_rejected(self):
         spec = _cluster_spec()
         per_node = run_shard(spec, 0, 2)

@@ -237,7 +237,8 @@ class TestPercentileCaching:
 
         tracker = PercentileTracker()
         tracker._samples = CountingList([3.0, 1.0, 2.0, 9.0, 5.0])
-        tracker._dirty = True
+        tracker._sorted_count = 0  # unsorted: not the length at a sort
+        tracker._bind_hot_path()
         _ = tracker.p50, tracker.p95, tracker.p99, tracker.p999
         _ = tracker.percentiles([10, 20, 30, 40])
         assert CountingList.sorts == 1
@@ -252,7 +253,8 @@ class TestPercentileCaching:
 
         tracker = PercentileTracker()
         tracker._samples = CountingList([2.0, 1.0])
-        tracker._dirty = True
+        tracker._sorted_count = 0  # unsorted: not the length at a sort
+        tracker._bind_hot_path()  # add() now appends to the CountingList
         assert tracker.p50 == pytest.approx(1.5)
         tracker.add(0.5)
         assert tracker.p50 == pytest.approx(1.0)

@@ -24,7 +24,7 @@ def _node(qps=50_000, horizon=0.05, seed=7, config="baseline", **kw):
 def _eager_schedule_arrivals(node):
     """The pre-refactor behaviour: push every arrival up front."""
     for t in node._loadgen.arrivals(node.horizon):
-        node.sim.schedule_at(t, lambda t=t: node._on_arrival(t), label="arrival")
+        node.sim.schedule_at(t, lambda t=t: node.arrive(t), label="arrival")
 
 
 class TestStreamingDeterminism:
