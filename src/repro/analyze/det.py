@@ -150,7 +150,7 @@ class WallClockRead(Rule):
     the host's wall clock (``time.time``, ``datetime.now``, monotonic /
     perf counters) makes an observable depend on machine speed and run
     time, which can never reproduce bit-for-bit. Timing *measurement*
-    belongs in the bench harness and the store layers, which are outside
+    belongs in perfbench and the store layers, which are outside
     the simulation packages and free to use wall clocks."""
 
     id = "DET003"

@@ -22,9 +22,6 @@ Usage::
     python -m repro report fig8 table3 --telemetry-hz 20 -o report.html
     python -m repro cache stats          # result-store hygiene
     python -m repro cache prune --max-bytes 100000000   # LRU size cap
-    python -m repro bench --quick        # substrate benchmarks + gate
-    python -m repro bench cluster --tolerance 0.5       # one named suite
-    python -m repro bench --quick --update-baseline     # refresh floor
     python -m repro lint src             # determinism/invariant analysis
     python -m repro lint --rules         # print the rule catalog
     python -m repro lint src --format json              # machine-readable
@@ -586,7 +583,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Build the one-page self-contained HTML repro report."""
-    from repro.bench import find_repo_root
     from repro.obs.report import build_report
 
     if not (args.all or args.ids) and args.manifest is None:
@@ -624,14 +620,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ReproError as exc:
             print(f"report failed: {exc}", file=sys.stderr)
             return EXIT_ERROR
-    try:
-        root: Optional[str] = find_repo_root()
-    except ConfigurationError:
-        root = None  # no benchmarks/ nearby: skip the trend section
     page = build_report(
         experiments, results,
         timeline=timeline, timeline_label=timeline_label,
-        manifest_path=args.manifest, root=root,
+        manifest_path=args.manifest,
         subtitle=f"{len(experiments)} experiment(s)"
         + (", quick grids" if args.quick else ""),
     )
@@ -900,8 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="build a one-page self-contained HTML report: experiment "
-             "figures, telemetry timeline, sweep manifest summary and "
-             "benchmark trend",
+             "figures, telemetry timeline and sweep manifest summary",
     )
     add_selection_flags(report)
     report.add_argument(
@@ -939,42 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_cache_dir(cache)
     cache.set_defaults(handler=cmd_cache)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pytest-benchmark suites, write BENCH_*.json, and "
-             "gate against the committed baseline",
-    )
-    bench.add_argument(
-        "suite", nargs="?", default=None,
-        help="suite name (simulator, sweep, cluster, cluster_sharded, "
-             "all); default: all, or simulator with --quick",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="run the fast substrate suite only (alias for `bench simulator`)",
-    )
-    bench.add_argument(
-        "-o", "--out", metavar="FILE",
-        help="machine-readable results file (default: BENCH_<suite>.json)",
-    )
-    bench.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline to gate against (default: benchmarks/BENCH_baseline.json)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="fractional slowdown allowed before failing (default: 0.25)",
-    )
-    bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="merge this run's results into the baseline instead of gating",
-    )
-    bench.add_argument(
-        "--no-compare", action="store_true",
-        help="write results only; skip the baseline gate",
-    )
-    bench.set_defaults(handler=cmd_bench)
 
     lint = sub.add_parser(
         "lint",
@@ -1028,40 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(handler=cmd_lint)
     return parser
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run benchmark suites and gate against the committed baseline."""
-    from repro import bench
-
-    if args.tolerance is not None and args.tolerance < 0:
-        print(f"--tolerance must be >= 0, got {args.tolerance}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite is not None and args.quick:
-        print("pass either a suite name or --quick, not both", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite is not None and args.suite not in bench.SUITES:
-        print(
-            f"unknown bench suite {args.suite!r}; "
-            f"choose from {sorted(bench.SUITES)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        return bench.main(
-            suite=args.suite,
-            quick=args.quick,
-            out=args.out,
-            baseline=args.baseline,
-            tolerance=(
-                bench.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-            ),
-            do_update_baseline=args.update_baseline,
-            no_compare=args.no_compare,
-        )
-    except ConfigurationError as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

@@ -302,10 +302,6 @@ class CStateCatalog:
             self._enabled_cache = cache
         return cache
 
-    @property
-    def all_states(self) -> List[CState]:
-        return [self.active] + self.idle_states
-
     def get(self, name: str) -> CState:
         if name == self.active.name:
             return self.active

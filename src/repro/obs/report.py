@@ -9,9 +9,7 @@ the reproduction in a single file with zero external references:
 - **telemetry** — simulated-time power/C-state/load plots when the
   report run samples a timeline (``--telemetry-hz``);
 - **manifest** — an event-count and throughput summary of a sweep run
-  manifest JSONL (``--manifest``);
-- **bench trend** — the committed benchmark baseline next to any
-  ``BENCH_*.json`` documents from recent ``repro bench`` runs.
+  manifest JSONL (``--manifest``).
 
 Everything embeds as markup or data URIs, so the artifact can be mailed,
 attached to CI, or archived as-is.
@@ -23,7 +21,7 @@ import glob
 import html
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.figures import matplotlib_available, render_figure, timeline_figures
 
@@ -49,7 +47,6 @@ table.summary td:first-child, table.summary th:first-child {
 .meta { color: #666; font-size: 12px; }
 .notes { font-size: 13px; color: #444; }
 .regressed { color: #c0392b; font-weight: bold; }
-.improved { color: #27ae60; }
 details > summary { cursor: pointer; color: #1f77b4; font-size: 13px; }
 """
 
@@ -201,74 +198,6 @@ def _manifest_section(summary: Dict[str, object]) -> str:
     )
 
 
-# -- bench trend --------------------------------------------------------------
-
-def load_bench_documents(root: str) -> List[Tuple[str, Dict[str, object]]]:
-    """The committed baseline plus any ``BENCH_*.json`` run documents.
-
-    Returns ``(label, results)`` pairs, baseline first; unreadable or
-    schema-mismatched files are skipped (the report must not fail
-    because a stray artifact is corrupt).
-    """
-    docs: List[Tuple[str, Dict[str, object]]] = []
-    candidates = [
-        ("baseline", os.path.join(root, "benchmarks", "BENCH_baseline.json"))
-    ]
-    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
-        candidates.append((os.path.basename(path), path))
-    for label, path in candidates:
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        results = data.get("results")
-        if isinstance(results, dict) and results:
-            docs.append((label, results))
-    return docs
-
-
-def _bench_section(root: str) -> str:
-    docs = load_bench_documents(root)
-    if not docs:
-        return "<h2>Benchmark trend</h2><p class='meta'>no BENCH documents found</p>"
-    names: List[str] = []
-    for _, results in docs:
-        for name in results:
-            if name not in names:
-                names.append(name)
-    names.sort()
-    header = "".join(f"<th>{_esc(label)}</th>" for label, _ in docs)
-    body_rows = []
-    baseline_results = docs[0][1]
-    for name in names:
-        cells = []
-        base = baseline_results.get(name, {}).get("min_s")
-        for _, results in docs:
-            entry = results.get(name)
-            if entry is None:
-                cells.append("<td>&mdash;</td>")
-                continue
-            min_s = entry.get("min_s", 0.0)
-            css = ""
-            if base and results is not baseline_results:
-                ratio = min_s / base
-                if ratio > 1.25:
-                    css = ' class="regressed"'
-                elif ratio < 0.9:
-                    css = ' class="improved"'
-            cells.append(f"<td{css}>{min_s * 1000:,.2f} ms</td>")
-        body_rows.append(f"<tr><td>{_esc(name)}</td>{''.join(cells)}</tr>")
-    return (
-        "<h2>Benchmark trend</h2>"
-        '<p class="meta">minimum observed time per benchmark; red marks a '
-        "&gt;25% regression vs the committed baseline, green a &gt;10% "
-        "improvement</p>"
-        f'<table class="summary"><tr><th>benchmark</th>{header}</tr>'
-        f"{''.join(body_rows)}</table>"
-    )
-
-
 # -- experiments --------------------------------------------------------------
 
 def _experiment_section(experiment, result) -> str:
@@ -311,7 +240,6 @@ def build_report(
     timeline: Optional[Dict[str, object]] = None,
     timeline_label: str = "",
     manifest_path: Optional[str] = None,
-    root: Optional[str] = None,
     subtitle: str = "",
 ) -> str:
     """Assemble the self-contained HTML report page.
@@ -324,7 +252,6 @@ def build_report(
         manifest_path: sweep run-manifest JSONL to summarize, if any; a
             *directory* renders the distributed-fleet view instead (one
             crash-tolerant tail summary per worker manifest inside it).
-        root: repository root for the benchmark trend (skipped if None).
         subtitle: free-text line under the page title.
     """
     backend = "matplotlib" if matplotlib_available() else "inline SVG"
@@ -348,8 +275,6 @@ def build_report(
             sections.append(_fleet_section(summarize_manifest_dir(manifest_path)))
         else:
             sections.append(_manifest_section(summarize_manifest(manifest_path)))
-    if root is not None:
-        sections.append(_bench_section(root))
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
         "<title>repro report</title>"

@@ -63,10 +63,6 @@ class OnlineStats:
         return self._m2 / (self._n - 1)
 
     @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
     def minimum(self) -> float:
         if self._n == 0:
             raise ValueError("no observations")

@@ -93,7 +93,7 @@ STORE_FLUSH_CHUNK = 128
 
 
 def clear_shared_cache() -> None:
-    """Drop all memoised runs (benchmarks measuring cold runs use this)."""
+    """Drop all memoised runs (tests that need cold runs use this)."""
     _SHARED_CACHE.clear()
 
 
@@ -980,9 +980,6 @@ class SweepRunner:
         self, grid: ScenarioGrid
     ) -> List[Outcome]:
         return self.run_many(list(grid))
-
-    def clear_cache(self) -> None:
-        self.cache.clear()
 
 
 # -- default runner ----------------------------------------------------------

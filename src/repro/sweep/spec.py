@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import (
     Any,
@@ -159,6 +160,22 @@ def _check_field_type(name: str, annotation: str, value: object) -> None:
         )
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Reject a non-positive, NaN or infinite spec value.
+
+    NaN compares false against everything and infinity is positive, so
+    a bare ``value <= 0`` lets both through to a simulation that never
+    ends.
+
+    Raises:
+        ConfigurationError: naming the field and the given value.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be positive and finite, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-parameterised simulation point.
@@ -247,12 +264,10 @@ class ScenarioSpec:
                 f"unknown balancer {self.balancer!r}; "
                 f"choose from {sorted(BALANCER_FACTORIES)}"
             )
-        if self.qps <= 0:
-            raise ConfigurationError(f"qps must be positive, got {self.qps}")
+        _check_positive_finite("qps", self.qps)
         if self.cores <= 0:
             raise ConfigurationError(f"cores must be positive, got {self.cores}")
-        if self.horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        _check_positive_finite("horizon", self.horizon)
         if self.nodes <= 0:
             raise ConfigurationError(f"nodes must be positive, got {self.nodes}")
         if self.fanout <= 0:
@@ -262,18 +277,14 @@ class ScenarioSpec:
                 f"fanout {self.fanout} exceeds nodes {self.nodes}: leaves "
                 "go to distinct servers"
             )
-        if self.hedge_ms is not None and self.hedge_ms <= 0:
-            raise ConfigurationError(
-                f"hedge_ms must be positive, got {self.hedge_ms}"
-            )
+        if self.hedge_ms is not None:
+            _check_positive_finite("hedge_ms", self.hedge_ms)
         if self.sketch_error is not None and not 0 < self.sketch_error < 1:
             raise ConfigurationError(
                 f"sketch_error must be in (0, 1), got {self.sketch_error}"
             )
-        if self.telemetry_hz is not None and self.telemetry_hz <= 0:
-            raise ConfigurationError(
-                f"telemetry_hz must be positive, got {self.telemetry_hz}"
-            )
+        if self.telemetry_hz is not None:
+            _check_positive_finite("telemetry_hz", self.telemetry_hz)
         # Canonicalise numeric types so 100000 and 100000.0 produce the
         # same frozen spec (and therefore the same cache key).
         object.__setattr__(self, "qps", float(self.qps))

@@ -142,9 +142,6 @@ class OpenLoopPoisson(LoadGenerator):
             yield t
             t += -log(1.0 - random_()) / lambd
 
-    def expected_count(self, horizon: float) -> float:
-        return self._qps * horizon
-
 
 class RoundRobinThinned(LoadGenerator):
     """Node ``index``'s share of a round-robin-split Poisson stream.

@@ -388,6 +388,16 @@ class TestSweepGridFile:
         err = capsys.readouterr().err
         assert "not both" in err and flag[0] in err
 
+    def test_grid_nan_horizon_is_usage_error(self, tmp_path, capsys):
+        # NaN slips past a bare "<= 0" check and the run never ends.
+        grid_file = tmp_path / "grid.jsonl"
+        grid_file.write_text(
+            json.dumps({**self._grid_dicts()[0], "horizon": float("nan")}) + "\n"
+        )
+        code = main(["sweep", "--grid", str(grid_file), "--no-cache"])
+        assert code == EXIT_USAGE
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+
     def test_missing_grid_file_is_usage_error(self, capsys):
         assert main(["sweep", "--grid", "/nonexistent.jsonl"]) == EXIT_USAGE
         assert "grid file" in capsys.readouterr().err

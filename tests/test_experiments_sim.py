@@ -44,8 +44,10 @@ class TestFig8:
             assert sum(p.residency.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_utilization_grows_with_load(self, points):
+        # Fig 8a: load pushes residency toward C0, strictly end to end.
         c0 = [p.residency.get("C0", 0.0) for p in points]
         assert c0 == sorted(c0)
+        assert c0[-1] > c0[0]
 
     def test_power_savings_decline_with_load(self, points):
         # Fig 8b shape: biggest savings at low load.
@@ -235,7 +237,7 @@ class TestFig12MySQL:
     def test_aw_power_reduction_band(self, points):
         # Paper: 22-56% across rates; ours runs somewhat higher.
         for p in points:
-            assert 0.2 <= p.aw_power_reduction <= 0.85
+            assert 0.2 < p.aw_power_reduction <= 0.85
 
 
 class TestFig13Kafka:
@@ -263,17 +265,17 @@ class TestFig13Kafka:
 
 
 class TestTable5:
-    def test_savings_positive_everywhere(self):
-        savings = Table5Experiment(
+    @pytest.fixture(scope="class")
+    def savings(self):
+        return Table5Experiment(
             Table5Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
         ).execute().payload
+
+    def test_savings_positive_everywhere(self, savings):
         assert all(v > 0 for v in savings.values())
 
-    def test_band_order_of_magnitude(self):
+    def test_band_order_of_magnitude(self, savings):
         # Paper: $0.33-0.59M; our simulator's deltas run ~2x higher but
         # must stay in the same order of magnitude.
-        savings = Table5Experiment(
-            Table5Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
-        ).execute().payload
         for value in savings.values():
             assert 0.1 <= value <= 3.0

@@ -84,7 +84,6 @@ class TestReportCommand:
         assert page.startswith("<!DOCTYPE html>")
         assert 'id="table1"' in page
         assert '<svg class="figure"' in page or "<img" in page
-        assert "Benchmark trend" in page
 
 
 class TestSweepManifest:

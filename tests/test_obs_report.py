@@ -19,7 +19,7 @@ from repro.obs.figures import (
     render_svg,
     timeline_figures,
 )
-from repro.obs.report import build_report, load_bench_documents
+from repro.obs.report import build_report
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import ScenarioSpec
 
@@ -137,7 +137,7 @@ class TestReportPage:
         return build_report(
             experiments, results,
             timeline=spec.execute().timeline, timeline_label="demo run",
-            manifest_path=str(manifest_path), root=None,
+            manifest_path=str(manifest_path),
             subtitle="test page",
         )
 
@@ -160,25 +160,6 @@ class TestReportPage:
         assert "Telemetry timeline" in page
         assert "Sweep manifest" in page
         assert "finished" in page
-
-
-class TestBenchTrend:
-    def test_loads_committed_baseline(self):
-        from repro.bench import find_repo_root
-
-        docs = load_bench_documents(find_repo_root())
-        assert docs
-        label, results = docs[0]
-        assert label == "baseline"
-        assert "test_bench_server_node_100k_qps" in results
-        assert "test_bench_obs_probes_off" in results
-
-    def test_bench_section_in_report_with_root(self):
-        from repro.bench import find_repo_root
-
-        page = build_report([], {}, root=find_repo_root())
-        assert "Benchmark trend" in page
-        assert "test_bench_server_node_100k_qps" in page
 
 
 class TestFleetReport:

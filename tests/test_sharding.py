@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from golden_specs import digest_result  # noqa: E402
 
+from repro.cluster import Cluster
 from repro.cluster.sharding import (
     check_shardable,
     execute_partitioned,
@@ -172,6 +173,28 @@ class TestShardDeterminism:
         sharded = run_sharded(spec, shards=4)
         assert digest_result(sharded) == digest_result(reference)
         assert sharded.server_latency.sketch_error == 0.01
+
+    def test_sketch_stays_bounded_on_every_execution_path(self):
+        # The classic shared simulator, the partitioned run and the
+        # sharded one all keep the latency tracker at O(bins), not
+        # O(requests), and count each completed request exactly once.
+        spec = _cluster_spec(sketch_error=0.01)
+        classic = Cluster(
+            workload_factory=spec.build_workload,
+            configuration=spec.build_configuration(),
+            qps=spec.qps, nodes=spec.nodes, cores=spec.cores,
+            horizon=spec.horizon, seed=spec.seed, balancer=spec.balancer,
+            fanout=spec.fanout, snoops_enabled=spec.snoops,
+            governor_factory=spec.governor_factory(),
+            sketch_error=spec.sketch_error,
+        ).run()
+        for result in (
+            classic, execute_partitioned(spec), run_sharded(spec, shards=2)
+        ):
+            assert result.completed > 0
+            assert len(result.node_detail) == spec.nodes
+            assert result.server_latency.sketch.num_bins <= 2048
+            assert result.server_latency.count == result.completed
 
     def test_sketch_percentiles_within_bound_of_exact(self):
         exact = execute_partitioned(_cluster_spec())
