@@ -1,11 +1,6 @@
-"""Benchmarks for the cluster subsystem: composition overhead vs nodes.
-
-Not a paper artifact — tracks the cost of the shared-simulator
-composition (K nodes, balancer picks per arrival, fan-out join
-bookkeeping) so regressions in `repro.cluster` are visible alongside the
-sweep benchmarks. The single-node point doubles as a check that the
-cluster axes add no overhead to the classic path (it dispatches straight
-to ServerNode).
+"""Cluster subsystem checks: the shared-simulator composition (K nodes,
+balancer picks per arrival, fan-out join bookkeeping) completes work,
+and the single-node point takes the classic path straight to ServerNode.
 """
 
 from repro.sweep import ScenarioSpec, SweepRunner
@@ -20,32 +15,18 @@ def _spec(**overrides):
     return ScenarioSpec(**base)
 
 
-def test_bench_single_node_path(benchmark):
-    spec = _spec()
-
-    def run_cold():
-        return SweepRunner(cache={}).run(spec)
-
-    result = benchmark.pedantic(run_cold, rounds=2, iterations=1)
+def test_bench_single_node_path():
+    result = SweepRunner(cache={}).run(_spec())
     assert result.completed > 0
 
 
-def test_bench_cluster_four_nodes_fanout(benchmark):
-    spec = _spec(nodes=4, fanout=4, balancer="jsq")
-
-    def run_cold():
-        return SweepRunner(cache={}).run(spec)
-
-    result = benchmark.pedantic(run_cold, rounds=2, iterations=1)
+def test_bench_cluster_four_nodes_fanout():
+    result = SweepRunner(cache={}).run(_spec(nodes=4, fanout=4, balancer="jsq"))
     assert result.completed > 0
     assert len(result.node_detail) == 4
 
 
-def test_bench_cluster_hedged(benchmark):
+def test_bench_cluster_hedged():
     spec = _spec(nodes=4, fanout=2, balancer="power_of_two", hedge_ms=0.05)
-
-    def run_cold():
-        return SweepRunner(cache={}).run(spec)
-
-    result = benchmark.pedantic(run_cold, rounds=2, iterations=1)
+    result = SweepRunner(cache={}).run(spec)
     assert result.completed > 0

@@ -1,24 +1,14 @@
-"""Benchmarks for the extension artifacts: ablation, sensitivity,
+"""Claim checks for the extension artifacts: ablation, sensitivity,
 governor study and energy proportionality."""
 
-import pytest
+import figure_grids
 
-from benchmarks.conftest import BENCH_SEED, run_once
 from repro.experiments.ablation import AblationExperiment
-from repro.experiments.governor_study import (
-    GovernorStudyExperiment,
-    GovernorStudyParams,
-)
-from repro.experiments.proportionality import (
-    ProportionalityExperiment,
-    ProportionalityParams,
-)
 from repro.experiments.sensitivity import SensitivityExperiment
-from repro.sweep.runner import clear_shared_cache
 
 
-def test_bench_ablation(benchmark):
-    variants = benchmark(AblationExperiment().analyze).payload
+def test_bench_ablation():
+    variants = AblationExperiment().analyze().payload
     full = variants[0]
     # Each single-idea ablation lands in the microsecond class.
     for variant in variants[1:4]:
@@ -26,8 +16,8 @@ def test_bench_ablation(benchmark):
     assert full.round_trip < 100e-9
 
 
-def test_bench_sensitivity(benchmark):
-    entries = benchmark(SensitivityExperiment().analyze).payload
+def test_bench_sensitivity():
+    entries = SensitivityExperiment().analyze().payload
     # Robustness: savings stay double-digit under every perturbation.
     for entry in entries[:-1]:  # model constants
         assert entry.savings_low > 0.10
@@ -36,12 +26,8 @@ def test_bench_sensitivity(benchmark):
     assert entries[-1].swing > max(e.swing for e in entries[:-1])
 
 
-def test_bench_governor_study(benchmark):
-    clear_shared_cache()
-    experiment = GovernorStudyExperiment(
-        GovernorStudyParams(qps=80_000, horizon=0.08, seed=BENCH_SEED)
-    )
-    points = run_once(benchmark, experiment.execute).payload
+def test_bench_governor_study():
+    points = figure_grids.governor_study_points()
     aw_menu = next(
         p for p in points if p.config == "NT_AW" and p.governor == "menu"
     ).result
@@ -52,14 +38,8 @@ def test_bench_governor_study(benchmark):
     assert aw_menu.avg_core_power < legacy_oracle.avg_core_power
 
 
-def test_bench_proportionality(benchmark):
-    clear_shared_cache()
-    experiment = ProportionalityExperiment(
-        ProportionalityParams(
-            rates_kqps=(10, 100, 400), horizon=0.1, seed=BENCH_SEED,
-        )
-    )
-    comparison = run_once(benchmark, experiment.execute).payload
+def test_bench_proportionality():
+    comparison = figure_grids.proportionality_comparison()
     assert comparison.agilewatts.dynamic_range > comparison.baseline.dynamic_range
     assert (
         comparison.agilewatts.proportionality_gap

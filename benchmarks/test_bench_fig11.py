@@ -1,28 +1,16 @@
-"""Benchmark regenerating Fig 11 (idle states x Turbo interaction).
+"""Fig 11 (idle states x Turbo interaction) claim check.
 
 Asserts the Sec 7.3 observations: C6A sustains Turbo grants longer than
 the C1-parked configuration and achieves the best average latency at
 high load.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments.fig11 import Fig11Experiment, Fig11Params
-from repro.sweep.runner import clear_shared_cache
-
-#: Fig 11 needs high load and enough time for the turbo tank to deplete.
-RATES = (10, 300, 500)
-HORIZON = 0.4
+import figure_grids
 
 
-def test_bench_fig11(benchmark):
-    clear_shared_cache()
-    experiment = Fig11Experiment(
-        Fig11Params(rates_kqps=RATES, horizon=HORIZON, seed=BENCH_SEED)
-    )
-    sweep = run_once(benchmark, experiment.execute).payload
-    high = len(RATES) - 1
+def test_bench_fig11():
+    sweep = figure_grids.fig11_sweep()
+    high = len(figure_grids.FIG11_RATES) - 1
     # C6A sustains turbo grants at least as well everywhere, strictly
     # better at high load.
     c6a_grants = sweep.turbo_grant_rates("T_C6A_No_C6_No_C1E")

@@ -1,21 +1,14 @@
-"""Benchmarks regenerating Fig 12 (MySQL) and Fig 13 (Kafka).
+"""Fig 12 (MySQL) and Fig 13 (Kafka) claim checks.
 
 Asserts the Sec 7.4 claims: C6-heavy baselines, latency gains from
 disabling C6 at low/mid rates, and large C6A power recovery.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments.fig12 import Fig12Experiment, Fig12Params
-from repro.experiments.fig13 import Fig13Experiment, Fig13Params
-from repro.sweep.runner import clear_shared_cache
+import figure_grids
 
 
-def test_bench_fig12_mysql(benchmark):
-    clear_shared_cache()
-    experiment = Fig12Experiment(Fig12Params(horizon=1.0, seed=BENCH_SEED))
-    points = run_once(benchmark, experiment.execute).payload
+def test_bench_fig12_mysql():
+    points = figure_grids.fig12_points()
     by_label = {p.label: p for p in points}
     # Baseline holds >= 40% C6 at every rate.
     for p in points:
@@ -28,9 +21,8 @@ def test_bench_fig12_mysql(benchmark):
         assert p.aw_power_reduction > 0.2
 
 
-def test_bench_fig13_kafka(benchmark):
-    experiment = Fig13Experiment(Fig13Params(horizon=0.5, seed=BENCH_SEED))
-    points = run_once(benchmark, experiment.execute).payload
+def test_bench_fig13_kafka():
+    points = figure_grids.fig13_points()
     by_label = {p.label: p for p in points}
     # Low rate: > 60% C6; high rate: C6 never entered.
     assert by_label["low"].baseline_residency.get("C6", 0.0) > 0.6

@@ -1,27 +1,17 @@
-"""Benchmarks regenerating Fig 9 (tuned configs) and Fig 10 (AW vs tuned).
+"""Fig 9 (tuned configs) and Fig 10 (AW vs tuned) claim checks.
 
 Asserts the Sec 7.2 claims: No_C1E trades power for latency; AW wins
 power against all three tuned configs (peak ~70%) at comparable-or-better
 latency.
 """
 
-import pytest
+import figure_grids
 
-from benchmarks.conftest import BENCH_HORIZON, BENCH_RATES_KQPS, BENCH_SEED, run_once
 from repro.experiments import fig9, fig10
-from repro.experiments.fig9 import Fig9Experiment, Fig9Params
-from repro.experiments.fig10 import Fig10Experiment, Fig10Params
-from repro.sweep.runner import clear_shared_cache
 
 
-def test_bench_fig9(benchmark):
-    clear_shared_cache()
-    experiment = Fig9Experiment(
-        Fig9Params(
-            rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
-        )
-    )
-    sweep = run_once(benchmark, experiment.execute).payload
+def test_bench_fig9():
+    sweep = figure_grids.fig9_sweep()
     low = 0
     # NT_No_C6_No_C1E: lowest latency, highest power at low load.
     latencies = {c: sweep.results[c][low].avg_latency for c in fig9.TUNED_CONFIGS}
@@ -35,13 +25,8 @@ def test_bench_fig9(benchmark):
     )
 
 
-def test_bench_fig10(benchmark):
-    experiment = Fig10Experiment(
-        Fig10Params(
-            rates_kqps=BENCH_RATES_KQPS, horizon=BENCH_HORIZON, seed=BENCH_SEED,
-        )
-    )
-    points = run_once(benchmark, experiment.execute).payload
+def test_bench_fig10():
+    points = figure_grids.fig10_points()
     # AW saves power against every tuned config at every rate.
     for p in points:
         for config in fig9.TUNED_CONFIGS:

@@ -1,7 +1,7 @@
-"""Benchmarks regenerating Tables 1-4 and the Sec 2 motivation analysis.
+"""Tables 1-4 and the Sec 2 motivation analysis.
 
-These are analytic (no simulation), so they run at full benchmark
-resolution and double as regression checks on the derived numbers.
+These are analytic (no simulation), so they run at full resolution and
+check the derived numbers.
 """
 
 import pytest
@@ -14,8 +14,8 @@ from repro.experiments.table3 import Table3Experiment
 from repro.experiments.table4 import Table4Experiment
 
 
-def test_bench_table1(benchmark):
-    rows = benchmark(Table1Experiment().analyze).payload
+def test_bench_table1():
+    rows = Table1Experiment().analyze().payload
     names = [row[0] for row in rows]
     assert "C6A (P1)" in names and "C6AE (Pn)" in names
     # C6A shares C1's target residency (its ~100 ns of extra hardware
@@ -24,16 +24,16 @@ def test_bench_table1(benchmark):
     assert by_name["C6A (P1)"][2] == by_name["C1 (P1)"][2]
 
 
-def test_bench_table2(benchmark):
-    rows = benchmark(Table2Experiment().analyze).payload
+def test_bench_table2():
+    rows = Table2Experiment().analyze().payload
     assert len(rows) == 6
     by_name = {row[0]: row for row in rows}
     assert by_name["C6A"][2] == "on"       # PLL stays on
     assert by_name["C6"][2] == "off"
 
 
-def test_bench_table3(benchmark):
-    breakdown = benchmark(Table3Experiment().analyze).payload
+def test_bench_table3():
+    breakdown = Table3Experiment().analyze().payload
     low, high = breakdown.total_power_range("C6A")
     assert low == pytest.approx(0.290, rel=0.03)
     assert high == pytest.approx(0.315, rel=0.03)
@@ -42,24 +42,24 @@ def test_bench_table3(benchmark):
     assert high_e == pytest.approx(0.243, rel=0.03)
 
 
-def test_bench_table4(benchmark):
-    rows = benchmark(Table4Experiment().analyze).payload
+def test_bench_table4():
+    rows = Table4Experiment().analyze().payload
     aw = rows[-1]
     assert aw[0] == "AW (this work)"
     wake_ns = float(aw[4].strip("~ ns"))
     assert wake_ns < 70.0
 
 
-def test_bench_motivation(benchmark):
-    rows = benchmark(MotivationExperiment().analyze).payload
+def test_bench_motivation():
+    rows = MotivationExperiment().analyze().payload
     fractions = [savings for _, _, savings in rows]
     assert fractions[0] == pytest.approx(0.23, abs=0.01)
     assert fractions[1] == pytest.approx(0.41, abs=0.01)
     assert fractions[2] == pytest.approx(0.55, abs=0.01)
 
 
-def test_bench_latency_breakdown(benchmark):
-    report = benchmark(LatencyBreakdownExperiment().analyze).payload
+def test_bench_latency_breakdown():
+    report = LatencyBreakdownExperiment().analyze().payload
     assert report.c6_round_trip == pytest.approx(133e-6, rel=0.01)
     assert report.c6a_round_trip < 100e-9
     assert report.speedup >= 500  # three orders of magnitude

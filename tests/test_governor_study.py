@@ -1,18 +1,20 @@
 """Tests for the governor-ablation experiment."""
 
+import os
+import sys
+
 import pytest
 
-from repro.experiments.governor_study import (
-    GovernorStudyExperiment,
-    GovernorStudyParams,
-)
+sys.path.insert(0, os.path.dirname(__file__))
+
+import figure_grids  # noqa: E402
+
+from repro.experiments.governor_study import GovernorStudyExperiment  # noqa: E402
 
 
 @pytest.fixture(scope="module")
 def points():
-    return GovernorStudyExperiment(
-        GovernorStudyParams(qps=80_000, horizon=0.08, seed=42)
-    ).execute().payload
+    return figure_grids.governor_study_points()
 
 
 def _get(points, config, governor):

@@ -44,16 +44,6 @@ def test_per_event_cost_flat_in_core_count():
     )
 
 
-def test_forty_cores_serve_400kqps():
-    """Many-core scaling end to end: 40 cores at 400 KQPS complete the
-    offered load of a 20 ms window."""
-    node = ServerNode(
-        memcached_workload(), named_configuration("baseline"),
-        qps=400_000, cores=40, horizon=0.02, seed=1,
-    )
-    assert node.run().completed > 5_000
-
-
 def test_package_power_reads_do_no_per_core_work():
     """Reading package_power must not touch the cores at all."""
     node = ServerNode(

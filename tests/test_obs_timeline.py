@@ -173,21 +173,15 @@ class TestOverheadBound:
     def test_probes_on_at_10hz_stays_under_1_5x(self):
         """In-process wall-clock bound on a 100 KQPS node: a loose net
         for a sampler that started doing per-event work."""
-        results = {}
-
         def timed(hz):
             spec = _spec(qps=100_000, telemetry_hz=hz)
             start = time.perf_counter()
-            results[hz] = spec.execute()
+            spec.execute()
             return time.perf_counter() - start
 
         timed(None)  # warm caches out of the measurement
         best_off = min(timed(None) for _ in range(3))
         best_on = min(timed(10.0) for _ in range(3))
-        assert results[None].completed > 3_000
-        assert results[None].timeline is None
-        assert results[10.0].completed > 3_000
-        assert results[10.0].timeline["hz"] == 10.0
         assert best_on < best_off * 1.5, (
             f"10 Hz telemetry cost {best_on / best_off:.2f}x (limit 1.5x)"
         )

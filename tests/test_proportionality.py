@@ -1,9 +1,16 @@
 """Tests for the energy-proportionality analysis."""
 
+import os
+import sys
+
 import pytest
 
-from repro.analytical.proportionality import analyze_curve, compare_curves
-from repro.errors import ConfigurationError
+sys.path.insert(0, os.path.dirname(__file__))
+
+import figure_grids  # noqa: E402
+
+from repro.analytical.proportionality import analyze_curve, compare_curves  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
 
 
 class TestAnalyzeCurve:
@@ -54,14 +61,7 @@ class TestAnalyzeCurve:
 class TestProportionalityExperiment:
     @pytest.fixture(scope="class")
     def comparison(self):
-        from repro.experiments.proportionality import (
-            ProportionalityExperiment,
-            ProportionalityParams,
-        )
-
-        return ProportionalityExperiment(
-            ProportionalityParams(rates_kqps=(10, 100, 400), horizon=0.08)
-        ).execute().payload
+        return figure_grids.proportionality_comparison()
 
     def test_aw_widens_dynamic_range(self, comparison):
         assert (

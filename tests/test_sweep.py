@@ -185,29 +185,6 @@ class TestSweepRunner:
             assert s.residency == p.residency
             assert s.server_latency.p99 == p.server_latency.p99
 
-    def test_parallel_results_match_serial(self, tmp_path):
-        # One grid through every way a sweep is served: simulated
-        # serially, simulated on four workers, from the memo and from
-        # the persistent store with a cold memo.
-        from repro.store import ResultStore
-
-        grid = ScenarioGrid.product(
-            config=["baseline", "AW"], qps=[20_000, 60_000, 100_000],
-            horizon=[0.02], seed=[7],
-        )
-        store = ResultStore(tmp_path, salt="parity")
-        runner = SweepRunner(cache={}, store=store)
-        serial = runner.run_grid(grid)
-        parallel = SweepRunner(executor="process", jobs=4, cache={}).run_grid(grid)
-        memo = runner.run_grid(grid)
-        stored = SweepRunner(cache={}, store=store).run_grid(grid)
-        for results in (serial, parallel, memo, stored):
-            assert len(results) == len(grid)
-            assert all(r.completed > 0 for r in results)
-        for s, p in zip(serial, parallel):
-            assert s.avg_core_power == p.avg_core_power
-            assert s.completed == p.completed
-
     def test_memoisation_shares_points_across_calls(self):
         simulated = []
         runner = SweepRunner(cache={}, progress=lambda d, t, s: simulated.append(s))
