@@ -21,6 +21,8 @@ def main() -> None:
     # 1. The architecture: subsystem models -> derived design point.
     design = AgileWattsDesign()
     print("\n".join(design.summary_lines()))
+    print("\nPMA flow (Fig 6):")
+    print(design.flow.describe())
 
     print("\nDesign verification:")
     for check, ok in design.verify().items():

@@ -1,8 +1,7 @@
 """The paper's analytical models.
 
 - :mod:`~repro.analytical.power_model` — Eq. 2 (baseline average power),
-  Eq. 3 (AW average power with residency rescaling), Eq. 4 (Turbo-mode
-  savings).
+  Eq. 3 (AW average power with residency rescaling).
 - :mod:`~repro.analytical.motivation` — Eq. 1 upper-bound savings (Sec 2).
 - :mod:`~repro.analytical.validation` — Sec 6.3 model-accuracy check.
 - :mod:`~repro.analytical.snoop` — Sec 7.5 snoop-traffic bounds.
@@ -12,7 +11,6 @@
 from repro.analytical.power_model import (
     AgileWattsPowerModel,
     average_power,
-    turbo_mode_savings,
 )
 from repro.analytical.motivation import ideal_savings, motivation_table
 from repro.analytical.validation import ValidationResult, validate_power_model
@@ -29,7 +27,6 @@ from repro.analytical.sensitivity import tornado
 __all__ = [
     "AgileWattsPowerModel",
     "average_power",
-    "turbo_mode_savings",
     "ideal_savings",
     "motivation_table",
     "ValidationResult",

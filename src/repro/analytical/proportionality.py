@@ -75,15 +75,6 @@ def analyze_curve(curve: Sequence[Tuple[float, float]]) -> ProportionalityReport
     )
 
 
-def compare_curves(
-    baseline: Sequence[Tuple[float, float]],
-    agilewatts: Sequence[Tuple[float, float]],
-) -> Tuple[ProportionalityReport, ProportionalityReport]:
-    """Analyse both curves; AW should widen the dynamic range and shrink
-    the proportionality gap."""
-    return analyze_curve(baseline), analyze_curve(agilewatts)
-
-
 def curve_from_results(results: Sequence) -> List[Tuple[float, float]]:
     """Build a (utilisation, per-core power) curve from RunResults,
     sorted by utilisation."""

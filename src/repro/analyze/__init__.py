@@ -49,7 +49,6 @@ Run it as ``repro lint src`` (or programmatically via
 :mod:`repro.analyze.report` for output formats and the CI baseline.
 """
 
-from repro.analyze.conc import run_conc_checks
 from repro.analyze.engine import LintResult, fix_stale_suppressions, run_lint
 from repro.analyze.findings import REPORT_VERSION, Finding
 from repro.analyze.rules import RULES, all_rules, rule_catalog
@@ -72,7 +71,6 @@ __all__ = [
     "compare_to_baseline",
     "fix_stale_suppressions",
     "load_baseline",
-    "run_conc_checks",
     "render_json",
     "render_text",
     "report_from_dict",

@@ -33,7 +33,7 @@ import repro.analyze.det  # noqa: F401  (registration side effect)
 import repro.analyze.fastpath  # noqa: F401  (registration side effect)
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.conc import check_process_boundaries
-from repro.analyze.dead import check_dead_modules
+from repro.analyze.dead import check_dead_modules, check_dead_symbols
 from repro.analyze.speccheck import MANIFEST_PATH, run_project_checks
 from repro.analyze.suppress import (
     _ALLOW,
@@ -177,6 +177,7 @@ def run_lint(
         graph = CallGraph(files)
         findings.extend(check_process_boundaries(graph))
         findings.extend(check_dead_modules(graph))
+        findings.extend(check_dead_symbols(graph))
 
     active, suppressed = apply_suppressions(findings, by_path)
     return LintResult(

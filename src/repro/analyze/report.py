@@ -91,14 +91,9 @@ def load_baseline(path: str = BASELINE_PATH) -> List[Finding]:
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            return report_from_dict(json.load(handle)).findings
+    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         raise ConfigurationError(f"cannot read lint baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("version") != REPORT_VERSION:
-        raise ConfigurationError(
-            f"unsupported baseline version in {path}: {data.get('version')!r}"
-        )
-    return [Finding.from_dict(f) for f in data.get("findings", [])]
 
 
 def compare_to_baseline(

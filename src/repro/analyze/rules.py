@@ -218,13 +218,6 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
 
 
 # -- shared AST helpers ----------------------------------------------------
-def call_name(node: ast.Call) -> Optional[str]:
-    """The called name for ``name(...)`` calls, else None."""
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
 def attribute_chain(node: ast.AST) -> Optional[List[str]]:
     """``a.b.c`` as ``["a", "b", "c"]``; None when the base isn't a Name."""
     parts: List[str] = []

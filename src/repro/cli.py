@@ -293,17 +293,27 @@ def _load_grid_file(path: str) -> ScenarioGrid:
         ReproError: on unreadable/empty/malformed files or invalid specs.
     """
     try:
-        with open(path) as handle:
-            text = handle.read().strip()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read grid file {path}: {exc}") from exc
-    if not text:
+    if not text.strip():
         raise ConfigurationError(f"grid file {path} is empty")
     try:
-        if text.startswith("["):
+        if text.lstrip().startswith("["):
             dicts = json.loads(text)
         else:
-            dicts = [json.loads(line) for line in text.splitlines() if line.strip()]
+            dicts, offset = [], 0
+            for line in text.splitlines(keepends=True):
+                if line.strip():
+                    try:
+                        dicts.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        # Report the position in the file, not in the line.
+                        raise json.JSONDecodeError(
+                            exc.msg, text, offset + exc.pos
+                        ) from None
+                offset += len(line)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"grid file {path} is not valid JSON/JSONL: {exc}") from exc
     if not isinstance(dicts, list) or not all(isinstance(d, dict) for d in dicts):

@@ -34,7 +34,6 @@ from repro.cluster.balancer import (
     RandomBalancer,
     RoundRobinBalancer,
     make_balancer,
-    register_balancer,
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.fanout import FanoutDispatcher
@@ -63,7 +62,6 @@ __all__ = [
     "is_shardable",
     "make_balancer",
     "merge_node_results",
-    "register_balancer",
     "run_shard",
     "run_sharded",
     "shard_ranges",

@@ -219,7 +219,7 @@ class PowerOfDChoicesBalancer(LoadBalancer):
 #: stateful.
 STATELESS_BALANCERS = frozenset({"random", "round_robin"})
 
-#: Balancer factories by name. Extend via :func:`register_balancer`.
+#: Balancer factories by name. Extend by adding an entry.
 BALANCER_FACTORIES: Dict[str, Callable[[], LoadBalancer]] = {
     "random": RandomBalancer,
     "round_robin": RoundRobinBalancer,
@@ -230,11 +230,6 @@ BALANCER_FACTORIES: Dict[str, Callable[[], LoadBalancer]] = {
 #: Import-time snapshot, mirroring the workload/governor registries:
 #: spawn-based worker pools only see factories registered at import time.
 IMPORT_TIME_BALANCER_FACTORIES = dict(BALANCER_FACTORIES)
-
-
-def register_balancer(name: str, factory: Callable[[], LoadBalancer]) -> None:
-    """Register a balancer factory under ``name`` for use in specs."""
-    BALANCER_FACTORIES[name] = factory
 
 
 def make_balancer(name: str) -> LoadBalancer:

@@ -22,7 +22,7 @@ from repro.core.cstates import (
 )
 from repro.core.ufpg import UFPG, UFPGConfig
 from repro.core.ccsm import CCSM, CCSMConfig
-from repro.core.pma_flow import C6AFlow, FlowStep, PMAState
+from repro.core.pma_flow import C6AFlow, FlowStep
 from repro.core.latency import (
     C6LatencyModel,
     C6ALatencyModel,
@@ -44,7 +44,6 @@ __all__ = [
     "CCSMConfig",
     "C6AFlow",
     "FlowStep",
-    "PMAState",
     "C6LatencyModel",
     "C6ALatencyModel",
     "CacheFlushModel",

@@ -20,16 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError
 from repro.power.clock import ADPLL
 from repro.power.pdn import FIVR
 
 from repro.core.ccsm import CCSM, CCSMConfig
 from repro.core.cstates import (
-    C6A_EXTRA_TRANSITION,
     CStateCatalog,
     agilewatts_catalog,
-    skylake_baseline_catalog,
 )
 from repro.core.latency import C6ALatencyModel, C6LatencyModel, transition_speedup
 from repro.core.pma_flow import C6AFlow
@@ -85,12 +82,6 @@ class AgileWattsDesign:
         """fmax degradation from the added power gates (~1%)."""
         return self.ufpg.frequency_penalty
 
-    @property
-    def transition_overhead(self) -> float:
-        """Extra per-transition latency of C6A vs C1 used by the
-        analytical model (Sec 6.2): ~100 ns."""
-        return C6A_EXTRA_TRANSITION
-
     def catalog(self, keep_c6: bool = True) -> CStateCatalog:
         """Build the AW C-state catalog with PPA-derived powers."""
         return agilewatts_catalog(
@@ -98,10 +89,6 @@ class AgileWattsDesign:
             c6ae_power=self.c6ae_power,
             keep_c6=keep_c6,
         )
-
-    def baseline_catalog(self) -> CStateCatalog:
-        """The unmodified Skylake hierarchy, for side-by-side studies."""
-        return skylake_baseline_catalog()
 
     # -- verification ----------------------------------------------------------
     def verify(self) -> Dict[str, bool]:
@@ -131,12 +118,6 @@ class AgileWattsDesign:
             transition_speedup(C6LatencyModel(), C6ALatencyModel(self.flow)) >= 500
         )
         return checks
-
-    def verify_or_raise(self) -> None:
-        """Raise :class:`ConfigurationError` listing any failed checks."""
-        failed = [name for name, ok in self.verify().items() if not ok]
-        if failed:
-            raise ConfigurationError(f"AW design checks failed: {failed}")
 
     # -- reporting ------------------------------------------------------------
     def summary_lines(self) -> List[str]:

@@ -123,14 +123,6 @@ class CCSM:
         """Total CCSM contribution to C6A/C6AE idle power."""
         return self.data_array_sleep_power(rail) + self.ungated_rest_power(rail)
 
-    def snoop_service_power_delta(self) -> float:
-        """Extra power while serving snoops in C6A vs. quiescent C6A.
-
-        Clock-ungating the cache domain (~50 mW, same as the C1 baseline
-        pays) plus the data-array sleep-mode exit (~120 mW): ~170 mW.
-        """
-        return self.config.clock_ungate_power + self.config.sleep_exit_extra_power
-
     @staticmethod
     def _rail_voltage(rail: str) -> float:
         voltages = {"P1": V_P1, "Pn": V_PN}
@@ -154,11 +146,6 @@ class CCSM:
         cache accesses after wake (Sec 5.1.2 performance paragraph).
         """
         return self.config.sleep_exit_cycles
-
-    @property
-    def performance_penalty(self) -> float:
-        """Zero: only the data array sleeps; tags run at nominal voltage."""
-        return 0.0
 
     # -- area -----------------------------------------------------------------
     def area_overhead_range(self) -> Tuple[float, float]:

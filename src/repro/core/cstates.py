@@ -28,7 +28,7 @@ The headline numbers (Table 1)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -150,10 +150,6 @@ class CState:
         if key not in _COMPONENT_STATES:
             raise CStateError(f"no component-state row for {key!r}")
         return _COMPONENT_STATES[key]
-
-    def with_power(self, power_watts: float) -> "CState":
-        """Copy with a different power (used when PPA model refines it)."""
-        return replace(self, power_watts=power_watts)
 
 
 # --- canonical Table 1 constants --------------------------------------------
@@ -342,9 +338,6 @@ class CStateCatalog:
     def shallowest(self) -> CState:
         return self.enabled_idle_states[0]
 
-    def deepest(self) -> CState:
-        return self.enabled_idle_states[-1]
-
     def select(
         self,
         predicted_idle: float,
@@ -425,22 +418,16 @@ def agilewatts_catalog(
     )
 
 
-#: C0 per-core power by frequency point, built once: :func:`active_power`
-#: sits on the per-transition hot path of the server simulation.
+#: C0 per-core power by frequency point (Table 1 + turbo calibration).
 _ACTIVE_POWERS = {
     FrequencyPoint.P1: C0_P1_POWER,
     FrequencyPoint.PN: C0_PN_POWER,
     FrequencyPoint.TURBO: C0_TURBO_POWER,
 }
 
-# The active power is also pinned onto each member as a plain attribute:
+# The active power is pinned onto each member as a plain attribute:
 # ``frequency.active_power_watts`` is a single C-level attribute load,
 # which the per-transition power recomputation in repro.uarch.core uses
 # instead of a dict lookup.
 for _frequency_point, _watts in _ACTIVE_POWERS.items():
     _frequency_point.active_power_watts = _watts
-
-
-def active_power(frequency: FrequencyPoint) -> float:
-    """C0 per-core power at a frequency point (Table 1 + turbo calibration)."""
-    return _ACTIVE_POWERS[frequency]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import PowerModelError
-from repro.power.clock import ADPLL
 from repro.power.retention import CORE_CONTEXT_BYTES
 from repro.units import MHZ, US
 
@@ -186,9 +185,3 @@ def transition_speedup(
     c6 = c6 if c6 is not None else C6LatencyModel()
     c6a = c6a if c6a is not None else C6ALatencyModel()
     return c6.transition_time / c6a.transition_time
-
-
-def pll_relock_saving(adpll: ADPLL = None) -> float:
-    """Exit-latency saving from keeping the ADPLL locked (AW's third idea)."""
-    adpll = adpll if adpll is not None else ADPLL()
-    return adpll.relock_time

@@ -19,18 +19,16 @@ Snoop service (while in C6A):
   b. serve the outstanding snoops;
   c. re-enter sleep-mode and clock-gate.
 
-The FSM is usable both standalone (unit tests drive it step by step) and
-as a latency oracle (``entry_latency`` / ``exit_latency``) for the
-C-state catalog and the server simulator.
+The step tables here are the latency oracle (``entry_latency`` /
+``exit_latency``) for the C-state catalog and the server simulator; the
+snoop-service cost is modelled by :mod:`repro.uarch.coherence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional
 
-from repro.errors import CStateError
 from repro.units import MHZ, cycles_to_seconds
 
 from repro.core.ccsm import CCSM
@@ -38,16 +36,6 @@ from repro.core.ufpg import UFPG
 
 #: PMA controller clock (Sec 5.2 footnote: several hundred MHz, e.g. 500).
 PMA_CLOCK_HZ = 500 * MHZ
-
-
-class PMAState(Enum):
-    """Top-level states of the C6A flow FSM."""
-
-    C0 = "C0"
-    ENTERING = "entering"
-    IDLE = "idle"            # resident in C6A / C6AE
-    SNOOP_SERVICE = "snoop"
-    EXITING = "exiting"
 
 
 @dataclass(frozen=True)
@@ -64,7 +52,7 @@ class FlowStep:
 
 
 class C6AFlow:
-    """The PMA finite-state machine for one core's C6A/C6AE states."""
+    """The PMA flow's steps and latencies for one core's C6A/C6AE states."""
 
     def __init__(
         self,
@@ -75,10 +63,6 @@ class C6AFlow:
         self.ufpg = ufpg if ufpg is not None else UFPG()
         self.ccsm = ccsm if ccsm is not None else CCSM()
         self.enhanced = enhanced  # True => C6AE (adds non-blocking DVFS)
-        self.state = PMAState.C0
-        self.entries = 0
-        self.exits = 0
-        self.snoops_served = 0
 
     # -- step tables ----------------------------------------------------------
     def entry_steps(self) -> List[FlowStep]:
@@ -110,19 +94,6 @@ class C6AFlow:
             FlowStep("6: clock-ungate UFPG domain", cycles=2),
         ]
 
-    def snoop_steps(self) -> List[FlowStep]:
-        """Steps a and c of the snoop flow (b's duration is traffic-bound)."""
-        return [
-            FlowStep(
-                "a: clock-ungate caches and exit sleep-mode",
-                cycles=self.ccsm.sleep_exit_cycles,
-            ),
-            FlowStep(
-                "c: re-enter sleep-mode and clock-gate",
-                cycles=self.ccsm.sleep_enter_cycles,
-            ),
-        ]
-
     # -- latency oracles --------------------------------------------------------
     @property
     def entry_latency(self) -> float:
@@ -142,68 +113,6 @@ class C6AFlow:
     def round_trip_latency(self) -> float:
         """Entry followed by immediate exit: < 100 ns (Sec 5.2)."""
         return self.entry_latency + self.exit_latency
-
-    @property
-    def snoop_wake_latency(self) -> float:
-        """Step a only — the snoop waits just for the sleep-mode exit."""
-        return self.snoop_steps()[0].latency
-
-    # -- FSM operation ------------------------------------------------------------
-    def request_entry(self) -> float:
-        """MWAIT arrived: run steps 1-3. Returns the entry latency.
-
-        Raises:
-            CStateError: if the core is not in C0.
-        """
-        if self.state is not PMAState.C0:
-            raise CStateError(f"cannot enter C6A from {self.state.value}")
-        self.state = PMAState.ENTERING
-        latency = self.entry_latency
-        self.state = PMAState.IDLE
-        self.entries += 1
-        return latency
-
-    def request_exit(self) -> float:
-        """Interrupt arrived: run steps 4-6. Returns the exit latency.
-
-        Raises:
-            CStateError: if the core is not resident in C6A/C6AE.
-        """
-        if self.state is not PMAState.IDLE:
-            raise CStateError(f"cannot exit C6A from {self.state.value}")
-        self.state = PMAState.EXITING
-        latency = self.exit_latency
-        self.state = PMAState.C0
-        self.exits += 1
-        return latency
-
-    def serve_snoops(self, service_time: float) -> float:
-        """A snoop burst arrived while idle: run a-b-c.
-
-        Args:
-            service_time: duration of step b (handling the actual requests).
-
-        Returns:
-            Total time the cache domain is awake.
-
-        Raises:
-            CStateError: if not resident, or service_time negative.
-        """
-        if self.state is not PMAState.IDLE:
-            raise CStateError(f"cannot serve snoops from {self.state.value}")
-        if service_time < 0:
-            raise CStateError("snoop service time must be >= 0")
-        self.state = PMAState.SNOOP_SERVICE
-        total = sum(step.latency for step in self.snoop_steps()) + service_time
-        self.state = PMAState.IDLE
-        self.snoops_served += 1
-        return total
-
-    @property
-    def state_name(self) -> str:
-        if self.state is PMAState.IDLE:
-            return "C6AE" if self.enhanced else "C6A"
-        return self.state.value
 
     def describe(self) -> str:
         """Human-readable flow summary (used by the quickstart example)."""

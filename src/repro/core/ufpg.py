@@ -10,7 +10,6 @@ This module combines the substrate pieces:
 
 - the five-zone staggered power-gate fabric (:mod:`repro.power.powergate`),
 - the in-place retention plan (:mod:`repro.power.retention`),
-- the leakage model (:mod:`repro.power.leakage`),
 
 and exposes the quantities Table 3 reports: residual leakage (~30-50 mW at
 P1, ~18-30 mW at Pn), retention power (~2 mW / ~1 mW) and area overhead
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import PowerModelError
-from repro.power.leakage import LeakageModel
 from repro.power.powergate import UFPG_TO_AVX_AREA_RATIO, ZonedPowerGating
 from repro.power.retention import RetentionPlan
 
@@ -95,12 +93,6 @@ class UFPG:
         self.fabric = ZonedPowerGating(
             zones=config.zones,
             total_relative_area=UFPG_TO_AVX_AREA_RATIO,
-        )
-        # Effectiveness midpoint consistent with the residual band.
-        mid_residual = (config.residual_low + config.residual_high) / 2.0
-        self._leakage = LeakageModel(
-            full_leakage_watts=config.core_leakage_watts,
-            gate_effectiveness=1.0 - mid_residual,
         )
 
     # -- power -------------------------------------------------------------

@@ -22,10 +22,6 @@ A kill is ``os.kill(os.getpid(), SIGKILL)`` — no atexit hooks, no
 flushes, no goodbye — which is exactly what a OOM-kill or a yanked
 node looks like to the rest of the fleet.
 
-Queue-level faults (dropping and corrupting rows) are plain functions
-a test applies directly to the sqlite database between protocol steps;
-they need no process boundary.
-
 Everything here is inert unless explicitly armed: production workers
 run with no ``REPRO_CHAOS_*`` variables set and ``ChaosPlan.from_env``
 returns the do-nothing plan.
@@ -35,11 +31,8 @@ from __future__ import annotations
 
 import os
 import signal
-import sqlite3
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-from repro.distrib.queue import JobQueue
+from typing import Optional
 
 #: Environment variable names (coordinator/test side sets, worker reads).
 ENV_KILL_PHASE = "REPRO_CHAOS_KILL_PHASE"
@@ -118,48 +111,3 @@ class ChaosPlan:
         if claim_index != self.kill_at:
             return
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-# -- queue-level faults (test side, no process boundary needed) ------------
-
-def drop_rows(queue: JobQueue, keys: Iterable[str]) -> int:
-    """Delete queue rows outright, as if the database lost them.
-
-    The coordinator's idempotent re-enqueue pass restores dropped rows
-    from its authoritative spec list. Returns rows deleted.
-    """
-    keys = list(keys)
-    if not keys:
-        return 0
-    conn = sqlite3.connect(str(queue.path), timeout=30.0)
-    try:
-        with conn:
-            cursor = conn.executemany(
-                "DELETE FROM jobs WHERE key = ?", [(k,) for k in keys]
-            )
-            return conn.total_changes
-    finally:
-        conn.close()
-
-
-def corrupt_rows(queue: JobQueue, keys: Iterable[str]) -> int:
-    """Mangle the spec payload of queue rows (torn-write simulation).
-
-    A worker that claims such a row marks it ``failed`` with a
-    ``corrupt`` record; the coordinator's :meth:`JobQueue.heal` pass
-    rewrites the payload from the authoritative spec and requeues.
-    Returns rows corrupted.
-    """
-    keys = list(keys)
-    if not keys:
-        return 0
-    conn = sqlite3.connect(str(queue.path), timeout=30.0)
-    try:
-        with conn:
-            conn.executemany(
-                "UPDATE jobs SET spec = '{\"torn' WHERE key = ?",
-                [(k,) for k in keys],
-            )
-            return conn.total_changes
-    finally:
-        conn.close()

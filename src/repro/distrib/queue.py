@@ -637,15 +637,6 @@ class JobQueue:
         ).fetchall()
         return {key: self._parse_error(key, error) for key, error in rows}
 
-    def has_claimable(self, now: Optional[float] = None) -> bool:
-        """Whether any pending row is past its backoff gate."""
-        now = time.time() if now is None else now
-        rows = self._db.connection().execute(
-            "SELECT 1 FROM jobs WHERE state = ? AND not_before <= ? LIMIT 1",
-            (PENDING, now),
-        ).fetchall()
-        return bool(rows)
-
     def is_drained(self, now: Optional[float] = None) -> bool:
         """True when no work remains for a standalone worker.
 

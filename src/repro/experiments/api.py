@@ -413,11 +413,6 @@ def register_experiment(cls: Type[Experiment]) -> Type[Experiment]:
     return cls
 
 
-def unregister_experiment(experiment_id: str) -> None:
-    """Remove an id from the registry (tests registering throwaways)."""
-    _REGISTRY.pop(experiment_id, None)
-
-
 def experiment_ids() -> List[str]:
     """All registered ids, in registration (reading) order."""
     _ensure_registry_populated()

@@ -81,10 +81,6 @@ class MenuGovernor(IdleGovernor):
         """Current (cautious) idle-duration prediction."""
         return self._ewma * self.caution
 
-    @property
-    def observations(self) -> int:
-        return self._observations
-
     def observe_idle(self, duration: float) -> None:
         if duration < 0:
             raise ConfigurationError(f"idle duration must be >= 0, got {duration}")

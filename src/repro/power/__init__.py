@@ -5,10 +5,10 @@ architecture composes:
 
 - :mod:`~repro.power.leakage` — leakage scaling across technology nodes and
   voltages (Shahidi [99] methodology used in Table 3 footnote gamma).
-- :mod:`~repro.power.pdn` — FIVR / MBVR / LDO power-delivery models with
+- :mod:`~repro.power.pdn` — the FIVR power-delivery model with
   conversion-efficiency and static losses.
-- :mod:`~repro.power.clock` — ADPLL and clock-distribution network, with
-  clock gating and relock latency.
+- :mod:`~repro.power.clock` — the ADPLL, its locked power and relock
+  latency.
 - :mod:`~repro.power.powergate` — power-gate switch fabrics, daisy-chained
   staggered wake-up and multi-zone controllers (Fig 2, Sec 5.3).
 - :mod:`~repro.power.retention` — context-retention structures: ungated
@@ -16,12 +16,11 @@ architecture composes:
 """
 
 from repro.power.leakage import (
-    LeakageModel,
     scale_leakage_power,
     sleep_transistor_efficiency,
 )
-from repro.power.pdn import FIVR, LDO, MBVR, VoltageRegulator
-from repro.power.clock import ADPLL, ClockDistribution
+from repro.power.pdn import FIVR, VoltageRegulator
+from repro.power.clock import ADPLL
 from repro.power.powergate import PowerGate, StaggeredWakeupController, ZonedPowerGating
 from repro.power.retention import (
     RetentionPlan,
@@ -31,15 +30,11 @@ from repro.power.retention import (
 )
 
 __all__ = [
-    "LeakageModel",
     "scale_leakage_power",
     "sleep_transistor_efficiency",
     "FIVR",
-    "LDO",
-    "MBVR",
     "VoltageRegulator",
     "ADPLL",
-    "ClockDistribution",
     "PowerGate",
     "StaggeredWakeupController",
     "ZonedPowerGating",

@@ -1,4 +1,4 @@
-"""Clock generation and distribution models.
+"""Clock generation: the ADPLL.
 
 Two facts from the paper drive AW's third idea (keep the PLL on):
 
@@ -14,7 +14,7 @@ cycles in an optimized clock distribution system (Sec 5.2.1, [105, 106]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PowerModelError
 from repro.units import MILLIWATT, US
@@ -41,77 +41,7 @@ class ADPLL:
         if self.relock_time < 0:
             raise PowerModelError("ADPLL relock time must be >= 0")
 
-    def power_off(self) -> None:
-        """Shut the PLL down (C6 behaviour). Loses lock."""
-        self.powered = False
-        self.locked = False
-
-    def power_on(self) -> float:
-        """Power the PLL back up; returns the relock latency incurred.
-
-        If the PLL was already locked (AW keeps it on), the cost is zero —
-        this asymmetry is exactly the microseconds AW shaves off.
-        """
-        if self.powered and self.locked:
-            return 0.0
-        self.powered = True
-        self.locked = True
-        return self.relock_time
-
     @property
     def idle_power(self) -> float:
         """Power drawn right now (0 when off)."""
         return self.power_watts if self.powered else 0.0
-
-
-@dataclass
-class ClockDistribution:
-    """Core clock-distribution network with per-domain clock gates.
-
-    Domains are gated independently (UFPG domain vs L1/L2 domain in the
-    C6A flow). Gating/ungating costs ``gate_cycles`` controller cycles.
-    """
-
-    domains: tuple = ("ufpg", "caches")
-    gate_cycles: int = 2
-    _gated: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.gate_cycles < 1:
-            raise PowerModelError("clock gate latency is at least one cycle")
-        for domain in self.domains:
-            self._gated.setdefault(domain, False)
-
-    def _check(self, domain: str) -> None:
-        if domain not in self._gated:
-            raise PowerModelError(
-                f"unknown clock domain {domain!r}; have {sorted(self._gated)}"
-            )
-
-    def gate(self, domain: str) -> int:
-        """Clock-gate a domain; returns controller cycles spent."""
-        self._check(domain)
-        if self._gated[domain]:
-            return 0
-        self._gated[domain] = True
-        return self.gate_cycles
-
-    def ungate(self, domain: str) -> int:
-        """Clock-ungate a domain; returns controller cycles spent."""
-        self._check(domain)
-        if not self._gated[domain]:
-            return 0
-        self._gated[domain] = False
-        return self.gate_cycles
-
-    def is_gated(self, domain: str) -> bool:
-        self._check(domain)
-        return self._gated[domain]
-
-    @property
-    def all_gated(self) -> bool:
-        return all(self._gated.values())
-
-    @property
-    def all_running(self) -> bool:
-        return not any(self._gated.values())

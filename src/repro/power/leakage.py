@@ -15,7 +15,6 @@ voltage *increases* its efficiency and lowers the leakage it passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import PowerModelError
@@ -90,57 +89,3 @@ def sleep_transistor_efficiency(v_in: float, v_out: float) -> float:
     if v_out > v_in:
         raise PowerModelError(f"v_out {v_out} cannot exceed v_in {v_in}")
     return v_out / v_in
-
-
-@dataclass(frozen=True)
-class LeakageModel:
-    """Leakage of a logic/SRAM block with optional power gating / sleep mode.
-
-    Attributes:
-        full_leakage_watts: leakage of the block at nominal voltage with no
-            mitigation (for a whole Skylake core this is approximately the
-            C1 power, since C1 removes only dynamic power).
-        gate_effectiveness: fraction of leakage a power gate eliminates
-            (the paper cites 95-97%; residual 3-5% remains).
-    """
-
-    full_leakage_watts: float
-    gate_effectiveness: float = 0.96
-
-    def __post_init__(self) -> None:
-        if self.full_leakage_watts < 0:
-            raise PowerModelError("full_leakage_watts must be >= 0")
-        if not 0.0 <= self.gate_effectiveness <= 1.0:
-            raise PowerModelError("gate_effectiveness must be in [0, 1]")
-
-    def gated_residual(self, gated_fraction: float = 1.0) -> float:
-        """Residual leakage when ``gated_fraction`` of the block is gated.
-
-        The ungated remainder keeps leaking fully. Paper Sec 5.1.1 applies
-        this with gated_fraction = 0.70 (UFPG covers ~70% of core leakage).
-        """
-        if not 0.0 <= gated_fraction <= 1.0:
-            raise PowerModelError("gated_fraction must be in [0, 1]")
-        gated = self.full_leakage_watts * gated_fraction
-        ungated = self.full_leakage_watts * (1.0 - gated_fraction)
-        return gated * (1.0 - self.gate_effectiveness) + ungated
-
-    def residual_of_gated_region(self, gated_fraction: float) -> float:
-        """Residual leakage of *only* the gated region (excludes remainder)."""
-        if not 0.0 <= gated_fraction <= 1.0:
-            raise PowerModelError("gated_fraction must be in [0, 1]")
-        return (
-            self.full_leakage_watts * gated_fraction * (1.0 - self.gate_effectiveness)
-        )
-
-    def at_voltage(self, v_nominal: float, v_actual: float) -> "LeakageModel":
-        """Leakage rescaled for a different rail voltage.
-
-        Subthreshold leakage is super-linear in V; we use the quadratic
-        approximation common in architecture-level models, which is also
-        consistent with the paper's C6A (P1) -> C6AE (Pn) reductions.
-        """
-        if v_nominal <= 0 or v_actual <= 0:
-            raise PowerModelError("voltages must be positive")
-        ratio = (v_actual / v_nominal) ** 2
-        return LeakageModel(self.full_leakage_watts * ratio, self.gate_effectiveness)

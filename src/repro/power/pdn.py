@@ -52,10 +52,6 @@ class VoltageRegulator:
             raise PowerModelError("delivered power must be >= 0")
         return delivered_watts * (1.0 / self.efficiency - 1.0)
 
-    def input_power(self, delivered_watts: float) -> float:
-        """Total power drawn from the input rail, including static loss."""
-        return delivered_watts + self.conversion_loss(delivered_watts) + self.static_loss_watts
-
 
 class FIVR(VoltageRegulator):
     """Skylake-style fully-integrated per-core voltage regulator.
@@ -70,30 +66,3 @@ class FIVR(VoltageRegulator):
         static_loss_watts: float = 100 * MILLIWATT,
     ):
         super().__init__("FIVR", efficiency, static_loss_watts)
-
-
-class MBVR(VoltageRegulator):
-    """Motherboard voltage regulator: higher efficiency, off-die static cost.
-
-    MBVR static losses are board-level and not attributed per-core, hence
-    static_loss defaults to 0 here; efficiency ~90% at light load.
-    """
-
-    def __init__(self, efficiency: float = 0.90):
-        super().__init__("MBVR", efficiency, 0.0)
-
-
-class LDO(VoltageRegulator):
-    """Low-dropout regulator: efficiency equals Vout/Vin.
-
-    The same physics the sleep transistors exploit (Sec 5.1.2).
-    """
-
-    def __init__(self, v_in: float, v_out: float):
-        if v_in <= 0 or v_out <= 0:
-            raise PowerModelError("LDO voltages must be positive")
-        if v_out > v_in:
-            raise PowerModelError(f"LDO v_out {v_out} cannot exceed v_in {v_in}")
-        super().__init__("LDO", v_out / v_in, 0.0)
-        object.__setattr__(self, "v_in", v_in)
-        object.__setattr__(self, "v_out", v_out)

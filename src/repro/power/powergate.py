@@ -14,7 +14,7 @@ sequentially, for a total of < 70 ns (4.5 x 15 ns = 67.5 ns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import PowerModelError
@@ -63,12 +63,6 @@ class PowerGate:
         """
         return self.relative_area <= reference_area + 1e-12
 
-    def residual_leakage(self, region_leakage_watts: float) -> float:
-        """Leakage that survives gating this region."""
-        if region_leakage_watts < 0:
-            raise PowerModelError("region leakage must be >= 0")
-        return region_leakage_watts * (1.0 - self.gate_effectiveness)
-
 
 @dataclass
 class StaggeredWakeupController:
@@ -81,7 +75,6 @@ class StaggeredWakeupController:
 
     gates: Sequence[PowerGate]
     gated: bool = True
-    _wake_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.gates:
@@ -114,13 +107,7 @@ class StaggeredWakeupController:
         if not self.gated:
             return 0.0
         self.gated = False
-        self._wake_count += 1
         return self.wake_latency
-
-    @property
-    def wake_count(self) -> int:
-        """Number of completed wake sequences (for transition accounting)."""
-        return self._wake_count
 
     def max_in_rush_area(self) -> float:
         """Largest single region woken at once — the in-rush figure of merit."""

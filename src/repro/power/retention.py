@@ -21,7 +21,7 @@ restore = the reverse (1 cycle after power-good). No serialisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.errors import PowerModelError
 from repro.units import KB, MILLIWATT
@@ -223,14 +223,3 @@ class RetentionPlan:
     def restore_cycles(self) -> int:
         """Controller cycles to restore all context (max across structures)."""
         return max(s.restore_cycles for s in self.structures)
-
-    def area_overhead_report(self) -> Dict[str, float]:
-        """Per-structure area overhead fractions, for the Table 3 rows."""
-        return {s.name: s.area_overhead_fraction for s in self.structures}
-
-    def by_technique(self) -> Dict[str, List[str]]:
-        """Group structure names by retention technique."""
-        groups: Dict[str, List[str]] = {}
-        for s in self.structures:
-            groups.setdefault(type(s).__name__, []).append(s.name)
-        return groups

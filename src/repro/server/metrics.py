@@ -102,9 +102,6 @@ class RunResult:
         """C0 residency — the fraction of core-time doing work."""
         return self.residency.get("C0", 0.0)
 
-    def residency_of(self, name: str) -> float:
-        return self.residency.get(name, 0.0)
-
     # -- structured output --------------------------------------------------
     # -- perf counters ------------------------------------------------------
     @property
@@ -184,15 +181,3 @@ def compare_power(baseline: RunResult, other: RunResult) -> float:
     if baseline.avg_core_power <= 0:
         return 0.0
     return (baseline.avg_core_power - other.avg_core_power) / baseline.avg_core_power
-
-
-def compare_latency(baseline: RunResult, other: RunResult, tail: bool = False) -> float:
-    """Fractional latency reduction of ``other`` vs baseline (server side).
-
-    Positive means ``other`` is faster.
-    """
-    base = baseline.tail_latency if tail else baseline.avg_latency
-    new = other.tail_latency if tail else other.avg_latency
-    if base <= 0:
-        return 0.0
-    return (base - new) / base

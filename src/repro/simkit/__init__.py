@@ -5,40 +5,31 @@
 - :class:`~repro.simkit.engine.Simulator` — the event loop and clock.
 - :mod:`~repro.simkit.distributions` — seeded random variates for load
   generators and service-time models.
-- :mod:`~repro.simkit.stats` — online statistics (mean/variance,
+- :mod:`~repro.simkit.stats` — online statistics (means,
   percentiles, histograms) used for latency and power reporting.
 - :mod:`~repro.simkit.trace` — optional event tracing.
 """
 
 from repro.simkit.engine import Event, Simulator
 from repro.simkit.distributions import (
-    Degenerate,
-    EmpiricalDistribution,
     Exponential,
     LogNormal,
     MixtureDistribution,
     Pareto,
-    Uniform,
-    make_distribution,
 )
 from repro.simkit.sketch import DDSketch
-from repro.simkit.stats import Histogram, OnlineStats, PercentileTracker
+from repro.simkit.stats import Histogram, PercentileTracker
 from repro.simkit.trace import TraceRecorder
 
 __all__ = [
     "Event",
     "Simulator",
-    "Degenerate",
-    "EmpiricalDistribution",
     "Exponential",
     "LogNormal",
     "MixtureDistribution",
     "Pareto",
-    "Uniform",
-    "make_distribution",
     "DDSketch",
     "Histogram",
-    "OnlineStats",
     "PercentileTracker",
     "TraceRecorder",
 ]

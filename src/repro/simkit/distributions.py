@@ -25,7 +25,7 @@ import random
 from functools import partial
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -52,31 +52,6 @@ class Distribution:
     @property
     def mean(self) -> float:
         raise NotImplementedError
-
-    def sample_many(self, n: int) -> List[float]:
-        """Draw ``n`` variates (convenience for vector consumers)."""
-        if n < 0:
-            raise ConfigurationError(f"cannot draw {n} samples")
-        return [self.sample() for _ in range(n)]
-
-
-class Degenerate(Distribution):
-    """A constant: always returns ``value``. Useful for deterministic tests."""
-
-    def __init__(self, value: float):
-        if value < 0:
-            raise ConfigurationError(f"degenerate value must be >= 0, got {value}")
-        self._value = float(value)
-
-    def sample(self) -> float:
-        return self._value
-
-    @property
-    def mean(self) -> float:
-        return self._value
-
-    def __repr__(self) -> str:
-        return f"Degenerate({self._value})"
 
 
 class Exponential(Distribution):
@@ -105,30 +80,6 @@ class Exponential(Distribution):
 
     def __repr__(self) -> str:
         return f"Exponential(mean={self._mean})"
-
-
-class Uniform(Distribution):
-    """Uniform on [low, high)."""
-
-    def __init__(self, low: float, high: float, seed: int = 0):
-        if not 0 <= low <= high:
-            raise ConfigurationError(f"need 0 <= low <= high, got [{low}, {high})")
-        self._low = float(low)
-        self._high = float(high)
-        self._rng = random.Random(seed)
-
-    def sample(self) -> float:
-        return self._rng.uniform(self._low, self._high)
-
-    def sampler(self) -> Callable[[], float]:
-        return partial(self._rng.uniform, self._low, self._high)
-
-    @property
-    def mean(self) -> float:
-        return (self._low + self._high) / 2.0
-
-    def __repr__(self) -> str:
-        return f"Uniform({self._low}, {self._high})"
 
 
 class LogNormal(Distribution):
@@ -225,29 +176,6 @@ class Pareto(Distribution):
         return f"Pareto(mean={self._mean}, alpha={self._alpha})"
 
 
-class EmpiricalDistribution(Distribution):
-    """Samples from a fixed list of observations with replacement."""
-
-    def __init__(self, observations: Sequence[float], seed: int = 0):
-        if not observations:
-            raise ConfigurationError("empirical distribution needs observations")
-        if any(x < 0 for x in observations):
-            raise ConfigurationError("observations must be non-negative")
-        self._observations = [float(x) for x in observations]
-        self._rng = random.Random(seed)
-        self._mean = sum(self._observations) / len(self._observations)
-
-    def sample(self) -> float:
-        return self._rng.choice(self._observations)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def __repr__(self) -> str:
-        return f"EmpiricalDistribution(n={len(self._observations)})"
-
-
 class MixtureDistribution(Distribution):
     """Weighted mixture of distributions (e.g. GET/SET request mix)."""
 
@@ -280,29 +208,3 @@ class MixtureDistribution(Distribution):
 
     def __repr__(self) -> str:
         return f"MixtureDistribution(k={len(self._dists)})"
-
-
-_FACTORIES: Dict[str, type] = {
-    "degenerate": Degenerate,
-    "exponential": Exponential,
-    "uniform": Uniform,
-    "lognormal": LogNormal,
-    "pareto": Pareto,
-}
-
-
-def make_distribution(kind: str, **kwargs) -> Distribution:
-    """Build a distribution from a name; used by config-file driven runs.
-
-    Example:
-        >>> d = make_distribution("exponential", mean=2.0, seed=7)
-        >>> d.mean
-        2.0
-    """
-    try:
-        factory = _FACTORIES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown distribution {kind!r}; choose from {sorted(_FACTORIES)}"
-        ) from None
-    return factory(**kwargs)

@@ -123,16 +123,11 @@ class Simulator:
         return self._events_processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._queue)
-
-    @property
     def peak_pending_events(self) -> int:
         """High-water mark of the event heap over the simulation's lifetime.
 
         Memory pressure in long runs is governed by this, not by the
-        instantaneous :attr:`pending_events`; streaming event sources keep
+        instantaneous heap length; streaming event sources keep
         it O(actors) instead of O(total events).
         """
         return self._peak_pending

@@ -133,25 +133,9 @@ class DDSketch:
         return self._sum
 
     @property
-    def minimum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations")
-        return self._max
-
-    @property
     def mean(self) -> float:
         """Exact mean (sum and count carry no sketch error)."""
         return self._sum / self._count if self._count else 0.0
-
-    @property
-    def num_bins(self) -> int:
-        return len(self._bins)
 
     def quantile(self, q: float) -> float:
         """Value at quantile ``q`` in [0, 1], within the relative error.
@@ -186,27 +170,6 @@ class DDSketch:
                 estimate = 2.0 * gamma ** index / (gamma + 1.0)
                 return min(max(estimate, self._min), self._max)
         return self._max  # pragma: no cover - rank <= count-1 always lands
-
-    def fraction_above(self, threshold: float) -> float:
-        """Approximate fraction of observations strictly above ``threshold``.
-
-        Buckets entirely above the threshold's bucket count fully; the
-        threshold's own bucket counts as not-above (values there are
-        within ``alpha`` of the threshold either way).
-        """
-        if self._count == 0:
-            return 0.0
-        if threshold < 0.0:
-            return 1.0
-        if threshold < MIN_TRACKABLE:
-            above = self._count - self._zero_count
-        else:
-            boundary = math.ceil(math.log(threshold) * self._multiplier)
-            # repro: allow[DET005] integer bucket counts: exact, order-independent addition
-            above = sum(
-                count for index, count in self._bins.items() if index > boundary
-            )
-        return above / self._count
 
     # -- merging -----------------------------------------------------------
     def merge(self, other: "DDSketch") -> "DDSketch":

@@ -1,8 +1,7 @@
 """Online statistics used for latency and power reporting.
 
 The evaluation reports average and tail (p99) request latency and average
-power. :class:`OnlineStats` keeps numerically-stable running moments
-(Welford), :class:`PercentileTracker` tracks percentiles — exactly by
+power. :class:`PercentileTracker` tracks percentiles — exactly by
 default (all samples kept; simulations up to a few million samples are
 affordable and avoid quantile-sketch error in the reproduction), or via
 a bounded-memory mergeable :class:`~repro.simkit.sketch.DDSketch` when
@@ -14,79 +13,10 @@ fixed-bin summaries for traces.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.simkit.sketch import DDSketch
-
-
-class OnlineStats:
-    """Streaming mean/variance/min/max via Welford's algorithm."""
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Record one observation."""
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    def add_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        """Mean of observations; 0.0 if empty (convenient for reports)."""
-        return self._mean if self._n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0.0 with < 2 observations."""
-        if self._n < 2:
-            return 0.0
-        return self._m2 / (self._n - 1)
-
-    @property
-    def minimum(self) -> float:
-        if self._n == 0:
-            raise ValueError("no observations")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._n == 0:
-            raise ValueError("no observations")
-        return self._max
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new OnlineStats equivalent to seeing both streams."""
-        merged = OnlineStats()
-        n = self._n + other._n
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._n = n
-        merged._mean = self._mean + delta * other._n / n
-        merged._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
 
 
 class PercentileTracker:
@@ -304,14 +234,6 @@ class PercentileTracker:
         return [self.percentile(p) for p in ps]
 
     @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95)
-
-    @property
     def p99(self) -> float:
         return self.percentile(99)
 
@@ -319,19 +241,6 @@ class PercentileTracker:
     def p999(self) -> float:
         """p99.9 — the deep-tail view fan-out amplification dominates."""
         return self.percentile(99.9)
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples strictly above ``threshold`` (exact mode);
-        approximate within the bucket resolution in sketch mode."""
-        if self._sketch is not None:
-            return self._sketch.fraction_above(threshold)
-        if not self._sorted:
-            return 0.0
-        idx = bisect_left(self._sorted, threshold)
-        # advance past equal values
-        while idx < len(self._sorted) and self._sorted[idx] == threshold:
-            idx += 1
-        return (len(self._sorted) - idx) / len(self._sorted)
 
 
 class Histogram:
@@ -372,22 +281,8 @@ class Histogram:
         return list(self._counts)
 
     @property
-    def underflow(self) -> int:
-        return self._underflow
-
-    @property
     def overflow(self) -> int:
         return self._overflow
-
-    def bin_edges(self) -> List[float]:
-        return [self._low + i * self._width for i in range(self._bins + 1)]
-
-    def mode_bin(self) -> Optional[int]:
-        """Index of the most populated bin, or None if empty."""
-        if self._total == self._underflow + self._overflow:
-            return None
-        best = max(range(self._bins), key=lambda i: self._counts[i])
-        return best
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:

@@ -12,7 +12,7 @@ Cluster plumbing: a shared recorder is handed to each node wrapped in a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 
 
 class TraceEvent(NamedTuple):
@@ -91,13 +91,6 @@ class TraceRecorder:
                 continue
             out.append(event)
         return out
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Histogram of event kinds; handy for assertions in tests."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def clear(self) -> None:
         self._events.clear()

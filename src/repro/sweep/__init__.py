@@ -25,9 +25,6 @@ from repro.sweep.spec import (
     WORKLOAD_FACTORIES,
     ScenarioGrid,
     ScenarioSpec,
-    register_balancer,
-    register_governor,
-    register_workload,
 )
 from repro.sweep.progress import ProgressRenderer
 from repro.sweep.runner import (
@@ -43,7 +40,6 @@ from repro.sweep.runner import (
     failure_record,
     result_record,
     set_default_runner,
-    shared_cache_size,
 )
 
 __all__ = [
@@ -60,12 +56,8 @@ __all__ = [
     "set_default_runner",
     "configure_default_runner",
     "clear_shared_cache",
-    "shared_cache_size",
     "result_record",
     "failure_record",
-    "register_workload",
-    "register_governor",
-    "register_balancer",
     "WORKLOAD_FACTORIES",
     "GOVERNOR_FACTORIES",
 ]

@@ -97,10 +97,6 @@ def clear_shared_cache() -> None:
     _SHARED_CACHE.clear()
 
 
-def shared_cache_size() -> int:
-    return len(_SHARED_CACHE)
-
-
 def _execute_spec_dict(
     data: Dict[str, object], node_range: Optional[Tuple[int, int]] = None
 ) -> object:

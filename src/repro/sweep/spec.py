@@ -37,7 +37,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -46,10 +45,7 @@ from typing import (
     cast,
 )
 
-from repro.cluster.balancer import (
-    BALANCER_FACTORIES,
-    register_balancer,  # noqa: F401  (re-exported via repro.sweep)
-)
+from repro.cluster.balancer import BALANCER_FACTORIES
 from repro.errors import ConfigurationError
 from repro.governor.idle import FixedGovernor, MenuGovernor, ReplayOracleGovernor
 from repro.server.config import (
@@ -73,14 +69,14 @@ DEFAULT_CORES = 10
 DEFAULT_SEED = 42
 
 #: Workload factories by name. Factories return *fresh* instances so each
-#: run gets independent RNG streams. Extend via :func:`register_workload`.
+#: run gets independent RNG streams. Extend by adding an entry.
 WORKLOAD_FACTORIES: Dict[str, Callable[[], Workload]] = {
     "memcached": memcached_workload,
     "kafka": kafka_workload,
     "mysql": mysql_workload,
 }
 
-#: Governor factories by name. Extend via :func:`register_governor`.
+#: Governor factories by name. Extend by adding an entry.
 #: Note: worker processes only see factories registered at import time of
 #: this module (or of modules they import), not ad-hoc ``__main__`` ones.
 GOVERNOR_FACTORIES: Dict[str, Callable[[], object]] = {
@@ -89,13 +85,13 @@ GOVERNOR_FACTORIES: Dict[str, Callable[[], object]] = {
     "oracle": ReplayOracleGovernor,
 }
 
-#: Factories guaranteed to exist in *worker* processes: anything
-#: registered (or overridden) after import via
-#: register_workload/register_governor lives only in the registering
-#: process unless workers are forked from it. The process executor checks
-#: specs against these snapshots — by name *and* factory identity, so
-#: overriding a built-in name is caught too — before submitting when the
-#: multiprocessing start method does not inherit parent memory.
+#: Factories guaranteed to exist in *worker* processes: anything added
+#: to (or overridden in) these dicts after import lives only in the
+#: registering process unless workers are forked from it. The process
+#: executor checks specs against these snapshots — by name *and* factory
+#: identity, so overriding a built-in name is caught too — before
+#: submitting when the multiprocessing start method does not inherit
+#: parent memory.
 IMPORT_TIME_WORKLOAD_FACTORIES = dict(WORKLOAD_FACTORIES)
 IMPORT_TIME_GOVERNOR_FACTORIES = dict(GOVERNOR_FACTORIES)
 IMPORT_TIME_WORKLOADS = frozenset(IMPORT_TIME_WORKLOAD_FACTORIES)
@@ -107,16 +103,6 @@ IMPORT_TIME_GOVERNORS = frozenset(IMPORT_TIME_GOVERNOR_FACTORIES)
 #: streams are independent. Node 0 always uses the factory default, which
 #: keeps one-node clusters bit-identical to standalone runs.
 WORKLOAD_NODE_SEED_STRIDE = 104_729
-
-
-def register_workload(name: str, factory: Callable[[], Workload]) -> None:
-    """Register a workload factory under ``name`` for use in specs."""
-    WORKLOAD_FACTORIES[name] = factory
-
-
-def register_governor(name: str, factory: Callable[[], object]) -> None:
-    """Register an idle-governor factory under ``name`` for use in specs."""
-    GOVERNOR_FACTORIES[name] = factory
 
 
 #: Canonical cache-key type: a flat tuple of hashable scalars.
@@ -574,9 +560,6 @@ class ScenarioGrid:
     @classmethod
     def from_dicts(cls, dicts: Sequence[Dict[str, Any]]) -> "ScenarioGrid":
         return cls([ScenarioSpec.from_dict(d) for d in dicts])
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [spec.to_dict() for spec in self._specs]
 
     # -- collection protocol ----------------------------------------------
     def __iter__(self) -> Iterator[ScenarioSpec]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.ccsm import CCSM
 from repro.errors import ConfigurationError
 from repro.simkit.distributions import Distribution, Exponential
 from repro.units import MILLIWATT, US
@@ -43,15 +42,6 @@ class SnoopModel:
             raise ConfigurationError("snoop service time must be >= 0")
         if self.c1_power_delta < 0 or self.c6a_power_delta < 0:
             raise ConfigurationError("snoop power deltas must be >= 0")
-
-    @classmethod
-    def from_ccsm(cls, ccsm: CCSM, service_time: float = 0.2 * US) -> "SnoopModel":
-        """Derive the C6A delta from the CCSM model's components."""
-        return cls(
-            service_time=service_time,
-            c1_power_delta=ccsm.config.clock_ungate_power,
-            c6a_power_delta=ccsm.snoop_service_power_delta(),
-        )
 
     def power_delta_for(self, state_name: str) -> float:
         """Extra power while serving snoops in the given idle state.
@@ -90,8 +80,3 @@ class SnoopTrafficGenerator:
         if self._interarrival is None:
             return None
         return self._interarrival.sample()
-
-    def expected_duty_cycle(self, model: SnoopModel) -> float:
-        """Fraction of time the cache domain is awake serving snoops."""
-        duty = self.rate_hz * model.service_time
-        return min(duty, 1.0)

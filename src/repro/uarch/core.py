@@ -36,7 +36,6 @@ POWER_SCALE = 2.0 ** 80
 INV_POWER_SCALE = 2.0 ** -80
 
 
-
 @dataclass
 class CoreStats:
     """Snapshot of a core's accumulated counters.
@@ -53,24 +52,12 @@ class CoreStats:
     energy_joules: float
     wall_seconds: float
 
-    def residency_fraction(self, name: str) -> float:
-        """Fraction of wall time in state ``name`` (RCi of Eq. 2)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.residency_seconds.get(name, 0.0) / self.wall_seconds
-
     @property
     def average_power(self) -> float:
         """Average power over the span (RAPL-style)."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.energy_joules / self.wall_seconds
-
-    def residency_table(self) -> Dict[str, float]:
-        """All residency fractions, normalised. Sums to ~1."""
-        return {
-            name: self.residency_fraction(name) for name in self.residency_seconds
-        }
 
 
 class Core:

@@ -290,9 +290,8 @@ class Package:
         (:class:`repro.obs.timeline.TimelineSampler`) pulls on every
         probe tick: instantaneous powers from the O(1) incremental
         accumulator plus integrated core energy via
-        :meth:`energy_joules`. Never closes core accounting (unlike
-        :meth:`average_package_power`), so sampling mid-run cannot
-        perturb the simulation's observables.
+        :meth:`energy_joules`. Never closes core accounting, so sampling
+        mid-run cannot perturb the simulation's observables.
         """
         return (self.package_power, self.core_power, self.energy_joules(time))
 
@@ -311,20 +310,3 @@ class Package:
         return (
             self._core_power_int * INV_POWER_SCALE + self._uncore
         ) * self._sockets
-
-    def average_package_power(self, time: float) -> float:
-        """Average package power over each core's observed span.
-
-        Uses core energy counters (closing them at ``time``), so call this
-        once at the end of a run.
-        """
-        total_core = 0.0
-        span = None
-        for core in self.cores:
-            stats = core.snapshot(time)
-            total_core += stats.energy_joules
-            span = stats.wall_seconds if span is None else span
-        if not span or span <= 0:
-            raise ConfigurationError("cannot average power over empty span")
-        avg_cores = total_core / span
-        return (avg_cores + self.config.uncore_watts) * self.config.sockets

@@ -99,11 +99,6 @@ class TurboBudget:
         self._time = time
         self._package_power = package_power
 
-    @property
-    def level_fraction(self) -> float:
-        """Current headroom as a fraction of the tank."""
-        return self._level / self.config.tank_joules
-
     # -- grants ------------------------------------------------------------------
     def frequency_for_burst(self, time: float, package_power: float) -> FrequencyPoint:
         """Frequency granted to a core starting a busy period now.
@@ -119,14 +114,6 @@ class TurboBudget:
             return FrequencyPoint.TURBO
         self._denials += 1
         return FrequencyPoint.P1
-
-    @property
-    def grants(self) -> int:
-        return self._grants
-
-    @property
-    def denials(self) -> int:
-        return self._denials
 
     @property
     def grant_rate(self) -> float:

@@ -55,11 +55,6 @@ def watts_to_mw(value: float) -> float:
     return value / MILLIWATT
 
 
-def joules_to_kwh(value: float) -> float:
-    """Convert joules to kilowatt-hours."""
-    return value / KWH
-
-
 def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
     """Duration of ``cycles`` clock cycles at ``frequency_hz``.
 

@@ -131,28 +131,10 @@ class ServiceTimeModel:
         """
         return self._sample(frequency, frequency_derate)
 
-    def mean_at(
-        self,
-        frequency: FrequencyPoint = None,
-        frequency_derate: float = 0.0,
-    ) -> float:
-        """Analytic mean service time at an operating point."""
-        if not 0.0 <= frequency_derate < 1.0:
-            raise WorkloadError(f"derate must be in [0, 1), got {frequency_derate}")
-        frequency = frequency or self.base_frequency
-        effective_hz = frequency.frequency_hz * (1.0 - frequency_derate)
-        ratio = self.base_frequency.frequency_hz / effective_hz
-        return self.scalable.mean * ratio + self.fixed.mean
-
     @property
     def mean(self) -> float:
         """Mean service time at base frequency."""
         return self.scalable.mean + self.fixed.mean
-
-    @property
-    def scalable_fraction(self) -> float:
-        """Share of mean service time that scales with frequency."""
-        return self.scalable.mean / self.mean
 
     def frequency_scalability(
         self,

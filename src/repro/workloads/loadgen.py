@@ -31,10 +31,6 @@ class LoadGenerator:
         """
         raise NotImplementedError
 
-    @property
-    def rate_qps(self) -> float:
-        raise NotImplementedError
-
 
 class ArrivalStream:
     """Streams a load generator's arrivals through a simulator lazily.
@@ -124,12 +120,7 @@ class OpenLoopPoisson(LoadGenerator):
     def __init__(self, qps: float, seed: int = 1):
         if qps <= 0:
             raise WorkloadError(f"qps must be positive, got {qps}")
-        self._qps = qps
         self._interarrival = Exponential(1.0 / qps, seed=seed)
-
-    @property
-    def rate_qps(self) -> float:
-        return self._qps
 
     def arrivals(self, horizon: float) -> Iterator[float]:
         if horizon <= 0:
@@ -173,17 +164,12 @@ class RoundRobinThinned(LoadGenerator):
             raise WorkloadError(
                 f"node index must be in [0, {nodes}), got {index}"
             )
-        self._total_qps = total_qps
         self._nodes = nodes
         self._index = index
         self._scale = 1.0 / total_qps
         import random as _random
 
         self._gamma = _random.Random(seed).gammavariate
-
-    @property
-    def rate_qps(self) -> float:
-        return self._total_qps / self._nodes
 
     def arrivals(self, horizon: float) -> Iterator[float]:
         if horizon <= 0:
@@ -216,15 +202,9 @@ class BurstyLoadGenerator(LoadGenerator):
             raise WorkloadError("peak_qps must be positive")
         if on_mean <= 0 or off_mean <= 0:
             raise WorkloadError("ON/OFF period means must be positive")
-        self._peak = peak_qps
         self._interarrival = Exponential(1.0 / peak_qps, seed=seed)
         self._on = Exponential(on_mean, seed=seed + 1)
         self._off = Exponential(off_mean, seed=seed + 2)
-        self._duty = on_mean / (on_mean + off_mean)
-
-    @property
-    def rate_qps(self) -> float:
-        return self._peak * self._duty
 
     def arrivals(self, horizon: float) -> Iterator[float]:
         if horizon <= 0:

@@ -22,11 +22,11 @@ atexit.register(shutil.rmtree, _cache_dir, True)
 @pytest.fixture
 def failing_workload():
     """Register a workload whose factory always raises; clean up after."""
-    from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+    from repro.sweep.spec import WORKLOAD_FACTORIES
 
     def factory():
         raise RuntimeError("kaboom")
 
-    register_workload("explosive", factory)
+    WORKLOAD_FACTORIES["explosive"] = factory
     yield "explosive"
     del WORKLOAD_FACTORIES["explosive"]

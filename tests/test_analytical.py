@@ -11,12 +11,10 @@ from repro.analytical import (
     ideal_savings,
     motivation_table,
     snoop_bounds,
-    turbo_mode_savings,
     validate_power_model,
     yearly_savings_musd,
 )
 from repro.analytical.motivation import baseline_average_power
-from repro.core import AgileWattsDesign
 from repro.errors import ConfigurationError
 
 
@@ -134,22 +132,6 @@ class TestEq3AWModel:
         more = {"C0": 1.0 - c1 - 0.05, "C1": c1 + 0.05}
         if sum(more.values()) <= 1.0 and more["C0"] >= 0:
             assert model.savings_fraction(more) >= model.savings_fraction(base) - 1e-9
-
-
-class TestEq4TurboSavings:
-    def test_matches_hand_computation(self):
-        design = AgileWattsDesign()
-        residency = {"C0": 0.2, "C1": 0.5, "C1E": 0.3}
-        saved = 0.5 * (1.44 - design.c6a_power) + 0.3 * (0.88 - design.c6ae_power)
-        expected = saved / 2.0
-        assert turbo_mode_savings(residency, 2.0, design) == pytest.approx(expected)
-
-    def test_zero_when_no_replaced_states(self):
-        assert turbo_mode_savings({"C0": 1.0}, 4.0) == 0.0
-
-    def test_non_positive_measured_rejected(self):
-        with pytest.raises(ConfigurationError):
-            turbo_mode_savings({"C1": 1.0}, 0.0)
 
 
 class TestValidation:

@@ -7,9 +7,10 @@ gets package ``cluster`` and is subject to the DET series, while
 ``<tmp>/repro/store/x.py`` is outside the simulation packages.
 """
 
+import contextlib
+import io
 import json
 import os
-import shutil
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.analyze import (
     compare_to_baseline,
     load_baseline,
     render_json,
+    render_text,
     report_from_dict,
     report_to_dict,
     rule_catalog,
@@ -387,8 +389,18 @@ def test_spec003_version_bump_requires_manifest_refresh(tmp_path):
     assert run_project_checks([spec, serialize, metrics], manifest) == []
 
 
-def test_current_tree_lints_clean():
-    result = run_lint(["src"])
+@pytest.fixture(scope="module")
+def src_lint_report():
+    """One ``repro lint src --format json`` run, shared by the tree-wide
+    checks: (exit code, stdout). Analysing ``src/`` is the slowest lint."""
+    capture = io.StringIO()
+    with contextlib.redirect_stdout(capture):
+        code = main(["lint", "src", "--format", "json"])
+    return code, capture.getvalue()
+
+
+def test_current_tree_lints_clean(src_lint_report):
+    result = report_from_dict(json.loads(src_lint_report[1]))
     assert result.findings == []
     # Every suppression in the tree carries a written reason.
     assert all(f.suppress_reason for f in result.suppressed)
@@ -480,10 +492,10 @@ def test_run_lint_rejects_missing_path(tmp_path):
 
 
 # -- CLI -------------------------------------------------------------------
-def test_cli_lint_clean_tree_exits_zero(capsys):
-    assert main(["lint", "src"]) == 0
-    out = capsys.readouterr().out
-    assert "0 finding(s)" in out
+def test_cli_lint_clean_tree_exits_zero(src_lint_report):
+    code, out = src_lint_report
+    assert code == 0
+    assert "0 finding(s)" in render_text(report_from_dict(json.loads(out)))
 
 
 def test_cli_lint_reports_findings_with_anchor(tmp_path, capsys):

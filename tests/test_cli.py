@@ -331,10 +331,11 @@ class TestSweepGridFile:
     def _grid_dicts(self):
         from repro.sweep import ScenarioGrid
 
-        return ScenarioGrid.product(
+        grid = ScenarioGrid.product(
             config=["baseline", "AW"], qps=[20_000],
             horizon=[0.02], seed=[7],
-        ).to_dicts()
+        )
+        return [spec.to_dict() for spec in grid]
 
     def test_grid_jsonl_end_to_end(self, tmp_path, capsys):
         grid_file = tmp_path / "grid.jsonl"
@@ -426,20 +427,27 @@ class TestSweepGridFile:
         grid_file.write_text(json.dumps(record) + "\n")
         assert main(["sweep", "--grid", str(grid_file)]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("point, message", [
-        ({"cores": 2.5}, "'cores' must be an integer"),
-        ({"turbo": "yes"}, "'turbo' must be a boolean or null"),
-        ({"seed": True}, "'seed' must be an integer"),
-        ({"qps": "abc"}, "'qps' must be a number"),
-        ({"config": "nosuch"}, "unknown configuration 'nosuch'"),
+    _POINT = {"workload": "memcached", "config": "baseline", "qps": 5}
+
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps([dict(_POINT, cores=2.5)]), "'cores' must be an integer"),
+        (json.dumps([dict(_POINT, turbo="yes")]),
+         "'turbo' must be a boolean or null"),
+        (json.dumps([dict(_POINT, seed=True)]), "'seed' must be an integer"),
+        (json.dumps([dict(_POINT, qps="abc")]), "'qps' must be a number"),
+        (json.dumps([dict(_POINT, config="nosuch")]),
+         "unknown configuration 'nosuch'"),
+        (b"\xff\xfe", "cannot read grid file"),
+        (json.dumps(_POINT) + "\n{not json\n", "line 2 column 2"),
     ], ids=["float_cores", "string_turbo", "bool_seed", "string_qps",
-            "unknown_config"])
+            "unknown_config", "not_utf8", "bad_second_jsonl_line"])
     def test_wrongly_typed_or_unknown_value_is_usage_error(
-        self, tmp_path, capsys, point, message
+        self, tmp_path, capsys, content, message
     ):
         grid_file = tmp_path / "grid.json"
-        base = {"workload": "memcached", "config": "baseline", "qps": 5}
-        grid_file.write_text(json.dumps([dict(base, **point)]))
+        if isinstance(content, str):
+            content = content.encode()
+        grid_file.write_bytes(content)
         code = main(["sweep", "--grid", str(grid_file), "--no-cache"])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -556,8 +564,8 @@ class TestSweepFailureHandling:
         ])
         grid_file = tmp_path / "grid.jsonl"
         with open(grid_file, "w") as handle:
-            for record in grid.to_dicts():
-                handle.write(json.dumps(record) + "\n")
+            for spec in grid:
+                handle.write(json.dumps(spec.to_dict()) + "\n")
         return grid_file
 
     def test_skip_policy_completes_and_reports_failure(

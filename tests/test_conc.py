@@ -9,9 +9,10 @@ code and cross-module from-imports link up.
 import os
 import shutil
 
-from repro.analyze import run_conc_checks, run_lint, rule_catalog
+from repro.analyze import run_lint, rule_catalog
 from repro.analyze.callgraph import CallGraph
-from repro.analyze.dead import check_dead_modules
+from repro.analyze.conc import check_process_boundaries
+from repro.analyze.dead import check_dead_modules, check_dead_symbols
 from repro.analyze.engine import discover_files
 
 REPO_SRC = os.path.join(
@@ -25,6 +26,11 @@ def write_module(tmp_path, rel, source):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
     return str(path)
+
+
+def run_conc_checks(paths):
+    """CONC001-004 over ``paths``, as the lint engine runs them."""
+    return check_process_boundaries(CallGraph(paths))
 
 
 def conc_one(tmp_path, rel, source):
@@ -442,7 +448,9 @@ def test_conc004_same_import_elsewhere_not_flagged(tmp_path):
 
 
 # -- DEAD001: modules no entry point reaches ---------------------------------
-CLI_MAIN = "from repro.cli import main\n"
+# Like the real entry point, the fixture's __main__ calls main(): an
+# import alone names nothing DEAD002 counts as a use.
+CLI_MAIN = "from repro.cli import main\n\nmain()\n"
 
 
 def dead_lint(tmp_path, modules, main=CLI_MAIN):
@@ -554,6 +562,107 @@ def test_dead001_suppression_covers_orphan_and_goes_stale_when_reached(
 def test_dead001_needs_the_entry_point_in_the_analysed_set(tmp_path):
     result = dead_lint(tmp_path, {"orphan.py": "X = 1\n"}, main=None)
     assert dead_modules(result) == []
+
+
+# -- DEAD002: definitions no entry point reaches -----------------------------
+def dead_symbol_lint(tmp_path, modules, scripts=(), main=CLI_MAIN):
+    """Lint a fixture tree at ``<tmp>/src/repro``, with each
+    ``(directory, name, source)`` script written beside ``src/``."""
+    for directory, name, source in scripts:
+        (tmp_path / directory).mkdir(exist_ok=True)
+        (tmp_path / directory / name).write_text(source)
+    return dead_lint(tmp_path / "src", modules, main=main)
+
+
+def dead_symbols(result):
+    return [
+        (f.path.rsplit("repro/", 1)[-1], f.line, f.message.split(" is ")[0])
+        for f in result.findings
+        if f.rule_id == "DEAD002"
+    ]
+
+
+def test_dead002_unreferenced_public_method_flagged_at_def_line(tmp_path):
+    result = dead_symbol_lint(
+        tmp_path,
+        {
+            "node.py": (
+                "class Node:\n"
+                "    def run(self):\n"
+                "        return 1\n"
+                "\n"
+                "    def describe(self):\n"
+                "        return 'node'\n"
+            ),
+        },
+        main=CLI_MAIN + "from repro.node import Node\n\nNode().run()\n",
+    )
+    assert dead_symbols(result) == [
+        ("node.py", 5, "method repro.node.Node.describe")
+    ]
+
+
+def test_dead002_roots_and_dead001_modules_are_not_flagged(tmp_path):
+    result = dead_symbol_lint(
+        tmp_path,
+        {
+            "registry.py": (
+                "REGISTRY = {}\n"
+                "\n"
+                "def register(cls):\n"
+                "    REGISTRY[cls.__name__] = cls\n"
+                "    return cls\n"
+            ),
+            "plugins.py": (
+                "import ast\n"
+                "\n"
+                "from repro.registry import register\n"
+                "\n"
+                "@register\n"
+                "class Plugin:\n"
+                "    pass\n"
+                "\n"
+                "class Walker(ast.NodeVisitor):\n"
+                "    def __repr__(self):\n"
+                "        return 'Walker()'\n"
+                "\n"
+                "    def visit_Name(self, node):\n"
+                "        return node\n"
+                "\n"
+                "    def put_many(self, rows):\n"
+                "        return rows\n"
+                "\n"
+                "    def bench_only(self):\n"
+                "        return 0\n"
+                "\n"
+                "WALKER = Walker()\n"
+                "getattr(WALKER, 'put_many', None)\n"
+            ),
+            "orphan.py": "def helper():\n    return 0\n",
+        },
+        scripts=[("perfbench", "bench.py", "WALKER.bench_only()\n")],
+        main=CLI_MAIN + "import repro.plugins\n",
+    )
+    assert dead_symbols(result) == []
+    assert dead_modules(result) == ["orphan.py"]
+
+
+def test_dead002_reasoned_allow_suppresses(tmp_path):
+    allow = "  # repro: allow[DEAD002] kept as the analytic oracle\n"
+    result = dead_symbol_lint(
+        tmp_path, {"oracle.py": "def oracle():" + allow + "    return 0\n"},
+        main=CLI_MAIN + "import repro.oracle\n",
+    )
+    assert result.findings == []
+    assert [f.rule_id for f in result.suppressed] == ["DEAD002"]
+
+
+def test_real_tree_reaches_every_definition():
+    # Zero DEAD002 findings once the suppressed Eq. 3 oracle is excused.
+    findings = check_dead_symbols(CallGraph(discover_files([REPO_SRC])))
+    assert [f.message.split(" is ")[0] for f in findings] == [
+        "class repro.analytical.power_model.AgileWattsPowerModel"
+    ]
 
 
 def test_real_tree_reaches_every_module_but_the_kept_oracle():

@@ -14,7 +14,6 @@ from repro.core.cstates import (
     CState,
     CStateCatalog,
     FrequencyPoint,
-    active_power,
     agilewatts_catalog,
     make_c1,
     make_c1e,
@@ -101,12 +100,6 @@ class TestCStateValidation:
         with pytest.raises(CStateError):
             CState("X", 1.0, -1e-6, 0.0, 0.0, None, 1)
 
-    def test_with_power_copies(self):
-        c = make_c6a().with_power(0.29)
-        assert c.power_watts == 0.29
-        assert c.name == "C6A"
-        assert make_c6a().power_watts == C6A_POWER  # original untouched
-
 
 class TestBaselineCatalog:
     def test_has_expected_states(self):
@@ -126,7 +119,7 @@ class TestBaselineCatalog:
     def test_shallowest_deepest(self):
         cat = skylake_baseline_catalog()
         assert cat.shallowest().name == "C1"
-        assert cat.deepest().name == "C6"
+        assert cat.enabled_idle_states[-1].name == "C6"
 
     def test_table1_rows_shape(self):
         rows = skylake_baseline_catalog().table1_rows()
@@ -179,7 +172,7 @@ class TestDisabling:
 
     def test_deepest_respects_disable(self):
         cat = skylake_baseline_catalog().disable("C6")
-        assert cat.deepest().name == "C1E"
+        assert cat.enabled_idle_states[-1].name == "C1E"
 
 
 class TestGovernorSelect:
@@ -262,7 +255,7 @@ class TestFrequencyPoints:
 
     def test_active_power_ordering(self):
         assert (
-            active_power(FrequencyPoint.PN)
-            < active_power(FrequencyPoint.P1)
-            < active_power(FrequencyPoint.TURBO)
+            FrequencyPoint.PN.active_power_watts
+            < FrequencyPoint.P1.active_power_watts
+            < FrequencyPoint.TURBO.active_power_watts
         )

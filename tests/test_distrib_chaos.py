@@ -24,9 +24,10 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from golden_specs import digest_result  # noqa: E402
+from queue_faults import corrupt_rows, drop_rows  # noqa: E402
 
-from repro.distrib import DistributedExecutor, JobQueue
-from repro.distrib.chaos import ChaosPlan, corrupt_rows, drop_rows
+from repro.distrib import DistributedExecutor, JobQueue  # noqa: E402
+from repro.distrib.chaos import ChaosPlan  # noqa: E402
 from repro.server.metrics import RunResult
 from repro.store import ResultStore
 from repro.sweep.runner import RECORD, FailurePolicy

@@ -57,9 +57,9 @@ def test_parent_only_workload_is_rejected_before_any_worker(
 
 def test_parent_only_governor_is_rejected_before_any_worker(executor):
     from repro.governor.idle import MenuGovernor
-    from repro.sweep.spec import GOVERNOR_FACTORIES, register_governor
+    from repro.sweep.spec import GOVERNOR_FACTORIES
 
-    register_governor("parent_only_gov", MenuGovernor)
+    GOVERNOR_FACTORIES["parent_only_gov"] = MenuGovernor
     try:
         specs = [_spec(governor="parent_only_gov")]
         _assert_rejected_before_start(executor, specs, "parent_only_gov")
@@ -133,7 +133,7 @@ def test_row_failed_after_the_heal_pass_is_not_settled_unhealed(tmp_path):
     import json
     import sqlite3
 
-    from repro.distrib.chaos import corrupt_rows
+    from queue_faults import corrupt_rows
     from repro.distrib.queue import job_key
     from repro.sweep.runner import RECORD, FailurePolicy
 

@@ -3,8 +3,8 @@
 import sqlite3
 
 import pytest
+from queue_faults import corrupt_rows, drop_rows
 
-from repro.distrib import chaos
 from repro.distrib import queue as queue_mod
 from repro.distrib.queue import (
     BACKOFF_BASE_S,
@@ -99,7 +99,6 @@ class TestClaim:
         assert queue.fail(job.key, "w1", "boom", retries=2, now=101.0) == "requeued"
         # Not claimable before the backoff gate, claimable after.
         assert queue.claim("w2", now=101.0) is None
-        assert not queue.has_claimable(now=101.0)
         later = queue.claim("w2", now=101.0 + BACKOFF_CAP_S)
         assert later is not None
         assert later.attempt == 2
@@ -208,7 +207,7 @@ class TestFaults:
         specs = _grid(2)
         queue.enqueue(specs)
         first_key = queue.jobs()[0].key
-        assert chaos.corrupt_rows(queue, [first_key]) == 1
+        assert corrupt_rows(queue, [first_key]) == 1
         job = queue.claim("w1")
         assert job is not None
         assert job.key != first_key  # the readable row was handed out
@@ -219,7 +218,7 @@ class TestFaults:
         specs = _grid(2)
         queue.enqueue(specs)
         first_key = queue.jobs()[0].key
-        chaos.corrupt_rows(queue, [first_key])
+        corrupt_rows(queue, [first_key])
         queue.claim("w1")  # trips over the corrupt row, quarantines it
         assert queue.heal(specs) == 1
         job = queue.claim("w2")
@@ -238,7 +237,7 @@ class TestFaults:
         specs = _grid(3)
         queue.enqueue(specs)
         victim = queue.jobs()[1].key
-        assert chaos.drop_rows(queue, [victim]) == 1
+        assert drop_rows(queue, [victim]) == 1
         assert len(queue) == 2
         assert queue.enqueue(specs) == 1  # only the dropped row comes back
         assert len(queue) == 3

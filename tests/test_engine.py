@@ -107,7 +107,7 @@ class TestRunControl:
         sim.schedule_at(10.0, lambda: fired.append(10))
         sim.run(until=5.0)
         assert fired == [1]
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
 
     def test_max_events(self):
         sim = Simulator()

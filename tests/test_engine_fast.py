@@ -68,7 +68,7 @@ class TestScheduleFast:
         sim.schedule_fast(0.1, lambda: None)
         sim.schedule(0.2, lambda: None)
         sim.schedule_fast(0.3, lambda: None)
-        assert sim.pending_events == 3
+        assert len(sim._queue) == 3
         sim.run()
         assert sim.events_processed == 3
         assert sim.peak_pending_events == 3
@@ -81,7 +81,7 @@ class TestScheduleFast:
         sim.schedule_at_fast(2.0, lambda: fired.append(2))
         sim.run(until=1.5)
         assert fired == [1]
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         assert sim.now == 1.5
         sim.run()
         assert fired == [1, 2]
@@ -93,7 +93,7 @@ class TestScheduleFast:
             sim.schedule_at_fast(float(i + 1), lambda i=i: fired.append(i))
         sim.run(max_events=2)
         assert fired == [0, 1]
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         sim.run()
         assert fired == [0, 1, 2]
 

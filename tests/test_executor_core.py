@@ -84,7 +84,7 @@ def _slow_node_workload(name, seconds):
     """Register ``name`` as memcached whose nodes other than node 0
     sleep ``seconds`` while building: in a 2-shard point, the second
     shard hangs and the first does not."""
-    from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+    from repro.sweep.spec import WORKLOAD_FACTORIES
     from repro.workloads import memcached_workload
 
     def factory(seed=100):
@@ -92,7 +92,7 @@ def _slow_node_workload(name, seconds):
             time.sleep(seconds)
         return memcached_workload(seed=seed)
 
-    register_workload(name, factory)
+    WORKLOAD_FACTORIES[name] = factory
     try:
         yield name
     finally:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.api import (
+    _REGISTRY,
     FORMATS,
     Experiment,
     ExperimentResult,
@@ -22,7 +23,6 @@ from repro.experiments.api import (
     render_json,
     render_jsonl,
     run_experiments,
-    unregister_experiment,
 )
 from repro.sweep import ScenarioGrid, ScenarioSpec
 
@@ -79,7 +79,7 @@ class TestRegistry:
             result = get_experiment("throwaway_test_experiment").analyze()
             assert result.records == [{"x": 1}]
         finally:
-            unregister_experiment("throwaway_test_experiment")
+            _REGISTRY.pop("throwaway_test_experiment", None)
         assert "throwaway_test_experiment" not in experiment_ids()
 
     def test_missing_metadata_rejected(self):
@@ -273,10 +273,10 @@ class TestReviewRegressions:
         """A registered alias must round-trip as the swept key, not the
         workload object's own display name."""
         from repro.sweep import SweepRunner, result_record
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
-        register_workload("mc-alias", memcached_workload)
+        WORKLOAD_FACTORIES["mc-alias"] = memcached_workload
         try:
             spec = ScenarioSpec(workload="mc-alias", config="baseline",
                                 qps=20_000, horizon=0.02, seed=7)

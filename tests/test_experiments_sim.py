@@ -113,7 +113,7 @@ class TestFig9:
 
     def test_no_c6_has_no_c6_residency(self, sweep):
         for r in sweep.results["NT_No_C6"]:
-            assert r.residency_of("C6") == 0.0
+            assert r.residency.get("C6", 0.0) == 0.0
 
 
 class TestFig10:

@@ -48,7 +48,7 @@ def _observables(package):
     return (
         package._core_power_int,
         turbo._level, turbo._time, turbo._package_power,
-        turbo.grants, turbo.denials,
+        turbo._grants, turbo._denials,
         [
             (
                 core.state.name, core.frequency, core.current_power,

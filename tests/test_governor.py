@@ -52,7 +52,7 @@ class TestMenuGovernor:
         gov = MenuGovernor()
         gov.observe_idle(1e-3)
         gov.observe_idle(1e-3)
-        assert gov.observations == 2
+        assert gov._observations == 2
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -53,11 +53,11 @@ class TestGovernorStudy:
 
     def test_c1_only_residency_is_shallowest_state(self, points):
         c1 = _get(points, "NT_Baseline", "c1_only")
-        assert c1.residency_of("C1E") == 0.0
-        assert c1.residency_of("C6") == 0.0
+        assert c1.residency.get("C1E", 0.0) == 0.0
+        assert c1.residency.get("C6", 0.0) == 0.0
         aw_c1 = _get(points, "NT_AW", "c1_only")
-        assert aw_c1.residency_of("C6A") > 0.0
-        assert aw_c1.residency_of("C6AE") == 0.0
+        assert aw_c1.residency.get("C6A", 0.0) > 0.0
+        assert aw_c1.residency.get("C6AE", 0.0) == 0.0
 
     def test_main_prints(self):
         experiment = GovernorStudyExperiment()

@@ -1,55 +1,15 @@
 """Cross-module integration tests.
 
-These exercise combinations the unit tests cannot: the PMA flow driven by
-the event engine, the analytical model cross-checked against simulation,
-and full catalog plumbing from design to node.
+These exercise combinations the unit tests cannot: the analytical model
+cross-checked against simulation, and full catalog plumbing from design
+to node.
 """
 
 import pytest
 
 from repro import AgileWattsDesign, named_configuration, simulate
 from repro.analytical import AgileWattsPowerModel, average_power
-from repro.core.pma_flow import C6AFlow, PMAState
-from repro.simkit import Simulator
-from repro.units import US
 from repro.workloads import memcached_workload
-
-
-class TestEventDrivenPMAFlow:
-    """Drive the C6A FSM from the event engine like a real PMA would."""
-
-    def test_mwait_interrupt_sequence(self):
-        sim = Simulator()
-        flow = C6AFlow()
-        log = []
-
-        def mwait():
-            latency = flow.request_entry()
-            log.append(("entered", sim.now + latency))
-
-        def interrupt():
-            latency = flow.request_exit()
-            log.append(("exited", sim.now + latency))
-
-        sim.schedule_at(10 * US, mwait)
-        sim.schedule_at(50 * US, interrupt)
-        sim.run()
-        assert [kind for kind, _ in log] == ["entered", "exited"]
-        assert flow.state is PMAState.C0
-        # The entry completed within nanoseconds of the MWAIT.
-        assert log[0][1] - 10 * US < 25e-9
-
-    def test_snoop_burst_between_idle_and_wake(self):
-        sim = Simulator()
-        flow = C6AFlow()
-        served = []
-
-        sim.schedule_at(1 * US, flow.request_entry)
-        sim.schedule_at(5 * US, lambda: served.append(flow.serve_snoops(0.2 * US)))
-        sim.schedule_at(9 * US, flow.request_exit)
-        sim.run()
-        assert flow.snoops_served == 1
-        assert served[0] > 0.2 * US  # a + b + c
 
 
 class TestAnalyticVsSimulation:
@@ -88,11 +48,11 @@ class TestAnalyticVsSimulation:
     def test_design_verification_gates_simulation(self):
         # A verified design's catalog flows through config to simulation.
         design = AgileWattsDesign()
-        design.verify_or_raise()
+        assert all(design.verify().values())
         config = named_configuration("AW", design=design)
         result = simulate(memcached_workload(), config, qps=50_000,
                           horizon=0.05, seed=1)
-        aw_residency = result.residency_of("C6A") + result.residency_of("C6AE")
+        aw_residency = result.residency.get("C6A", 0.0) + result.residency.get("C6AE", 0.0)
         assert aw_residency > 0.3
 
 

@@ -9,10 +9,10 @@ from repro.core.latency import (
     C6ALatencyModel,
     C6LatencyModel,
     CacheFlushModel,
-    pll_relock_saving,
     transition_speedup,
 )
 from repro.errors import PowerModelError
+from repro.power.clock import ADPLL
 from repro.units import MHZ, US
 
 
@@ -110,4 +110,5 @@ class TestSpeedup:
         assert speedup <= 3000
 
     def test_pll_relock_saving_is_microseconds(self):
-        assert 1 * US <= pll_relock_saving() <= 10 * US
+        # Keeping the ADPLL locked saves its whole relock time.
+        assert 1 * US <= ADPLL().relock_time <= 10 * US

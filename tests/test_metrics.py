@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.server.metrics import RunResult, compare_latency, compare_power
+from repro.server.metrics import RunResult, compare_power
 from repro.simkit.stats import PercentileTracker
 from repro.units import US
 
@@ -50,9 +50,6 @@ class TestRunResultViews:
     def test_utilization_is_c0(self):
         assert _result().utilization == pytest.approx(0.3)
 
-    def test_residency_of_missing_is_zero(self):
-        assert _result().residency_of("C6") == 0.0
-
     def test_summary_contains_key_fields(self):
         text = _result().summary()
         assert "w/test" in text
@@ -67,13 +64,3 @@ class TestComparisons:
 
     def test_compare_power_zero_base(self):
         assert compare_power(_result(power=0.0), _result(power=1.0)) == 0.0
-
-    def test_compare_latency_avg(self):
-        base = _result(latencies=(20 * US, 20 * US))
-        other = _result(latencies=(10 * US, 10 * US))
-        assert compare_latency(base, other) == pytest.approx(0.5)
-
-    def test_compare_latency_tail(self):
-        base = _result(latencies=(10 * US, 100 * US))
-        other = _result(latencies=(10 * US, 50 * US))
-        assert compare_latency(base, other, tail=True) > 0

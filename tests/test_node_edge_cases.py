@@ -7,8 +7,9 @@ and C6 transitions straddling the horizon.
 
 import pytest
 
+from degenerate import Degenerate
+
 from repro.server import ServerNode, named_configuration
-from repro.simkit.distributions import Degenerate
 from repro.units import MS, US
 from repro.workloads.base import ServiceTimeModel, Workload
 from repro.workloads.loadgen import LoadGenerator
@@ -19,10 +20,6 @@ class ScriptedArrivals(LoadGenerator):
 
     def __init__(self, times):
         self._times = sorted(times)
-
-    @property
-    def rate_qps(self):
-        return len(self._times)
 
     def arrivals(self, horizon):
         for t in self._times:
@@ -73,7 +70,7 @@ class TestArrivalDuringEntry:
         node = _node(times, horizon=200 * US)
         result = node.run()
         assert result.completed == 20
-        assert result.residency_of("C0") > 0.95
+        assert result.residency.get("C0", 0.0) > 0.95
 
 
 class TestDeepWakePenalty:

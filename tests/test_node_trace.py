@@ -1,5 +1,7 @@
 """Tests for event tracing wired into the server node."""
 
+from collections import Counter
+
 import pytest
 
 from repro.server import ServerNode, named_configuration
@@ -25,7 +27,7 @@ def traced_run():
 class TestNodeTracing:
     def test_records_idle_entries_and_wakes(self, traced_run):
         trace, _ = traced_run
-        counts = trace.counts_by_kind()
+        counts = Counter(event.kind for event in trace)
         assert counts.get("enter_idle", 0) > 0
         assert counts.get("wake", 0) > 0
 
@@ -33,7 +35,7 @@ class TestNodeTracing:
         # Every completed idle interval has one enter and one wake; a few
         # cores may end the run still idle.
         trace, result = traced_run
-        counts = trace.counts_by_kind()
+        counts = Counter(event.kind for event in trace)
         assert abs(counts["enter_idle"] - counts["wake"]) <= result.cores
 
     def test_trace_states_match_catalog(self, traced_run):
@@ -57,7 +59,7 @@ class TestNodeTracing:
             len(trace.filter(source=f"core{i}", kind="wake"))
             for i in range(result.cores)
         )
-        assert total == trace.counts_by_kind()["wake"]
+        assert total == Counter(event.kind for event in trace)["wake"]
 
     def test_default_node_does_not_trace(self):
         node = ServerNode(

@@ -23,7 +23,7 @@ fork_only = pytest.mark.skipif(
 @contextlib.contextmanager
 def _sleepy_workload(name, seconds):
     """Register ``name`` as memcached behind a ``seconds`` sleep."""
-    from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+    from repro.sweep.spec import WORKLOAD_FACTORIES
     from repro.workloads import memcached_workload
 
     def factory():
@@ -32,7 +32,7 @@ def _sleepy_workload(name, seconds):
         time.sleep(seconds)
         return memcached_workload()
 
-    register_workload(name, factory)
+    WORKLOAD_FACTORIES[name] = factory
     try:
         yield name
     finally:

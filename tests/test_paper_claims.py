@@ -115,8 +115,8 @@ class TestSection7Claims:
             memcached_workload(), named_configuration("baseline"),
             qps=500_000, horizon=0.1, seed=42,
         )
-        assert result.residency_of("C6") < 0.01
-        assert result.residency_of("C1") + result.residency_of("C0") > 0.8
+        assert result.residency.get("C6", 0.0) < 0.01
+        assert result.residency.get("C1", 0.0) + result.residency.get("C0", 0.0) > 0.8
 
     def test_savings_decline_with_load(self):
         """Fig 8b: AW savings shrink as load grows."""

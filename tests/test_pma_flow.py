@@ -1,9 +1,8 @@
-"""Tests for the C6A PMA flow FSM (Fig 6, Sec 4.3, 5.2)."""
+"""Tests for the C6A PMA flow (Fig 6, Sec 4.3, 5.2)."""
 
 import pytest
 
-from repro.core.pma_flow import PMA_CLOCK_HZ, C6AFlow, PMAState
-from repro.errors import CStateError
+from repro.core.pma_flow import PMA_CLOCK_HZ, C6AFlow
 from repro.units import NS
 
 
@@ -33,8 +32,9 @@ class TestLatencyBudgets:
         assert stagger > 0.5 * flow.exit_latency
 
     def test_snoop_wake_is_two_cycles(self):
+        # The sleep-mode exit a snoop waits for is step 4 of the exit flow.
         flow = C6AFlow()
-        assert flow.snoop_wake_latency == pytest.approx(2 / PMA_CLOCK_HZ)
+        assert flow.exit_steps()[0].latency == pytest.approx(2 / PMA_CLOCK_HZ)
 
     def test_enhanced_flow_same_hardware_latency(self):
         # C6AE's DVFS to Pn is non-blocking: same entry/exit path.
@@ -55,75 +55,10 @@ class TestStepStructure:
         assert labels[0].startswith("4:")
         assert labels[2].startswith("6:")
 
-    def test_snoop_steps_a_and_c(self):
-        labels = [s.label for s in C6AFlow().snoop_steps()]
-        assert labels[0].startswith("a:")
-        assert labels[1].startswith("c:")
-
     def test_all_step_latencies_positive(self):
         flow = C6AFlow()
-        for step in flow.entry_steps() + flow.exit_steps() + flow.snoop_steps():
+        for step in flow.entry_steps() + flow.exit_steps():
             assert step.latency > 0
-
-
-class TestFSMOperation:
-    def test_starts_in_c0(self):
-        assert C6AFlow().state is PMAState.C0
-
-    def test_entry_exit_cycle(self):
-        flow = C6AFlow()
-        entry = flow.request_entry()
-        assert flow.state is PMAState.IDLE
-        assert entry == pytest.approx(flow.entry_latency)
-        exit_lat = flow.request_exit()
-        assert flow.state is PMAState.C0
-        assert exit_lat == pytest.approx(flow.exit_latency)
-        assert flow.entries == 1
-        assert flow.exits == 1
-
-    def test_double_entry_rejected(self):
-        flow = C6AFlow()
-        flow.request_entry()
-        with pytest.raises(CStateError):
-            flow.request_entry()
-
-    def test_exit_from_c0_rejected(self):
-        with pytest.raises(CStateError):
-            C6AFlow().request_exit()
-
-    def test_snoop_service_requires_idle(self):
-        with pytest.raises(CStateError):
-            C6AFlow().serve_snoops(1e-6)
-
-    def test_snoop_service_returns_to_idle(self):
-        flow = C6AFlow()
-        flow.request_entry()
-        total = flow.serve_snoops(200e-9)
-        assert flow.state is PMAState.IDLE
-        assert total > 200e-9  # includes a + c steps
-        assert flow.snoops_served == 1
-
-    def test_negative_snoop_time_rejected(self):
-        flow = C6AFlow()
-        flow.request_entry()
-        with pytest.raises(CStateError):
-            flow.serve_snoops(-1.0)
-
-    def test_state_name_reflects_variant(self):
-        flow = C6AFlow(enhanced=True)
-        flow.request_entry()
-        assert flow.state_name == "C6AE"
-        basic = C6AFlow()
-        basic.request_entry()
-        assert basic.state_name == "C6A"
-
-    def test_many_cycles_counted(self):
-        flow = C6AFlow()
-        for _ in range(10):
-            flow.request_entry()
-            flow.request_exit()
-        assert flow.entries == 10
-        assert flow.exits == 10
 
 
 class TestDescribe:

@@ -21,17 +21,9 @@ class TestPowerGate:
     def test_in_rush_unsafe_when_large(self):
         assert not PowerGate("z", relative_area=4.5).in_rush_safe()
 
-    def test_residual_leakage(self):
-        g = PowerGate("z", relative_area=1.0, gate_effectiveness=0.95)
-        assert g.residual_leakage(1.0) == pytest.approx(0.05)
-
     def test_invalid_area_rejected(self):
         with pytest.raises(PowerModelError):
             PowerGate("z", relative_area=0.0)
-
-    def test_negative_leakage_rejected(self):
-        with pytest.raises(PowerModelError):
-            PowerGate("z", relative_area=1.0).residual_leakage(-1.0)
 
 
 class TestStaggeredWakeup:
@@ -51,13 +43,11 @@ class TestStaggeredWakeup:
         latency = c.wake()
         assert latency > 0
         assert not c.gated
-        assert c.wake_count == 1
 
     def test_wake_idempotent(self):
         c = self._controller()
         c.wake()
         assert c.wake() == 0.0
-        assert c.wake_count == 1
 
     def test_sleep_is_single_window(self):
         c = self._controller(n=5, stagger=10 * NS)

@@ -8,70 +8,91 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from degenerate import Degenerate
+
 from repro.analytical import AgileWattsPowerModel, average_power
 from repro.core.cstates import skylake_baseline_catalog
 from repro.core.latency import CacheFlushModel
-from repro.errors import SimulationError
 from repro.power.powergate import make_ufpg_zones
 from repro.server import named_configuration, simulate
-from repro.simkit.distributions import Degenerate
-from repro.uarch import Core
+from repro.uarch import Core, Package, PackageConfig, TurboBudget
 from repro.units import US
 from repro.workloads.base import ServiceTimeModel, Workload
 
 
 # -- residency conservation --------------------------------------------------
 
-@given(
-    spans=st.lists(
-        st.tuples(
-            st.floats(min_value=1e-6, max_value=1.0),  # busy span
-            st.floats(min_value=1e-6, max_value=1.0),  # idle span
-            st.sampled_from(["C1", "C1E", "C6"]),
-        ),
-        min_size=1,
-        max_size=20,
+def _reference_driver(catalog):
+    """The unfused chain: the core's own transitions."""
+    core = Core(0, catalog)
+    return core, core.enter_idle, core.wake
+
+
+def _fused_driver(catalog):
+    """The fused ``Package`` transitions the node's fast path charges.
+
+    Turbo is off: the bare core chain has no tank to grant a burst from.
+    """
+    core = Core(0, catalog)
+    package = Package(
+        [core], PackageConfig(cores=1), turbo=TurboBudget(enabled=False)
     )
+    return (
+        core,
+        lambda time, state: package.enter_idle(core, time, state),
+        lambda time: package.wake(core, time),
+    )
+
+
+DRIVERS = {"reference": _reference_driver, "fused": _fused_driver}
+
+SPANS = st.lists(
+    st.tuples(
+        st.floats(min_value=1e-6, max_value=1.0),  # busy span
+        st.floats(min_value=1e-6, max_value=1.0),  # idle span
+        st.sampled_from(["C1", "C1E", "C6"]),
+    ),
+    min_size=1,
+    max_size=20,
 )
+
+
+def _drive(driver, spans, tail):
+    """Run ``spans`` through ``driver``; stats ``tail`` after the last wake."""
+    catalog = skylake_baseline_catalog()
+    core, enter_idle, wake = DRIVERS[driver](catalog)
+    t = 0.0
+    for busy, idle, state in spans:
+        t += busy
+        enter_idle(t, catalog.get(state))
+        t += idle
+        wake(t)
+    return core.snapshot(t + tail), t + tail
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@given(spans=SPANS)
 @settings(max_examples=50, deadline=None)
-def test_core_residency_conserves_time(spans):
+def test_core_residency_conserves_time(driver, spans):
     """Whatever the transition sequence, residencies sum to wall time."""
-    catalog = skylake_baseline_catalog()
-    core = Core(0, catalog)
-    t = 0.0
-    for busy, idle, state in spans:
-        t += busy
-        core.enter_idle(t, catalog.get(state))
-        t += idle
-        core.wake(t)
-    stats = core.snapshot(t + 0.1)
-    assert sum(stats.residency_seconds.values()) == pytest.approx(t + 0.1)
+    stats, end = _drive(driver, spans, 0.1)
+    assert sum(stats.residency_seconds.values()) == pytest.approx(end)
 
 
-@given(
-    spans=st.lists(
-        st.tuples(
-            st.floats(min_value=1e-6, max_value=1.0),
-            st.floats(min_value=1e-6, max_value=1.0),
-            st.sampled_from(["C1", "C1E", "C6"]),
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@given(spans=SPANS)
 @settings(max_examples=50, deadline=None)
-def test_core_energy_bounded_by_extremes(spans):
+def test_core_energy_bounded_by_extremes(driver, spans):
     """Average power always lies between the cheapest and dearest state."""
-    catalog = skylake_baseline_catalog()
-    core = Core(0, catalog)
-    t = 0.0
-    for busy, idle, state in spans:
-        t += busy
-        core.enter_idle(t, catalog.get(state))
-        t += idle
-        core.wake(t)
-    stats = core.snapshot(t + 0.01)
+    stats, _ = _drive(driver, spans, 0.01)
     assert 0.1 - 1e-9 <= stats.average_power <= 5.5 + 1e-9
+
+
+@given(spans=SPANS)
+@settings(max_examples=50, deadline=None)
+def test_fused_transitions_leave_reference_core_stats(spans):
+    """The fused path is the reference chain, bit for bit."""
+    assert _drive("fused", spans, 0.1) == _drive("reference", spans, 0.1)
 
 
 # -- Eq. 2 / Eq. 3 invariants ---------------------------------------------------

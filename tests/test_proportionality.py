@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import figure_grids  # noqa: E402
 
-from repro.analytical.proportionality import analyze_curve, compare_curves  # noqa: E402
+from repro.analytical.proportionality import analyze_curve  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 
 
@@ -36,9 +36,8 @@ class TestAnalyzeCurve:
         assert aw.proportionality_gap < legacy.proportionality_gap
 
     def test_compare_curves_returns_both(self):
-        base, aw = compare_curves(
-            [(0.1, 1.5), (1.0, 4.0)], [(0.1, 0.6), (1.0, 4.0)]
-        )
+        base = analyze_curve([(0.1, 1.5), (1.0, 4.0)])
+        aw = analyze_curve([(0.1, 0.6), (1.0, 4.0)])
         assert base.dynamic_range < aw.dynamic_range
 
     def test_too_few_points_rejected(self):

@@ -2,10 +2,11 @@
 
 import pytest
 
+from degenerate import Degenerate
+
 from repro.errors import ConfigurationError
 from repro.server import ServerNode, named_configuration, simulate
-from repro.server.metrics import compare_latency, compare_power
-from repro.simkit.distributions import Degenerate
+from repro.server.metrics import compare_power
 from repro.units import US
 from repro.workloads import memcached_workload
 from repro.workloads.base import ServiceTimeModel, Workload
@@ -126,7 +127,7 @@ class TestResidencySemantics:
 
     def test_deep_idle_at_low_load(self):
         result = _quick("NT_Baseline", qps=10_000, horizon=0.2)
-        deep = result.residency_of("C1E") + result.residency_of("C6")
+        deep = result.residency.get("C1E", 0.0) + result.residency.get("C6", 0.0)
         assert deep > 0.5
 
     def test_transitions_recorded(self):
@@ -181,8 +182,3 @@ class TestCompareHelpers:
         aw = _quick("NT_AW", qps=50_000)
         assert compare_power(base, aw) > 0
         assert compare_power(aw, base) < 0
-
-    def test_compare_latency_tail_flag(self):
-        a = _quick("NT_Baseline", qps=10_000, horizon=0.1)
-        b = _quick("NT_No_C6", qps=10_000, horizon=0.1)
-        assert compare_latency(a, b, tail=True) != compare_latency(a, b, tail=False)

@@ -1,78 +1,12 @@
-"""Tests for online statistics: OnlineStats, PercentileTracker, Histogram."""
-
-import math
+"""Tests for online statistics: PercentileTracker, Histogram."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.simkit import Histogram, OnlineStats, PercentileTracker
+from repro.simkit import Histogram, PercentileTracker
 from repro.simkit.stats import weighted_mean
-
-
-class TestOnlineStats:
-    def test_empty_mean_is_zero(self):
-        assert OnlineStats().mean == 0.0
-
-    def test_mean(self):
-        s = OnlineStats()
-        s.add_many([1.0, 2.0, 3.0])
-        assert s.mean == pytest.approx(2.0)
-
-    def test_variance(self):
-        s = OnlineStats()
-        s.add_many([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert s.variance == pytest.approx(32.0 / 7.0)
-
-    def test_variance_single_sample_zero(self):
-        s = OnlineStats()
-        s.add(1.0)
-        assert s.variance == 0.0
-
-    def test_min_max(self):
-        s = OnlineStats()
-        s.add_many([3.0, -1.0, 7.0])
-        assert s.minimum == -1.0
-        assert s.maximum == 7.0
-
-    def test_min_on_empty_raises(self):
-        with pytest.raises(ValueError):
-            OnlineStats().minimum
-
-    def test_count(self):
-        s = OnlineStats()
-        s.add_many([1.0] * 5)
-        assert s.count == 5
-
-    def test_merge_equivalent_to_combined_stream(self):
-        a, b, combined = OnlineStats(), OnlineStats(), OnlineStats()
-        xs = [1.0, 5.0, 2.5]
-        ys = [9.0, -3.0, 4.0, 0.5]
-        a.add_many(xs)
-        b.add_many(ys)
-        combined.add_many(xs + ys)
-        merged = a.merge(b)
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
-        assert merged.count == combined.count
-        assert merged.minimum == combined.minimum
-
-    def test_merge_with_empty(self):
-        a = OnlineStats()
-        a.add_many([1.0, 2.0])
-        merged = a.merge(OnlineStats())
-        assert merged.mean == pytest.approx(1.5)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-    @settings(max_examples=50)
-    def test_welford_matches_naive(self, values):
-        s = OnlineStats()
-        s.add_many(values)
-        naive_mean = sum(values) / len(values)
-        naive_var = sum((v - naive_mean) ** 2 for v in values) / (len(values) - 1)
-        assert s.mean == pytest.approx(naive_mean, abs=1e-6)
-        assert s.variance == pytest.approx(naive_var, rel=1e-6, abs=1e-6)
 
 
 class TestPercentileTracker:
@@ -85,7 +19,7 @@ class TestPercentileTracker:
     def test_median_of_two(self):
         t = PercentileTracker()
         t.add_many([1.0, 3.0])
-        assert t.p50 == pytest.approx(2.0)
+        assert t.percentile(50) == pytest.approx(2.0)
 
     def test_p0_and_p100(self):
         t = PercentileTracker()
@@ -121,21 +55,11 @@ class TestPercentileTracker:
     def test_interleaved_add_and_query(self):
         t = PercentileTracker()
         t.add_many([3.0, 1.0])
-        assert t.p50 == pytest.approx(2.0)
+        assert t.percentile(50) == pytest.approx(2.0)
         t.add(2.0)
-        assert t.p50 == pytest.approx(2.0)
+        assert t.percentile(50) == pytest.approx(2.0)
         t.add_many([10.0, 20.0])
         assert t.percentile(100) == 20.0
-
-    def test_fraction_above(self):
-        t = PercentileTracker()
-        t.add_many([1.0, 2.0, 3.0, 4.0])
-        assert t.fraction_above(2.0) == pytest.approx(0.5)
-        assert t.fraction_above(0.0) == 1.0
-        assert t.fraction_above(10.0) == 0.0
-
-    def test_fraction_above_empty(self):
-        assert PercentileTracker().fraction_above(1.0) == 0.0
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100))
     @settings(max_examples=50)
@@ -150,7 +74,7 @@ class TestPercentileTracker:
     def test_percentile_within_range(self, values):
         t = PercentileTracker()
         t.add_many(values)
-        assert min(values) <= t.p50 <= max(values)
+        assert min(values) <= t.percentile(50) <= max(values)
 
 
 class TestHistogram:
@@ -167,7 +91,6 @@ class TestHistogram:
         h = Histogram(0.0, 1.0, bins=2)
         h.add(-1.0)
         h.add(2.0)
-        assert h.underflow == 1
         assert h.overflow == 1
         assert h.total == 2
 
@@ -175,20 +98,6 @@ class TestHistogram:
         h = Histogram(0.0, 1.0, bins=2)
         h.add(1.0)
         assert h.overflow == 1
-
-    def test_bin_edges(self):
-        h = Histogram(0.0, 1.0, bins=4)
-        assert h.bin_edges() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_mode_bin(self):
-        h = Histogram(0.0, 10.0, bins=10)
-        for _ in range(3):
-            h.add(4.5)
-        h.add(1.5)
-        assert h.mode_bin() == 4
-
-    def test_mode_bin_empty(self):
-        assert Histogram(0.0, 1.0, bins=2).mode_bin() is None
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -239,7 +148,7 @@ class TestPercentileCaching:
         tracker._samples = CountingList([3.0, 1.0, 2.0, 9.0, 5.0])
         tracker._sorted_count = 0  # unsorted: not the length at a sort
         tracker._bind_hot_path()
-        _ = tracker.p50, tracker.p95, tracker.p99, tracker.p999
+        _ = tracker.percentile(50), tracker.percentile(95), tracker.p99, tracker.p999
         _ = tracker.percentiles([10, 20, 30, 40])
         assert CountingList.sorts == 1
 
@@ -255,7 +164,7 @@ class TestPercentileCaching:
         tracker._samples = CountingList([2.0, 1.0])
         tracker._sorted_count = 0  # unsorted: not the length at a sort
         tracker._bind_hot_path()  # add() now appends to the CountingList
-        assert tracker.p50 == pytest.approx(1.5)
+        assert tracker.percentile(50) == pytest.approx(1.5)
         tracker.add(0.5)
-        assert tracker.p50 == pytest.approx(1.0)
+        assert tracker.percentile(50) == pytest.approx(1.0)
         assert CountingList.sorts == 2

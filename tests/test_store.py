@@ -372,12 +372,12 @@ class TestBatchedWrites:
 
     def test_raise_policy_still_banks_completed_results(self, tmp_path):
         """The finally-flush persists results banked before an abort."""
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
 
         def explode():
             raise RuntimeError("kaboom")
 
-        register_workload("explosive_store_test", explode)
+        WORKLOAD_FACTORIES["explosive_store_test"] = explode
         try:
             store = ResultStore(tmp_path, salt="s1")
             specs = [

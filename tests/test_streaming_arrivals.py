@@ -64,10 +64,6 @@ class TestHorizonGuard:
             def __init__(self, horizon):
                 self._h = horizon
 
-            @property
-            def rate_qps(self):
-                return 1.0
-
             def arrivals(self, horizon):
                 # Misbehaving generator: boundary and out-of-window times.
                 yield self._h / 2
@@ -86,10 +82,6 @@ class TestHorizonGuard:
         class Mixed(LoadGenerator):
             def __init__(self, horizon):
                 self._h = horizon
-
-            @property
-            def rate_qps(self):
-                return 1.0
 
             def arrivals(self, horizon):
                 # An out-of-window yield mid-stream must not truncate the

@@ -162,7 +162,7 @@ class TestScenarioGrid:
 
     def test_dict_round_trip(self):
         grid = ScenarioGrid.product(qps=[1_000, 2_000], seed=[1, 2])
-        rebuilt = ScenarioGrid.from_dicts(grid.to_dicts())
+        rebuilt = ScenarioGrid.from_dicts([spec.to_dict() for spec in grid])
         assert list(rebuilt) == list(grid)
 
     def test_concatenation(self):
@@ -357,7 +357,7 @@ class TestFailurePolicy:
 
     @fork_only
     def test_process_timeout_is_a_failure(self):
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         def sleepy():
@@ -366,7 +366,7 @@ class TestFailurePolicy:
             time.sleep(1.5)
             return memcached_workload()
 
-        register_workload("sleepy", sleepy)
+        WORKLOAD_FACTORIES["sleepy"] = sleepy
         try:
             runner = SweepRunner(
                 executor="process", jobs=2, cache={},
@@ -385,7 +385,7 @@ class TestFailurePolicy:
         # hog must time out but the fast point — which waits for the
         # occupied worker before it is ever submitted — must succeed.
         # Its budget may not tick while the hog holds the only worker.
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         def hog():
@@ -394,7 +394,7 @@ class TestFailurePolicy:
             time.sleep(3.0)
             return memcached_workload()
 
-        register_workload("hog", hog)
+        WORKLOAD_FACTORIES["hog"] = hog
         try:
             runner = SweepRunner(
                 executor="process", jobs=1, cache={},
@@ -422,7 +422,7 @@ class TestFailurePolicy:
     def test_single_spec_with_timeout_uses_the_pool(self):
         # The 1-point inline fast path cannot enforce a timeout, so it
         # must be bypassed when one is set.
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         def sleepy():
@@ -431,7 +431,7 @@ class TestFailurePolicy:
             time.sleep(1.5)
             return memcached_workload()
 
-        register_workload("sleepy1", sleepy)
+        WORKLOAD_FACTORIES["sleepy1"] = sleepy
         try:
             runner = SweepRunner(
                 executor="process", jobs=2, cache={},
@@ -448,14 +448,14 @@ class TestFailurePolicy:
     def test_hard_worker_death_fails_only_its_point(self, retries):
         # A worker that exits without a result (os._exit, an OOM kill)
         # fails its own point; the other workers' points complete.
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
 
         def dying():
             import os
 
             os._exit(3)
 
-        register_workload("dying", dying)
+        WORKLOAD_FACTORIES["dying"] = dying
         try:
             runner = SweepRunner(
                 executor="process", jobs=2, cache={},
@@ -475,9 +475,9 @@ class TestFailurePolicy:
     def test_unreadable_worker_error_is_a_point_failure(self):
         # An exception that pickles in the worker but cannot be rebuilt
         # in the parent fails its point, not the sweep.
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
 
-        register_workload("unreadable", _raise_unreadable)
+        WORKLOAD_FACTORIES["unreadable"] = _raise_unreadable
         try:
             runner = SweepRunner(
                 executor="process", jobs=2, cache={},
@@ -522,7 +522,7 @@ class TestExecutorHygiene:
         # A timed-out point's worker is killed; the log must name the
         # spec's cache key so the killed point is identifiable (e.g.
         # against the result store) afterwards.
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         def sleepy():
@@ -531,7 +531,7 @@ class TestExecutorHygiene:
             time.sleep(1.2)
             return memcached_workload()
 
-        register_workload("sleepy_logged", sleepy)
+        WORKLOAD_FACTORIES["sleepy_logged"] = sleepy
         messages = []
         try:
             runner = SweepRunner(
@@ -562,7 +562,7 @@ class TestKillablePool:
         # cache key.
         from time import monotonic
 
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         def big_hog():
@@ -571,7 +571,7 @@ class TestKillablePool:
             time.sleep(30.0)
             return memcached_workload()
 
-        register_workload("big_hog", big_hog)
+        WORKLOAD_FACTORIES["big_hog"] = big_hog
         messages = []
         try:
             executor = ProcessExecutor(
@@ -642,9 +642,9 @@ class TestWorkerRegistryCheck:
     def test_dynamic_governor_detected(self):
         from repro.governor.idle import MenuGovernor
         from repro.sweep.runner import _check_worker_registries
-        from repro.sweep.spec import GOVERNOR_FACTORIES, register_governor
+        from repro.sweep.spec import GOVERNOR_FACTORIES
 
-        register_governor("temp_gov", MenuGovernor)
+        GOVERNOR_FACTORIES["temp_gov"] = MenuGovernor
         try:
             spec = _spec(governor="temp_gov")
             with pytest.raises(ConfigurationError, match="temp_gov"):
@@ -656,11 +656,10 @@ class TestWorkerRegistryCheck:
         from repro.cluster.balancer import (
             BALANCER_FACTORIES,
             RandomBalancer,
-            register_balancer,
         )
         from repro.sweep.runner import _check_worker_registries
 
-        register_balancer("temp_bal", RandomBalancer)
+        BALANCER_FACTORIES["temp_bal"] = RandomBalancer
         try:
             spec = _spec(nodes=2, balancer="temp_bal")
             with pytest.raises(ConfigurationError, match="temp_bal"):
@@ -684,11 +683,11 @@ class TestWorkerRegistryCheck:
         # Re-registering a built-in name must be caught too: spawn workers
         # would silently fall back to the import-time factory.
         from repro.sweep.runner import _check_worker_registries, find_unregistered
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
         original = WORKLOAD_FACTORIES["memcached"]
-        register_workload("memcached", lambda: memcached_workload())
+        WORKLOAD_FACTORIES["memcached"] = lambda: memcached_workload()
         try:
             assert find_unregistered([_spec()]) == {"workload": ["memcached"]}
             with pytest.raises(ConfigurationError, match="overridden"):

@@ -81,13 +81,18 @@ class TestResidencyAccounting:
         core.enter_idle(2.0, catalog.get("C1"))  # 2 s in C0
         core.wake(10.0)  # 8 s in C1
         stats = core.snapshot(10.0)
-        assert stats.residency_fraction("C0") == pytest.approx(0.2)
-        assert stats.residency_fraction("C1") == pytest.approx(0.8)
+        wall = stats.wall_seconds
+        assert stats.residency_seconds["C0"] / wall == pytest.approx(0.2)
+        assert stats.residency_seconds["C1"] / wall == pytest.approx(0.8)
 
     def test_residency_table_sums_to_one(self, core, catalog):
         core.enter_idle(1.0, catalog.get("C1E"))
         stats = core.snapshot(4.0)
-        assert sum(stats.residency_table().values()) == pytest.approx(1.0)
+        fractions = [
+            seconds / stats.wall_seconds
+            for seconds in stats.residency_seconds.values()
+        ]
+        assert sum(fractions) == pytest.approx(1.0)
 
     def test_transition_counts(self, core, catalog):
         for i in range(3):
@@ -99,7 +104,7 @@ class TestResidencyAccounting:
 
     def test_unknown_state_fraction_zero(self, core):
         stats = core.snapshot(1.0)
-        assert stats.residency_fraction("C6") == 0.0
+        assert stats.residency_seconds.get("C6", 0.0) == 0.0
 
 
 class TestEnergyAccounting:

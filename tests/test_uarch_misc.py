@@ -13,7 +13,6 @@ from repro.uarch import (
     TurboBudget,
     TurboConfig,
 )
-from repro.units import US
 
 
 class TestSnoopModel:
@@ -36,9 +35,13 @@ class TestSnoopModel:
     def test_from_ccsm_derives_deltas(self):
         from repro.core.ccsm import CCSM
 
-        m = SnoopModel.from_ccsm(CCSM())
-        assert m.c1_power_delta == pytest.approx(0.05)
-        assert m.c6a_power_delta == pytest.approx(0.17)
+        # The simulator's default premia are what the CCSM components add.
+        config = CCSM().config
+        m = SnoopModel()
+        assert m.c1_power_delta == pytest.approx(config.clock_ungate_power)
+        assert m.c6a_power_delta == pytest.approx(
+            config.clock_ungate_power + config.sleep_exit_extra_power
+        )
 
     def test_negative_service_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -57,29 +60,25 @@ class TestSnoopTrafficGenerator:
         mean = sum(delays) / len(delays)
         assert mean == pytest.approx(1e-3, rel=0.5)
 
-    def test_duty_cycle(self):
-        gen = SnoopTrafficGenerator(1000.0)
-        duty = gen.expected_duty_cycle(SnoopModel(service_time=100 * US))
-        assert duty == pytest.approx(0.1)
-
-    def test_duty_cycle_capped_at_one(self):
-        gen = SnoopTrafficGenerator(1e9)
-        assert gen.expected_duty_cycle(SnoopModel()) == 1.0
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             SnoopTrafficGenerator(-1.0)
 
 
+def level_fraction(budget):
+    """Turbo headroom as a fraction of the tank."""
+    return budget._level / budget.config.tank_joules
+
+
 class TestTurboBudget:
     def test_starts_full(self):
-        assert TurboBudget().level_fraction == 1.0
+        assert level_fraction(TurboBudget()) == 1.0
 
     def test_grants_when_full(self):
         budget = TurboBudget()
         freq = budget.frequency_for_burst(0.0, package_power=40.0)
         assert freq is FrequencyPoint.TURBO
-        assert budget.grants == 1
+        assert budget._grants == 1
 
     def test_disabled_never_grants(self):
         budget = TurboBudget(enabled=False)
@@ -90,7 +89,7 @@ class TestTurboBudget:
         budget = TurboBudget(config)
         budget.update(0.0, package_power=60.0)  # record high power
         budget.update(0.2, package_power=60.0)  # drain 10 W x 0.2 s = 2 J
-        assert budget.level_fraction == 0.0
+        assert level_fraction(budget) == 0.0
 
     def test_denies_when_empty(self):
         config = TurboConfig(sustained_watts=50.0, tank_joules=1.0)
@@ -98,7 +97,7 @@ class TestTurboBudget:
         budget.update(0.0, 70.0)
         budget.update(1.0, 70.0)
         assert budget.frequency_for_burst(1.0, 70.0) is FrequencyPoint.P1
-        assert budget.denials == 1
+        assert budget._denials == 1
 
     def test_refills_below_sustained_power(self):
         config = TurboConfig(sustained_watts=50.0, tank_joules=1.0)
@@ -106,7 +105,7 @@ class TestTurboBudget:
         budget.update(0.0, 70.0)
         budget.update(1.0, 30.0)  # drained empty, now filling
         budget.update(2.0, 30.0)  # +20 J, clamped to tank
-        assert budget.level_fraction == 1.0
+        assert level_fraction(budget) == 1.0
 
     def test_lower_idle_power_refills_faster(self):
         # The Sec 7.3 mechanism: C6A idle power refills headroom faster
@@ -118,7 +117,7 @@ class TestTurboBudget:
             b.update(0.0, 70.0)
             b.update(2.0, idle_power)  # drain empty
             b.update(4.0, idle_power)  # refill at (50 - idle_power)
-        assert c6a_idle.level_fraction > c1_idle.level_fraction
+        assert level_fraction(c6a_idle) > level_fraction(c1_idle)
 
     def test_time_backwards_rejected(self):
         budget = TurboBudget()
@@ -156,9 +155,10 @@ class TestPackage:
             Package([], PackageConfig(cores=1))
 
     def test_average_package_power(self):
-        cores = self._cores(2)
-        pkg = Package(cores, PackageConfig(cores=2, uncore_watts=10.0))
-        avg = pkg.average_package_power(2.0)
+        # Integrated core energy over the span plus the uncore.
+        pkg = Package(self._cores(2), PackageConfig(cores=2, uncore_watts=10.0))
+        _, _, energy_joules = pkg.telemetry_power(2.0)
+        avg = energy_joules / 2.0 + pkg.config.uncore_watts
         assert avg == pytest.approx(2 * 4.0 + 10.0)
 
     def test_core_power_sums_cores(self):

