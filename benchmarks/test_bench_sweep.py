@@ -7,7 +7,7 @@ process pool matching the serial run exactly.
 import pytest
 
 from repro.store import ResultStore
-from repro.sweep import ScenarioGrid, SweepRunner
+from repro.sweep import ProcessExecutor, ScenarioGrid, SweepRunner
 
 #: A small but non-trivial grid: 2 configs x 3 rates, ~7 ms of simulated
 #: time per point, sized so pool spin-up does not dwarf the work.
@@ -31,12 +31,12 @@ def serial_runner(store):
 
 @pytest.fixture(scope="module")
 def serial(serial_runner):
-    return serial_runner.run_grid(GRID)
+    return serial_runner.run_many(GRID)
 
 
 @pytest.fixture(scope="module")
 def parallel():
-    return SweepRunner(executor="process", jobs=4, cache={}).run_grid(GRID)
+    return SweepRunner(executor=ProcessExecutor(jobs=4), cache={}).run_many(GRID)
 
 
 def test_bench_sweep_serial(serial):
@@ -50,14 +50,14 @@ def test_bench_sweep_process_pool(parallel):
 
 
 def test_bench_sweep_cache_hits(serial_runner, serial):
-    results = serial_runner.run_grid(GRID)  # every point from the memo
+    results = serial_runner.run_many(GRID)  # every point from the memo
     assert len(results) == len(GRID)
 
 
 def test_bench_sweep_store_hits(store, serial):
     """A whole grid served from the persistent store (sqlite read + exact
     result deserialization) with a cold memo."""
-    results = SweepRunner(cache={}, store=store).run_grid(GRID)
+    results = SweepRunner(cache={}, store=store).run_many(GRID)
     assert len(results) == len(GRID)
     assert all(r.completed > 0 for r in results)
 

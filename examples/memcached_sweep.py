@@ -17,7 +17,7 @@ points out over worker processes (results are identical either way).
 import sys
 
 from repro.experiments.common import format_table
-from repro.sweep import ScenarioGrid, SweepRunner
+from repro.sweep import ProcessExecutor, ScenarioGrid, SerialExecutor, SweepRunner
 from repro.units import seconds_to_us
 
 CONFIGS = ["NT_Baseline", "NT_No_C6_No_C1E", "NT_C6A_No_C6_No_C1E"]
@@ -48,11 +48,11 @@ def main() -> None:
         seed=[42],
     )
     runner = SweepRunner(
-        executor="process" if jobs > 1 else "serial", jobs=jobs
+        executor=ProcessExecutor(jobs) if jobs > 1 else SerialExecutor()
     )
     by_key = {
         (spec.config, spec.qps): result
-        for spec, result in zip(grid, runner.run_grid(grid))
+        for spec, result in zip(grid, runner.run_many(grid))
     }
 
     rows = []

@@ -75,11 +75,12 @@ from repro.experiments.common import format_table
 from repro.store import ResultStore
 from repro.sweep import (
     FailurePolicy,
+    ProcessExecutor,
     ProgressRenderer,
     ScenarioGrid,
+    SerialExecutor,
     ShardedExecutor,
     SweepRunner,
-    configure_default_runner,
     default_runner,
     failure_record,
     result_record,
@@ -130,9 +131,11 @@ def _configured_runner(
     if shards is not None:
         # --shards splits each cluster point into node-range jobs (exact
         # merge) on the same workers that run the other points.
-        executor: object = ShardedExecutor(shards, jobs=jobs, policy=policy)
+        executor = ShardedExecutor(shards, jobs=jobs, policy=policy)
+    elif jobs is not None and jobs > 1:
+        executor = ProcessExecutor(jobs, policy)
     else:
-        executor = "process" if jobs is not None and jobs > 1 else "serial"
+        executor = SerialExecutor(policy)
     store = None
     if not no_cache:
         try:
@@ -173,14 +176,10 @@ def _configured_runner(
                 meter = ProgressRenderer(label=progress)
                 stack.callback(meter.close)
             stack.callback(set_default_runner, default_runner())
-            yield configure_default_runner(
-                executor=executor,
-                jobs=jobs,
-                progress=meter,
-                store=store,
-                policy=policy,
+            yield set_default_runner(SweepRunner(
+                executor=executor, progress=meter, store=store,
                 manifest=run_manifest,
-            )
+            ))
 
     return scope()
 
@@ -448,7 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     with runner_scope as runner:
         try:
-            results = runner.run_grid(grid)
+            results = runner.run_many(grid)
         except ReproError as exc:
             print(f"sweep failed: {exc}", file=sys.stderr)
             return EXIT_ERROR

@@ -16,8 +16,10 @@ package composes the per-node simulator into that setting:
   simulator, producing a cluster-level
   :class:`~repro.server.metrics.RunResult` with per-node breakdowns.
 - :mod:`repro.cluster.sharding` — partitioned/sharded execution for
-  stateless-balancer points: per-node exact arrival thinning, process
-  sharding, and an order-invariant exact merge.
+  stateless-balancer points: per-node exact arrival thinning, node-range
+  shards (run in parallel by
+  :class:`~repro.sweep.runner.ShardedExecutor`), and an order-invariant
+  exact merge.
 
 Cluster points are ordinary :class:`~repro.sweep.spec.ScenarioSpec`
 instances (``nodes``/``balancer``/``fanout``/``hedge_ms`` axes), so they
@@ -43,7 +45,6 @@ from repro.cluster.sharding import (
     is_shardable,
     merge_node_results,
     run_shard,
-    run_sharded,
     shard_ranges,
 )
 
@@ -63,6 +64,5 @@ __all__ = [
     "make_balancer",
     "merge_node_results",
     "run_shard",
-    "run_sharded",
     "shard_ranges",
 ]

@@ -36,8 +36,8 @@ order; sketch mode adds integer bucket counts).
 
 :func:`execute_partitioned` is the S=1 in-process entry point used by
 ``ScenarioSpec.execute`` — single-process and sharded runs share
-:func:`run_shard` and the merge, so ``run_sharded(spec, shards=S)``
-equals ``execute_partitioned(spec)`` bit-for-bit for every S.
+:func:`run_shard` and the merge, so a point that ``ShardedExecutor(S)``
+runs equals ``execute_partitioned(spec)`` bit-for-bit for every S.
 """
 
 from __future__ import annotations
@@ -290,32 +290,10 @@ def _audit_merge(per_node: Sequence[RunResult], merged: RunResult) -> None:
 def execute_partitioned(spec: "ScenarioSpec") -> RunResult:
     """Run a shardable cluster point in-process, node by node.
 
-    The single-process counterpart of :func:`run_sharded`: both share
+    The single-process counterpart of
+    :class:`~repro.sweep.runner.ShardedExecutor`: both share
     :func:`run_shard` and :func:`merge_node_results`, so their results
     are bit-identical (including exact-mode latency sample order).
     """
     check_shardable(spec)
     return merge_node_results(spec, run_shard(spec, 0, spec.nodes))
-
-
-def run_sharded(
-    spec: "ScenarioSpec", shards: int, jobs: Optional[int] = None
-) -> RunResult:
-    """Run a shardable cluster point as ``shards`` parallel node ranges.
-
-    Args:
-        spec: a shardable :class:`~repro.sweep.spec.ScenarioSpec`
-            (see :func:`is_shardable`; raises :class:`ShardingError`
-            otherwise).
-        shards: how many contiguous node ranges to split into (clamped
-            to the node count).
-        jobs: worker processes; defaults to the shard count.
-
-    Returns the merged cluster result, bit-identical to
-    :func:`execute_partitioned` for any shard count.
-    """
-    check_shardable(spec)
-    # Imported lazily: the runner imports spec, which imports this package.
-    from repro.sweep.runner import ShardedExecutor
-
-    return ShardedExecutor(shards, jobs=jobs).map_specs([spec])[0]

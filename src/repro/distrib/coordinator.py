@@ -19,12 +19,16 @@ running points it runs a **supervision loop** over a
    with another store);
 4. recover expired leases — requeue with backoff, honour
    ``FailurePolicy.retries``, quarantine poison points that have killed
-   ``poison_k`` distinct workers;
+   :data:`~repro.distrib.queue.POISON_K` distinct workers;
 5. periodically re-enqueue/heal rows that on-disk faults dropped or
    corrupted;
 6. replace dead local workers while work remains (replacements never
    inherit a chaos plan — an injected fault fires once, recovery is
    what's under test).
+
+Each step that changes the run reports through the sweep's run manifest
+(``distributed``, ``requeued``, ``healed``, ``recovered``,
+``workers_exited``); the coordinator has no other output.
 
 The coordinator executes nothing itself, so losing it is cheap: kill it
 at any point and the queue directory stays consistent; re-running the
@@ -40,7 +44,7 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.distrib import chaos as chaos_mod
 from repro.distrib.queue import DEFAULT_LEASE_S, DONE, JobQueue, job_key
@@ -57,6 +61,9 @@ from repro.sweep.runner import (
     _Ledger,
 )
 from repro.sweep.spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.manifest import RunManifest
 
 #: How many supervision ticks between heal/re-enqueue repair passes.
 #: Repairs scan every non-done row, so they run coarser than the poll.
@@ -93,15 +100,12 @@ class DistributedExecutor:
             detection latency for a silently dead worker.
         poll_s: supervision loop tick. The loop also wakes as soon as a
             local worker exits, so a drained fleet settles at once.
-        poison_k: distinct workers a point may kill before it is
-            quarantined as a poison point.
         chaos_plans: optional ``{worker_slot: ChaosPlan}`` armed on the
             *initial* local workers (tests only); replacements start
             clean.
         max_wall_s: optional hard wall-clock bound on one ``map_specs``
             call — a backstop so an empty fleet with ``jobs=0`` cannot
             wait forever; raises :class:`SimulationError` when exceeded.
-        respawn: replace dead local workers while work remains.
     """
 
     name = "distributed"
@@ -114,29 +118,21 @@ class DistributedExecutor:
         policy: Optional[FailurePolicy] = None,
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = 0.1,
-        poison_k: int = 3,
         chaos_plans: Optional[Dict[int, "chaos_mod.ChaosPlan"]] = None,
         max_wall_s: Optional[float] = None,
-        respawn: bool = True,
     ):
         if jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
         if lease_s <= 0:
             raise ConfigurationError(f"lease_s must be positive, got {lease_s}")
-        if poison_k <= 0:
-            raise ConfigurationError(
-                f"poison_k must be positive, got {poison_k}"
-            )
         self.queue = JobQueue(queue_dir)
         self.store = ResultStore(store_dir)
         self.jobs = jobs
         self.policy = policy or FailurePolicy()
         self.lease_s = lease_s
         self.poll_s = poll_s
-        self.poison_k = poison_k
         self.chaos_plans = dict(chaos_plans or {})
         self.max_wall_s = max_wall_s
-        self.respawn = respawn
         self._spawned = 0
         self._workers: List[multiprocessing.process.BaseProcess] = []
 
@@ -186,10 +182,8 @@ class DistributedExecutor:
         self._workers.append(process)
         return process
 
-    def _reap_and_respawn(
-        self, work_remains: bool, log: Optional[Callable[[str], None]] = None
-    ) -> None:
-        """Drop exited workers; spawn clean replacements if work remains.
+    def _reap_and_respawn(self, manifest: Optional["RunManifest"]) -> None:
+        """Drop exited workers and spawn clean replacements.
 
         Respawns are bounded by ``jobs * MAX_RESPAWN_FACTOR`` total
         spawns so a fleet that dies at startup cannot crash-loop.
@@ -197,17 +191,13 @@ class DistributedExecutor:
         before = len(self._workers)
         self._workers = [p for p in self._workers if p.is_alive()]
         died = before - len(self._workers)
-        if died and log is not None:
-            log(f"distributed: {died} local worker(s) exited")
-        if not (self.respawn and work_remains):
-            return
         budget = self.jobs * MAX_RESPAWN_FACTOR
         while len(self._workers) < self.jobs and self._spawned < budget:
             self._spawn_worker(plan=None)
-        if died and self._spawned >= budget and log is not None:
-            log(
-                "distributed: respawn budget exhausted "
-                f"({self._spawned} spawns); not replacing dead workers"
+        if died and manifest is not None:
+            manifest.emit(
+                "workers_exited", count=died,
+                respawn_budget_spent=self._spawned >= budget,
             )
 
     def _shutdown_workers(self) -> None:
@@ -232,8 +222,7 @@ class DistributedExecutor:
         specs: Sequence[ScenarioSpec],
         on_result: Optional[ResultHook] = None,
         on_failure: Optional[FailureHook] = None,
-        log: Optional[Callable[[str], None]] = None,
-        manifest=None,
+        manifest: Optional["RunManifest"] = None,
     ) -> List[Outcome]:
         # External workers are bare interpreters: fail fast on
         # parent-only registrations whatever the local start method.
@@ -249,12 +238,6 @@ class DistributedExecutor:
             else:
                 waiting[key] = (spec, [i])
         added = self.queue.enqueue([spec for spec, _ in waiting.values()])
-        if log is not None:
-            log(
-                f"distributed: {added} enqueued, "
-                f"{len(waiting) - added} re-adopted, {self.jobs} local "
-                f"worker(s), queue {self.queue.root}"
-            )
         if manifest is not None:
             manifest.emit(
                 "distributed",
@@ -316,14 +299,8 @@ class DistributedExecutor:
                     if states.get(key) == DONE
                 ]
                 requeued = self.queue.requeue_done(orphaned)
-                if requeued:
-                    if log is not None:
-                        log(
-                            f"distributed: requeued {requeued} done "
-                            "row(s) whose result is not in the store"
-                        )
-                    if manifest is not None:
-                        manifest.emit("requeued", rows=requeued)
+                if requeued and manifest is not None:
+                    manifest.emit("requeued", rows=requeued)
                 # 2. Terminal failures recorded in the queue. Before
                 # settling, offer every failed row a heal: the
                 # coordinator holds the authoritative specs, so a row
@@ -338,11 +315,8 @@ class DistributedExecutor:
                         [waiting[k][0] for k in terminal]
                     )
                     if healed:
-                        if log is not None:
-                            log(
-                                f"distributed: healed {healed} corrupt "
-                                "row(s) back to pending"
-                            )
+                        if manifest is not None:
+                            manifest.emit("healed", rows=healed)
                         # Settle only rows that were offered the heal: a
                         # row a worker failed since gets its offer next
                         # tick.
@@ -353,16 +327,7 @@ class DistributedExecutor:
                 if not waiting:
                     break
                 # 3. Lease-expiry recovery.
-                report = self.queue.recover_expired(
-                    retries=self.policy.retries,
-                    poison_k=self.poison_k,
-                )
-                if report.total and log is not None:
-                    log(
-                        f"distributed: recovered {len(report.requeued)} "
-                        f"lapsed lease(s), {len(report.failed)} failed, "
-                        f"{len(report.quarantined)} quarantined"
-                    )
+                report = self.queue.recover_expired(retries=self.policy.retries)
                 if report.total and manifest is not None:
                     manifest.emit(
                         "recovered",
@@ -376,10 +341,10 @@ class DistributedExecutor:
                     remaining = [spec for spec, _ in waiting.values()]
                     self.queue.enqueue(remaining)  # restores dropped rows
                     healed = self.queue.heal(remaining)
-                    if healed and log is not None:
-                        log(f"distributed: healed {healed} corrupt row(s)")
+                    if healed and manifest is not None:
+                        manifest.emit("healed", rows=healed)
                 # 5. Local fleet supervision.
-                self._reap_and_respawn(work_remains=True, log=log)
+                self._reap_and_respawn(manifest)
                 # 6. Wall-clock backstop.
                 if (
                     self.max_wall_s is not None

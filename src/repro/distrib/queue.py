@@ -69,6 +69,10 @@ STATES = (PENDING, LEASED, DONE, FAILED)
 #: than a lease never trigger a spurious requeue.
 DEFAULT_LEASE_S = 30.0
 
+#: Distinct workers a point may kill (by letting their leases lapse)
+#: before :meth:`JobQueue.recover_expired` quarantines it as poison.
+POISON_K = 3
+
 #: Backoff bounds for requeued failures (seconds).
 BACKOFF_BASE_S = 0.25
 BACKOFF_CAP_S = 30.0
@@ -483,7 +487,7 @@ class JobQueue:
     def recover_expired(
         self,
         retries: int = 0,
-        poison_k: int = 3,
+        poison_k: int = POISON_K,
         now: Optional[float] = None,
     ) -> RecoveryReport:
         """Requeue or quarantine every lapsed lease (coordinator pass).

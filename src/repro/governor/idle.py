@@ -74,7 +74,6 @@ class MenuGovernor(IdleGovernor):
         self.caution = caution
         self.latency_limit = latency_limit
         self._ewma = initial_prediction
-        self._observations = 0
 
     @property
     def predicted_idle(self) -> float:
@@ -85,7 +84,6 @@ class MenuGovernor(IdleGovernor):
         if duration < 0:
             raise ConfigurationError(f"idle duration must be >= 0, got {duration}")
         self._ewma = self.alpha * duration + (1.0 - self.alpha) * self._ewma
-        self._observations += 1
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
         # predicted_idle, inlined: choose runs once per idle entry.

@@ -14,10 +14,14 @@ Every line carries:
 * ``event`` — the event name (``sweep``, ``claimed``, ``finished``,
   ``memo_hit``, ``store_hit``, ``retry``, ``timeout`` (one per
   timed-out point, carrying ``budget_s``), ``failed``,
+  ``store_disabled`` (the result store failed mid-sweep; ``error``),
   ``heartbeat`` — a distributed worker extending the lease
   of the point it is simulating, the liveness signal the coordinator's
   recovery is keyed off — plus worker lifecycle events
-  ``worker_start``/``worker_exit``/``released``, ...);
+  ``worker_start``/``worker_exit``/``released`` and the coordinator's
+  ``distributed``, ``requeued``, ``recovered``, ``healed`` (corrupt
+  queue rows repaired; ``rows``) and ``workers_exited`` (local workers
+  gone; ``count`` and ``respawn_budget_spent``), ...);
 * ``t`` — seconds since the manifest was opened (monotonic clock, so
   per-point wall times are robust against wall-clock steps);
 * ``wall`` — absolute POSIX time, for cross-process correlation;

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from math import exp, log
 from random import NV_MAGICCONST
 from typing import Callable, List, Sequence, Tuple
@@ -41,10 +40,9 @@ class Distribution:
         :meth:`sample`.
 
         The default is the bound :meth:`sample` itself. Subclasses
-        override this with a cheaper equivalent — a C-dispatching
-        :func:`~functools.partial` of a single :mod:`random` call, or the
-        stdlib algorithm inlined — since service-time sampling runs once
-        per simulated request, so each frame is measurable at scale. Both
+        override this with a cheaper equivalent — the stdlib algorithm
+        inlined — since service-time sampling runs once per simulated
+        request, so each frame is measurable at scale. Both
         entry points consume the identical random stream.
         """
         return self.sample

@@ -7,17 +7,20 @@ points. This package makes that grid a first-class object:
   description of one simulation point with a canonical cache key, and
   :class:`ScenarioGrid`, cartesian-product sweep builders.
 - :mod:`repro.sweep.runner` — :class:`SweepRunner`, which executes specs
-  through pluggable executors (serial, or owned worker processes) behind
-  a shared memo cache and an optional persistent
-  :class:`~repro.store.ResultStore`, governed by a per-point
-  :class:`FailurePolicy` (timeout/retries, raise/skip/record).
+  through one executor object (:class:`SerialExecutor`,
+  :class:`ProcessExecutor` on owned worker processes, or
+  :class:`ShardedExecutor`) behind a shared memo cache and an optional
+  persistent :class:`~repro.store.ResultStore`, governed by the
+  executor's per-point :class:`FailurePolicy` (timeout/retries,
+  raise/skip/record) and reporting through a run manifest.
 - :mod:`repro.sweep.progress` — the shared tty :class:`ProgressRenderer`
   threaded through ``repro run --jobs N`` and ``repro sweep``.
 
 Every registered experiment routes its simulation through this layer
-(:meth:`repro.experiments.api.Experiment.execute`), so a single
-``SweepRunner`` configuration — e.g. ``python -m repro run --all --jobs 4``
-— parallelises the whole artifact regeneration.
+(:meth:`repro.experiments.api.Experiment.execute`), so one default
+``SweepRunner`` — e.g. the one ``python -m repro run --all --jobs 4``
+installs with :func:`set_default_runner` — parallelises the whole
+artifact regeneration.
 """
 
 from repro.sweep.spec import (
@@ -35,7 +38,6 @@ from repro.sweep.runner import (
     ShardedExecutor,
     SweepRunner,
     clear_shared_cache,
-    configure_default_runner,
     default_runner,
     failure_record,
     result_record,
@@ -54,7 +56,6 @@ __all__ = [
     "ProgressRenderer",
     "default_runner",
     "set_default_runner",
-    "configure_default_runner",
     "clear_shared_cache",
     "result_record",
     "failure_record",

@@ -12,14 +12,18 @@ to execute it:
 
 Those and :class:`~repro.distrib.DistributedExecutor` settle every point
 through one private ledger, so retry and failure-mode semantics are
-written once. All feed one shared memo cache keyed on the spec's
-canonical cache key, so experiments that revisit points (Fig 10 reuses
-Fig 9's baselines; Table 5 reuses Fig 8's sweep) simulate each point
-exactly once per process, regardless of which runner instance asked
-first. A runner may additionally
-carry a persistent :class:`~repro.store.ResultStore`, layered *under* the
-memo: misses consult the store before simulating, and fresh results are
-written back, so repeated CLI invocations reuse runs across processes.
+written once. A :class:`SweepRunner` takes one executor object, which
+carries its own policy and worker count, and reports what a sweep does
+through one channel, its :class:`~repro.obs.manifest.RunManifest`.
+
+Every runner feeds one shared memo cache keyed on the spec's canonical
+cache key, so experiments that revisit points (Fig 10 reuses Fig 9's
+baselines; Table 5 reuses Fig 8's sweep) simulate each point exactly
+once per process, regardless of which runner instance asked first. A
+runner may additionally carry a persistent
+:class:`~repro.store.ResultStore`, layered *under* the memo: misses
+consult the store before simulating, and fresh results are written
+back, so repeated CLI invocations reuse runs across processes.
 
 Individual failures are governed by a :class:`FailurePolicy` — per-point
 timeout, retry count, and a ``raise``/``skip``/``record`` mode — so one bad
@@ -35,7 +39,6 @@ change wall-clock time.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import signal
 from collections import deque
@@ -69,19 +72,17 @@ from repro.sweep.spec import (
     IMPORT_TIME_WORKLOAD_FACTORIES,
     WORKLOAD_FACTORIES,
     CacheKey,
-    ScenarioGrid,
     ScenarioSpec,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.distrib.coordinator import DistributedExecutor
     from repro.obs.manifest import RunManifest
+    from repro.store import ResultStore
 
 #: ``progress(done, total, spec)`` — called after each point settles
 #: (success *or* terminal failure), so meters always reach ``total``.
 ProgressHook = Callable[[int, int, ScenarioSpec], None]
-
-#: ``log(message)`` — called for coarse runner lifecycle messages.
-LogHook = Callable[[str], None]
 
 #: Process-wide memo cache shared by every runner (unless overridden).
 _SHARED_CACHE: Dict[CacheKey, RunResult] = {}
@@ -364,7 +365,6 @@ class SerialExecutor:
         specs: Sequence[ScenarioSpec],
         on_result: Optional[ResultHook] = None,
         on_failure: Optional[FailureHook] = None,
-        log: Optional[LogHook] = None,
         manifest: Optional["RunManifest"] = None,
     ) -> List[Outcome]:
         ledger = _Ledger(specs, self.policy, on_result, on_failure, manifest)
@@ -540,7 +540,6 @@ class ProcessExecutor:
         specs: Sequence[ScenarioSpec],
         on_result: Optional[ResultHook] = None,
         on_failure: Optional[FailureHook] = None,
-        log: Optional[LogHook] = None,
         manifest: Optional["RunManifest"] = None,
     ) -> List[Outcome]:
         ledger = _Ledger(specs, self.policy, on_result, on_failure, manifest)
@@ -567,16 +566,7 @@ class ProcessExecutor:
         for i, plan in enumerate(plans):
             if plan:
                 enqueue(i, 1)
-        width = min(self.jobs, len(queue))
-        if log is not None and 0 < width < self.jobs:
-            # More workers than jobs is a configuration smell, not an
-            # error: clamp and say so rather than spawning idle processes.
-            unit = "point(s)" if self.shards is None else "job(s)"
-            log(
-                f"sweep: clamped --jobs {self.jobs} to {width} "
-                f"(only {len(queue)} {unit} to simulate)"
-            )
-        slots: List[Optional[_Worker]] = [None] * width
+        slots: List[Optional[_Worker]] = [None] * min(self.jobs, len(queue))
 
         def settle(worker: _Worker, outcome: object) -> None:
             """Turn a worker's outcome for its job into its point's
@@ -687,14 +677,6 @@ class ProcessExecutor:
                             "timeout", i, attempt=attempt.number,
                             budget_s=policy.timeout,
                         )
-                        if log is not None:
-                            # Name the cache key so the killed point is
-                            # identifiable in the store.
-                            log(
-                                "sweep: killed timed-out worker running spec "
-                                f"{specs[i].cache_key} (attempt "
-                                f"{attempt.number}, budget {policy.timeout}s)"
-                            )
                     settle(worker, ("err", PointTimeoutError(
                         f"point exceeded {policy.timeout}s "
                         f"(spec {specs[i].cache_key}; worker killed)"
@@ -724,66 +706,38 @@ class ShardedExecutor(ProcessExecutor):
         self.shards = shards
 
 
-ExecutorLike = Union[SerialExecutor, ProcessExecutor]
-
-_EXECUTORS: Dict[str, Callable[..., ExecutorLike]] = {
-    "serial": lambda jobs=None, policy=None: SerialExecutor(policy),
-    "process": lambda jobs=None, policy=None: ProcessExecutor(jobs or 4, policy),
-}
-
-
-def _make_executor(
-    executor: Union[str, ExecutorLike],
-    jobs: Optional[int],
-    policy: Optional[FailurePolicy] = None,
-) -> ExecutorLike:
-    if isinstance(executor, str):
-        if executor not in _EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}; choose from {sorted(_EXECUTORS)}"
-            )
-        return _EXECUTORS[executor](jobs=jobs, policy=policy)
-    return executor
+ExecutorLike = Union[SerialExecutor, ProcessExecutor, "DistributedExecutor"]
 
 
 class SweepRunner:
     """Execute scenario specs with memoisation, persistence and hooks.
 
     Args:
-        executor: ``"serial"``, ``"process"``, or an executor instance.
-        jobs: worker count for the ``"process"`` executor.
+        executor: runs the points no cache answers, under its own
+            :class:`FailurePolicy`; defaults to :class:`SerialExecutor`.
         cache: memo dict keyed on :attr:`ScenarioSpec.cache_key`; defaults
             to the process-wide shared cache.
         progress: optional ``(done, total, spec)`` hook per settled point.
-        log: optional sink for coarse lifecycle messages.
         store: optional persistent :class:`~repro.store.ResultStore`
             consulted on memo misses and updated with fresh results.
-        policy: :class:`FailurePolicy` for string-named executors
-            (ignored when ``executor`` is an instance, which carries its
-            own policy).
-        manifest: optional :class:`~repro.obs.manifest.RunManifest` —
-            every sweep appends point-lifecycle JSONL events (claimed/
-            finished/memo_hit/store_hit/retry/timeout/failed) to it.
-            Forwarded to executors whose ``map_specs`` accepts a
-            ``manifest`` keyword (custom executors without it still
-            work; they just contribute no per-point events).
+        manifest: optional :class:`~repro.obs.manifest.RunManifest`, the
+            runner's one lifecycle channel: every sweep appends its
+            ``sweep`` summary and point-lifecycle JSONL events (claimed/
+            finished/memo_hit/store_hit/retry/timeout/failed) to it, and
+            ``store_disabled`` if the store fails mid-sweep.
     """
 
     def __init__(
         self,
-        executor: Union[str, ExecutorLike] = "serial",
-        jobs: Optional[int] = None,
+        executor: Optional[ExecutorLike] = None,
         cache: Optional[Dict[CacheKey, RunResult]] = None,
         progress: Optional[ProgressHook] = None,
-        log: Optional[LogHook] = None,
-        store=None,
-        policy: Optional[FailurePolicy] = None,
+        store: Optional["ResultStore"] = None,
         manifest: Optional["RunManifest"] = None,
     ):
-        self.executor = _make_executor(executor, jobs, policy)
+        self.executor = SerialExecutor() if executor is None else executor
         self.cache = _SHARED_CACHE if cache is None else cache
         self.progress = progress
-        self.log = log
         self.store = store
         self.manifest = manifest
         #: Terminal failures from the most recent run_many, by cache key.
@@ -795,7 +749,7 @@ class SweepRunner:
         return self.run_many([spec])[0]
 
     def run_many(
-        self, specs: Sequence[ScenarioSpec]
+        self, specs: Iterable[ScenarioSpec]
     ) -> List[Outcome]:
         """All points, memoised, order-preserving.
 
@@ -835,25 +789,16 @@ class SweepRunner:
                 return op()
             except Exception as exc:  # sqlite3.Error, OSError, ...
                 store_ok[0] = False
-                if self.log is not None:
-                    self.log(f"sweep: result store disabled ({exc})")
+                if self.manifest is not None:
+                    self.manifest.emit("store_disabled", error=_describe(exc))
                 return None
 
         store_hits = 0
         if store_ok[0] and misses:
-            # Batch the lookup when the store supports it (one sqlite
-            # connection for the whole grid instead of one per key).
-            get_many = getattr(self.store, "get_many", None)
-            if get_many is not None:
-                found = store_call(
-                    lambda: get_many([spec.cache_key for spec in misses])
-                ) or {}
-            else:
-                found = {}
-                for spec in misses:
-                    stored = store_call(lambda: self.store.get(spec.cache_key))
-                    if stored is not None:
-                        found[spec.cache_key] = stored
+            # One batched lookup: one sqlite connection for the whole grid.
+            found = store_call(
+                lambda: self.store.get_many([spec.cache_key for spec in misses])
+            ) or {}
             remaining: List[ScenarioSpec] = []
             for spec in misses:
                 stored = found.get(spec.cache_key)
@@ -866,17 +811,6 @@ class SweepRunner:
             misses = remaining
 
         total = len(misses)
-        if self.log is not None and specs:
-            duplicates = len(specs) - len(unique)
-            parts = [f"{total} to simulate", f"{memo_hits} memoised"]
-            if self.store is not None:
-                parts.append(f"{store_hits} from store")
-            if duplicates:
-                parts.append(f"{duplicates} duplicate")
-            self.log(
-                f"sweep: {len(specs)} points ({', '.join(parts)}) "
-                f"via {self.executor.name}"
-            )
         if self.manifest is not None and specs:
             self.manifest.emit(
                 "sweep",
@@ -885,9 +819,7 @@ class SweepRunner:
                 to_simulate=total,
                 memo_hits=memo_hits,
                 store_hits=store_hits,
-                executor=getattr(
-                    self.executor, "name", type(self.executor).__name__
-                ),
+                executor=self.executor.name,
             )
         note_hits = getattr(self.progress, "note_hits", None)
         if callable(note_hits):
@@ -912,15 +844,9 @@ class SweepRunner:
             pending_writes: List[tuple] = []
 
             def flush_writes() -> None:
-                if not pending_writes:
-                    return
-                put_many = getattr(self.store, "put_many", None)
-                if put_many is not None:
-                    put_many(pending_writes)
-                else:  # store-like test doubles without the batched API
-                    for key, result, spec in pending_writes:
-                        self.store.put(key, result, spec=spec)
-                pending_writes.clear()
+                if pending_writes:
+                    self.store.put_many(pending_writes)
+                    pending_writes.clear()
 
             def on_result(i: int, spec: ScenarioSpec, result: RunResult) -> None:
                 self.cache[spec.cache_key] = result
@@ -934,36 +860,19 @@ class SweepRunner:
 
             def on_failure(i: int, spec: ScenarioSpec, failure: PointFailure) -> None:
                 self.last_failures[spec.cache_key] = failure
-                if self.log is not None:
-                    self.log(
-                        f"sweep: point failed after {failure.attempts} attempt(s) "
-                        f"({failure.error})"
-                    )
                 settled[0] += 1
                 if self.progress is not None:
                     self.progress(settled[0], total, spec)
 
-            extra: Dict[str, object] = {}
-            if self.manifest is not None:
-                # Forward the manifest only to executors that take it, so
-                # custom map_specs implementations keep working unchanged.
-                try:
-                    params = inspect.signature(
-                        self.executor.map_specs
-                    ).parameters
-                except (TypeError, ValueError):  # builtins / C callables
-                    params = {}
-                if "manifest" in params:
-                    extra["manifest"] = self.manifest
             try:
                 outcomes = self.executor.map_specs(
-                    misses, on_result, on_failure, log=self.log, **extra
+                    misses, on_result, on_failure, manifest=self.manifest
                 )
             finally:
                 store_call(flush_writes)
             recorded = {
                 spec.cache_key: outcome
-                for spec, outcome in zip(misses, outcomes or ())
+                for spec, outcome in zip(misses, outcomes)
                 if isinstance(outcome, PointFailure)
             }
 
@@ -972,15 +881,10 @@ class SweepRunner:
             for spec in specs
         ]
 
-    def run_grid(
-        self, grid: ScenarioGrid
-    ) -> List[Outcome]:
-        return self.run_many(list(grid))
-
 
 # -- default runner ----------------------------------------------------------
 # Registered experiments (repro.experiments.api) route every point through
-# this process-wide runner, so configuring it (e.g. from `--jobs N` on the
+# this process-wide runner, so swapping it (e.g. for `--jobs N` on the
 # CLI) changes how the whole artifact pipeline executes.
 
 _default_runner = SweepRunner()
@@ -994,30 +898,13 @@ def default_runner() -> SweepRunner:
 def set_default_runner(runner: SweepRunner) -> SweepRunner:
     """Swap in a pre-built process-wide runner (returns it).
 
-    The CLI uses this to restore the previous runner after a command, so
-    flags like ``--cache-dir`` never leak into later programmatic use.
+    The CLI uses this to install each command's runner and to restore
+    the previous one afterwards, so flags like ``--cache-dir`` never
+    leak into later programmatic use.
     """
     global _default_runner
     _default_runner = runner
     return runner
-
-
-def configure_default_runner(
-    executor: Union[str, ExecutorLike] = "serial",
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
-    log: Optional[LogHook] = None,
-    store=None,
-    policy: Optional[FailurePolicy] = None,
-    manifest: Optional["RunManifest"] = None,
-) -> SweepRunner:
-    """Replace the process-wide runner (keeps the shared cache)."""
-    return set_default_runner(
-        SweepRunner(
-            executor=executor, jobs=jobs, progress=progress, log=log,
-            store=store, policy=policy, manifest=manifest,
-        )
-    )
 
 
 #: Emission levels for :func:`result_record`: ``headline`` keeps the

@@ -22,7 +22,7 @@ field names::
         config=["baseline", "AW"],
         qps=[10e3, 100e3, 500e3],
     )
-    results = SweepRunner(executor="process", jobs=4).run_grid(grid)
+    results = SweepRunner(executor=ProcessExecutor(jobs=4)).run_many(grid)
 """
 
 from __future__ import annotations

@@ -307,7 +307,7 @@ class TestSweepCommand:
         assert all(r["completed"] > 0 for r in records)
 
     def test_sweep_parallel_matches_serial(self, capsys):
-        from repro.sweep import clear_shared_cache, configure_default_runner
+        from repro.sweep import SweepRunner, clear_shared_cache, set_default_runner
 
         argv = [
             "sweep", "--config", "baseline", "--kqps", "10", "20",
@@ -324,7 +324,7 @@ class TestSweepCommand:
         finally:
             # `--jobs` reconfigures the process-wide runner; put the
             # serial default back so later tests are unaffected.
-            configure_default_runner()
+            set_default_runner(SweepRunner())
 
 
 class TestSweepGridFile:

@@ -15,7 +15,13 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 from repro.simkit.engine import Simulator
 from repro.store.serialize import result_to_dict
-from repro.sweep import ScenarioGrid, ScenarioSpec, SweepRunner, result_record
+from repro.sweep import (
+    ProcessExecutor,
+    ScenarioGrid,
+    ScenarioSpec,
+    SweepRunner,
+    result_record,
+)
 
 import random
 from functools import partial
@@ -334,7 +340,9 @@ class TestCluster:
     def test_serial_and_process_executors_bit_identical(self):
         specs = [_cluster_spec(seed=1), _cluster_spec(seed=2, balancer="random")]
         serial = SweepRunner(cache={}).run_many(specs)
-        parallel = SweepRunner(executor="process", jobs=2, cache={}).run_many(specs)
+        parallel = SweepRunner(
+            executor=ProcessExecutor(jobs=2), cache={}
+        ).run_many(specs)
         for s, p in zip(serial, parallel):
             assert result_to_dict(s) == result_to_dict(p)
 

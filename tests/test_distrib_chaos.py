@@ -172,12 +172,25 @@ def test_coordinator_killed_then_restarted_resumes(tmp_path):
     proc.start()
     # Let it make real progress, then pull the plug without warning.
     deadline = time.monotonic() + 60.0
+    stored = 0
     while time.monotonic() < deadline:
-        if len(store.get_many([s.cache_key for s in specs])) >= 3:
+        # Liveness first: a coordinator already dead before the store
+        # read has exited early, not just finished between the checks.
+        alive = proc.is_alive()
+        stored = len(store.get_many([s.cache_key for s in specs]))
+        if stored >= 3:
             break
+        if not alive:
+            pytest.fail(
+                f"coordinator exited (exit code {proc.exitcode}) before the "
+                f"kill, with {stored} of {n} result(s) stored"
+            )
         time.sleep(0.1)
     else:
-        pytest.fail("coordinator made no progress before the kill")
+        pytest.fail(
+            f"coordinator made no progress before the kill: {stored} of {n} "
+            "result(s) stored in 60 s, coordinator still alive"
+        )
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(10.0)
 

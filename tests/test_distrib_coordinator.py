@@ -3,16 +3,20 @@
 Local workers start with the platform's default start method (fork on
 Linux), while external ``repro worker`` processes are bare
 interpreters. These tests pin what keeps the two in step, what keeps
-the coordinator's own databases sound across the fork, and that a queue
-directory reused with a fresh store still settles.
+the coordinator's own databases sound across the fork, that a queue
+directory reused with a fresh store still settles, and the run-manifest
+lines the coordinator reports its repairs with.
 """
 
+import io
+import json
 import multiprocessing
 
 import pytest
 
 from repro.distrib import DistributedExecutor
 from repro.errors import ConfigurationError
+from repro.obs.manifest import RunManifest
 from repro.server.metrics import RunResult
 from repro.store import db as db_mod
 from repro.sweep.spec import ScenarioSpec
@@ -27,6 +31,12 @@ def _spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _events(stream, event):
+    """The ``event`` rows a :class:`RunManifest` wrote to ``stream``."""
+    rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return [row for row in rows if row["event"] == event]
 
 
 @pytest.fixture
@@ -113,17 +123,18 @@ def test_reused_queue_with_fresh_store_requeues_done_rows(tmp_path):
         queue_dir, store_dir=str(tmp_path / "store_b"), jobs=2,
         lease_s=5.0, poll_s=0.05, max_wall_s=30.0,
     )
-    messages = []
+    stream = io.StringIO()
     try:
         assert second.queue.counts()["done"] == len(specs)
-        results = second.map_specs(specs, log=messages.append)
+        results = second.map_specs(specs, manifest=RunManifest(stream))
         assert second.queue.counts()["done"] == len(specs)
     finally:
         second.close()
     assert [result_to_dict(r) for r in results] == [
         result_to_dict(spec.execute()) for spec in specs
     ]
-    assert any("requeued 3 done row(s)" in m for m in messages), messages
+    requeued = _events(stream, "requeued")
+    assert any(row["rows"] == 3 for row in requeued), requeued
 
 
 def test_row_failed_after_the_heal_pass_is_not_settled_unhealed(tmp_path):
@@ -181,3 +192,53 @@ def test_row_failed_after_the_heal_pass_is_not_settled_unhealed(tmp_path):
         executor.close()
     assert calls[0] == [job_key(first)]
     assert all(isinstance(result, RunResult) for result in results), results
+
+
+def test_healed_row_is_one_manifest_event(tmp_path):
+    """A corrupt queue row the coordinator repairs is reported as one
+    ``healed`` line, and its point still settles."""
+    from queue_faults import corrupt_rows
+    from repro.distrib.queue import job_key
+    from repro.store.serialize import result_to_dict
+
+    spec = _spec(seed=0)
+    executor = DistributedExecutor(
+        str(tmp_path / "queue"), store_dir=str(tmp_path / "store"), jobs=1,
+        lease_s=5.0, poll_s=0.05, max_wall_s=60.0,
+    )
+    executor.queue.enqueue([spec])
+    assert corrupt_rows(executor.queue, [job_key(spec)]) == 1
+    stream = io.StringIO()
+    try:
+        (result,) = executor.map_specs([spec], manifest=RunManifest(stream))
+    finally:
+        executor.close()
+    assert result_to_dict(result) == result_to_dict(spec.execute())
+    assert [row["rows"] for row in _events(stream, "healed")] == [1]
+
+
+def test_dead_local_worker_is_one_manifest_event(tmp_path):
+    """A local worker that dies mid-point is reported as a
+    ``workers_exited`` line and replaced; the replacement settles it."""
+    from repro.distrib.chaos import ChaosPlan
+    from repro.store.serialize import result_to_dict
+    from repro.sweep.runner import RECORD, FailurePolicy
+
+    spec = _spec(seed=0)
+    executor = DistributedExecutor(
+        str(tmp_path / "queue"), store_dir=str(tmp_path / "store"), jobs=1,
+        policy=FailurePolicy(mode=RECORD, retries=2),
+        lease_s=0.5, poll_s=0.05, max_wall_s=60.0,
+        chaos_plans={0: ChaosPlan(kill_phase="compute")},
+    )
+    stream = io.StringIO()
+    try:
+        (result,) = executor.map_specs([spec], manifest=RunManifest(stream))
+    finally:
+        executor.close()
+    assert result_to_dict(result) == result_to_dict(spec.execute())
+    exited = _events(stream, "workers_exited")
+    # The killed worker goes first; its replacement may be reaped too
+    # once it drains the queue and exits, before the point settles.
+    assert exited and exited[0]["count"] == 1, exited
+    assert not any(row["respawn_budget_spent"] for row in exited), exited

@@ -48,12 +48,6 @@ class TestMenuGovernor:
             gov.observe_idle(3 * US)
         assert gov.choose(skylake_baseline_catalog()).name == "C1"
 
-    def test_observation_counter(self):
-        gov = MenuGovernor()
-        gov.observe_idle(1e-3)
-        gov.observe_idle(1e-3)
-        assert gov._observations == 2
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigurationError):
             MenuGovernor().observe_idle(-1.0)

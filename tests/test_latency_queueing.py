@@ -7,7 +7,7 @@ from repro.analytical.latency_model import (
     SetupDistribution,
     aw_latency_advantage,
 )
-from repro.core.cstates import agilewatts_catalog, skylake_baseline_catalog
+from repro.core.cstates import skylake_baseline_catalog
 from repro.errors import ConfigurationError
 from repro.units import US
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.manifest import RunManifest, spec_key
 from repro.obs.report import summarize_manifest
-from repro.sweep import FailurePolicy, SweepRunner
+from repro.sweep import FailurePolicy, ProcessExecutor, SerialExecutor, SweepRunner
 from repro.sweep.spec import ScenarioSpec
 
 #: Workers see test-registered workloads only when they inherit parent
@@ -137,7 +137,7 @@ class TestRunnerIntegration:
     def test_retry_and_failed_events(self, failing_workload):
         specs = [_spec(workload=failing_workload)]
         _, rows = self._run(
-            specs, policy=FailurePolicy(mode="skip", retries=1)
+            specs, executor=SerialExecutor(FailurePolicy(mode="skip", retries=1))
         )
         events = [row["event"] for row in rows]
         assert events.count("retry") == 1
@@ -152,7 +152,7 @@ class TestRunnerIntegration:
         with _sleepy_workload("sleepy_wall", 0.3) as name:
             _, rows = self._run(
                 [_spec(workload=name, seed=s) for s in (1, 2, 3)],
-                executor="process", jobs=1,
+                executor=ProcessExecutor(jobs=1),
             )
         finished = [row for row in rows if row["event"] == "finished"]
         assert len(finished) == 3
@@ -164,8 +164,9 @@ class TestRunnerIntegration:
             hog = _spec(workload=name)
             results, rows = self._run(
                 [hog, _spec(seed=2)],
-                executor="process", jobs=2,
-                policy=FailurePolicy(mode="record", timeout=0.3),
+                executor=ProcessExecutor(
+                    2, FailurePolicy(mode="record", timeout=0.3)
+                ),
             )
         assert results[1] is not None
         timeouts = [row for row in rows if row["event"] == "timeout"]
@@ -173,21 +174,6 @@ class TestRunnerIntegration:
         assert timeouts[0]["budget_s"] == 0.3
         assert timeouts[0]["key"] == spec_key(hog)
         assert "killed" not in [row["event"] for row in rows]
-
-    def test_custom_executor_without_manifest_param_still_works(self):
-        class BareExecutor:
-            def map_specs(self, specs, on_result, on_failure, log=None):
-                for i, spec in enumerate(specs):
-                    on_result(i, spec, spec.execute())
-
-        stream = io.StringIO()
-        manifest = RunManifest(stream)
-        runner = SweepRunner(executor=BareExecutor(), manifest=manifest, cache={})
-        results = runner.run_many([_spec()])
-        assert results[0] is not None
-        events = [row["event"] for row in _lines(stream)]
-        # the sweep summary still lands; per-point events need executor support
-        assert "sweep" in events
 
 
 class TestSummarize:

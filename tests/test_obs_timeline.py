@@ -18,14 +18,13 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from golden_specs import digest_result  # noqa: E402
 
-from repro.cluster.sharding import run_sharded
 from repro.obs.timeline import (
     TIMELINE_VERSION,
-    TimelineSampler,
     merge_timelines,
 )
 from repro.server import ServerNode, named_configuration
 from repro.simkit import Simulator
+from repro.sweep import ShardedExecutor
 from repro.sweep.spec import ScenarioSpec
 from repro.workloads import memcached_workload
 
@@ -142,7 +141,7 @@ class TestClusterMerge:
     def test_sharded_timeline_bit_identical_to_shared_sim(self):
         spec = _spec(nodes=3, qps=120_000, telemetry_hz=50)
         shared = spec.execute()
-        sharded = run_sharded(spec, shards=3)
+        sharded = ShardedExecutor(3).map_specs([spec])[0]
         assert json.dumps(shared.timeline, sort_keys=True) == json.dumps(
             sharded.timeline, sort_keys=True
         )

@@ -23,7 +23,6 @@ from repro.cluster.sharding import (
     is_shardable,
     merge_node_results,
     run_shard,
-    run_sharded,
     shard_ranges,
 )
 from repro.errors import ConfigurationError, ShardingError
@@ -113,7 +112,7 @@ class TestShardability:
 
     def test_run_sharded_refuses_unshardable(self):
         with pytest.raises(ShardingError):
-            run_sharded(_cluster_spec(balancer="power_of_two"), shards=2)
+            ShardedExecutor(2).map_specs([_cluster_spec(balancer="power_of_two")])
 
     def test_uses_partitioned_arrivals_property(self):
         assert _cluster_spec().uses_partitioned_arrivals
@@ -134,26 +133,24 @@ class TestShardDeterminism:
 
     def test_s1_equals_unsharded_bit_identically(self):
         spec = _cluster_spec()
-        assert digest_result(run_sharded(spec, shards=1)) == digest_result(
-            spec.execute()
-        )
+        (sharded,) = ShardedExecutor(1).map_specs([spec])
+        assert digest_result(sharded) == digest_result(spec.execute())
 
     def test_s4_pool_equals_unsharded_bit_identically(self):
         spec = _cluster_spec()
-        assert digest_result(run_sharded(spec, shards=4)) == digest_result(
-            spec.execute()
-        )
+        (sharded,) = ShardedExecutor(4).map_specs([spec])
+        assert digest_result(sharded) == digest_result(spec.execute())
 
     def test_odd_shard_count_identical(self):
         spec = _cluster_spec(nodes=5, qps=50_000)
-        assert digest_result(run_sharded(spec, shards=3)) == digest_result(
-            execute_partitioned(spec)
-        )
+        (sharded,) = ShardedExecutor(3).map_specs([spec])
+        assert digest_result(sharded) == digest_result(execute_partitioned(spec))
 
     def test_round_robin_thinned_identical_across_shard_counts(self):
         spec = _cluster_spec(balancer="round_robin")
         reference = digest_result(execute_partitioned(spec))
-        assert digest_result(run_sharded(spec, shards=2)) == reference
+        (sharded,) = ShardedExecutor(2).map_specs([spec])
+        assert digest_result(sharded) == reference
         assert digest_result(spec.execute()) == reference
 
     def test_merge_invariant_to_completion_order(self):
@@ -170,7 +167,7 @@ class TestShardDeterminism:
     def test_sketch_mode_sharded_identical(self):
         spec = _cluster_spec(sketch_error=0.01)
         reference = execute_partitioned(spec)
-        sharded = run_sharded(spec, shards=4)
+        (sharded,) = ShardedExecutor(4).map_specs([spec])
         assert digest_result(sharded) == digest_result(reference)
         assert sharded.server_latency.sketch_error == 0.01
 
@@ -188,9 +185,8 @@ class TestShardDeterminism:
             governor_factory=spec.governor_factory(),
             sketch_error=spec.sketch_error,
         ).run()
-        for result in (
-            classic, execute_partitioned(spec), run_sharded(spec, shards=2)
-        ):
+        (sharded,) = ShardedExecutor(2).map_specs([spec])
+        for result in (classic, execute_partitioned(spec), sharded):
             assert result.completed > 0
             assert len(result.node_detail) == spec.nodes
             assert len(result.server_latency.sketch._bins) <= 2048

@@ -1,10 +1,12 @@
 """Tests for the persistent result store (repro.store)."""
 
+import io
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.manifest import RunManifest
 from repro.store import (
     FORMAT_VERSION,
     ResultStore,
@@ -14,7 +16,13 @@ from repro.store import (
     result_from_dict,
     result_to_dict,
 )
-from repro.sweep import ScenarioSpec, SweepRunner
+from repro.sweep import ProcessExecutor, ScenarioSpec, SweepRunner
+
+
+def _events(stream, event):
+    """The ``event`` rows a :class:`RunManifest` wrote to ``stream``."""
+    rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return [row for row in rows if row["event"] == event]
 
 
 def _spec(**overrides):
@@ -286,26 +294,31 @@ class TestRunnerIntegration:
         # A store that starts erroring mid-sweep (full disk, locked db)
         # must be dropped, not abort the run.
         class BrokenStore:
-            def get(self, key):
+            def get_many(self, keys):
                 raise OSError("disk on fire")
 
-            def put(self, key, result, spec=None):
-                raise OSError("disk on fire")
+            def put_many(self, items):  # pragma: no cover
+                raise AssertionError("a disabled store must not be written")
 
-        messages = []
-        runner = SweepRunner(cache={}, store=BrokenStore(), log=messages.append)
+        stream = io.StringIO()
+        runner = SweepRunner(
+            cache={}, store=BrokenStore(), manifest=RunManifest(stream)
+        )
         result = runner.run(_spec())
         assert result.completed > 0
-        assert any("store disabled" in m for m in messages)
+        (disabled,) = _events(stream, "store_disabled")
+        assert disabled["error"] == "OSError: disk on fire"
 
     def test_store_hits_logged(self, tmp_path):
         store = ResultStore(tmp_path, salt="s1")
         spec = _spec()
         SweepRunner(cache={}, store=store).run(spec)
-        messages = []
-        SweepRunner(cache={}, store=store, log=messages.append).run(spec)
-        assert "0 to simulate" in messages[0]
-        assert "1 from store" in messages[0]
+        stream = io.StringIO()
+        SweepRunner(cache={}, store=store, manifest=RunManifest(stream)).run(spec)
+        (sweep,) = _events(stream, "sweep")
+        assert sweep["to_simulate"] == 0
+        assert sweep["store_hits"] == 1
+        assert len(_events(stream, "store_hit")) == 1
 
     def test_parallel_runner_fills_store(self, tmp_path):
         from repro.sweep import ScenarioGrid
@@ -315,14 +328,16 @@ class TestRunnerIntegration:
             config=["baseline", "AW"], qps=[10_000, 20_000],
             horizon=[0.02], seed=[7],
         )
-        SweepRunner(executor="process", jobs=2, cache={}, store=store).run_grid(grid)
+        SweepRunner(
+            executor=ProcessExecutor(jobs=2), cache={}, store=store
+        ).run_many(grid)
         assert len(store) == len(grid)
         # a fresh serial runner answers the whole grid from disk
         simulated = []
         fresh = SweepRunner(
             cache={}, store=store, progress=lambda d, t, s: simulated.append(s)
         )
-        results = fresh.run_grid(grid)
+        results = fresh.run_many(grid)
         assert simulated == []
         assert all(r.completed > 0 for r in results)
 

@@ -1,16 +1,20 @@
 """Tests for the scenario/sweep subsystem (repro.sweep)."""
 
+import io
+import json
 import multiprocessing
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.manifest import RunManifest, spec_key
 from repro.sweep import (
     FailurePolicy,
     PointFailure,
     ProcessExecutor,
     ScenarioGrid,
     ScenarioSpec,
+    SerialExecutor,
     SweepRunner,
     result_record,
 )
@@ -34,6 +38,12 @@ class _TwoArgError(Exception):
 
 def _raise_unreadable():
     raise _TwoArgError("half", "lost")
+
+
+def _events(stream, event):
+    """The ``event`` rows a :class:`RunManifest` wrote to ``stream``."""
+    rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return [row for row in rows if row["event"] == event]
 
 
 def _spec(**overrides):
@@ -177,8 +187,8 @@ class TestSweepRunner:
             config=["baseline", "AW"], qps=[10_000, 40_000],
             horizon=[0.02], seed=[7],
         )
-        serial = SweepRunner(cache={}).run_grid(grid)
-        parallel = SweepRunner(executor="process", jobs=2, cache={}).run_grid(grid)
+        serial = SweepRunner(cache={}).run_many(grid)
+        parallel = SweepRunner(executor=ProcessExecutor(jobs=2), cache={}).run_many(grid)
         for s, p in zip(serial, parallel):
             assert s.avg_core_power == p.avg_core_power
             assert s.completed == p.completed
@@ -210,32 +220,33 @@ class TestSweepRunner:
         assert events == [(1, 2), (2, 2)]
 
     def test_log_hook_reports_cache_state(self):
-        messages = []
-        runner = SweepRunner(cache={}, log=messages.append)
+        # The manifest's per-batch ``sweep`` line is the cache report.
+        stream = io.StringIO()
+        runner = SweepRunner(cache={}, manifest=RunManifest(stream))
         runner.run(_spec())
         runner.run(_spec())
-        assert "1 to simulate" in messages[0]
-        assert "0 to simulate" in messages[1]
-        assert "1 memoised" in messages[1]
+        first, second = _events(stream, "sweep")
+        assert first["to_simulate"] == 1
+        assert second["to_simulate"] == 0
+        assert second["memo_hits"] == 1
+        assert first["executor"] == second["executor"] == "serial"
 
     def test_log_hook_counts_duplicates_separately(self):
         # Duplicate uncached specs must not be reported as cache hits.
-        messages = []
-        runner = SweepRunner(cache={}, log=messages.append)
+        stream = io.StringIO()
+        runner = SweepRunner(cache={}, manifest=RunManifest(stream))
         a, b = _spec(seed=1), _spec(seed=2)
         runner.run_many([a, a, a, b])
-        assert "4 points" in messages[0]
-        assert "2 to simulate" in messages[0]
-        assert "0 memoised" in messages[0]
-        assert "2 duplicate" in messages[0]
         runner.run_many([a, a, b])
-        assert "0 to simulate" in messages[1]
-        assert "2 memoised" in messages[1]
-        assert "1 duplicate" in messages[1]
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(executor="gpu")
+        first, second = _events(stream, "sweep")
+        assert first["points"] == 4
+        assert first["unique"] == 2  # 2 duplicates
+        assert first["to_simulate"] == 2
+        assert first["memo_hits"] == 0
+        assert second["points"] == 3
+        assert second["unique"] == 2  # 1 duplicate
+        assert second["to_simulate"] == 0
+        assert second["memo_hits"] == 2
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -286,7 +297,7 @@ class TestFailurePolicy:
 
     def test_serial_skip_drops_failed_point(self, failing_workload):
         good, bad = _spec(), _spec(workload=failing_workload)
-        runner = SweepRunner(cache={}, policy=FailurePolicy(mode="skip"))
+        runner = SweepRunner(executor=SerialExecutor(FailurePolicy(mode="skip")), cache={})
         results = runner.run_many([good, bad, good])
         assert results[0].completed > 0
         assert results[1] is None
@@ -297,7 +308,8 @@ class TestFailurePolicy:
     def test_serial_record_returns_point_failure(self, failing_workload):
         bad = _spec(workload=failing_workload)
         runner = SweepRunner(
-            cache={}, policy=FailurePolicy(mode="record", retries=2)
+            executor=SerialExecutor(FailurePolicy(mode="record", retries=2)),
+            cache={},
         )
         results = runner.run_many([bad])
         assert isinstance(results[0], PointFailure)
@@ -306,15 +318,15 @@ class TestFailurePolicy:
 
     def test_failures_are_not_cached(self, failing_workload):
         bad = _spec(workload=failing_workload)
-        runner = SweepRunner(cache={}, policy=FailurePolicy(mode="skip"))
+        runner = SweepRunner(executor=SerialExecutor(FailurePolicy(mode="skip")), cache={})
         runner.run_many([bad])
         assert bad.cache_key not in runner.cache
 
     def test_progress_counts_failures(self, failing_workload):
         events = []
         runner = SweepRunner(
+            executor=SerialExecutor(FailurePolicy(mode="skip")),
             cache={},
-            policy=FailurePolicy(mode="skip"),
             progress=lambda d, t, s: events.append((d, t)),
         )
         runner.run_many([_spec(seed=1), _spec(workload=failing_workload)])
@@ -324,8 +336,8 @@ class TestFailurePolicy:
     def test_process_skip_completes_remaining_points(self, failing_workload):
         good_a, bad, good_b = _spec(seed=1), _spec(workload=failing_workload), _spec(seed=2)
         runner = SweepRunner(
-            executor="process", jobs=2, cache={},
-            policy=FailurePolicy(mode="skip"),
+            executor=ProcessExecutor(2, FailurePolicy(mode="skip")),
+            cache={},
         )
         results = runner.run_many([good_a, bad, good_b])
         assert results[0].completed > 0
@@ -337,8 +349,8 @@ class TestFailurePolicy:
     def test_process_record_with_retries(self, failing_workload):
         bad = _spec(workload=failing_workload)
         runner = SweepRunner(
-            executor="process", jobs=2, cache={},
-            policy=FailurePolicy(mode="record", retries=1),
+            executor=ProcessExecutor(2, FailurePolicy(mode="record", retries=1)),
+            cache={},
         )
         results = runner.run_many([bad, _spec(seed=3)])
         assert isinstance(results[0], PointFailure)
@@ -350,7 +362,7 @@ class TestFailurePolicy:
         # One worker processes sequentially, so the good point completes
         # (and must be cached) before the bad one aborts the sweep.
         good, bad = _spec(seed=4), _spec(workload=failing_workload)
-        runner = SweepRunner(executor="process", jobs=1, cache={})
+        runner = SweepRunner(executor=ProcessExecutor(jobs=1), cache={})
         with pytest.raises(RuntimeError, match="kaboom"):
             runner.run_many([good, bad])
         assert good.cache_key in runner.cache
@@ -369,8 +381,8 @@ class TestFailurePolicy:
         WORKLOAD_FACTORIES["sleepy"] = sleepy
         try:
             runner = SweepRunner(
-                executor="process", jobs=2, cache={},
-                policy=FailurePolicy(mode="record", timeout=0.2),
+                executor=ProcessExecutor(2, FailurePolicy(mode="record", timeout=0.2)),
+                cache={},
             )
             results = runner.run_many([_spec(workload="sleepy"), _spec(seed=5)])
             assert isinstance(results[0], PointFailure)
@@ -397,8 +409,8 @@ class TestFailurePolicy:
         WORKLOAD_FACTORIES["hog"] = hog
         try:
             runner = SweepRunner(
-                executor="process", jobs=1, cache={},
-                policy=FailurePolicy(mode="record", timeout=0.5),
+                executor=ProcessExecutor(1, FailurePolicy(mode="record", timeout=0.5)),
+                cache={},
             )
             results = runner.run_many(
                 [_spec(workload="hog"), _spec(seed=6)]
@@ -434,8 +446,8 @@ class TestFailurePolicy:
         WORKLOAD_FACTORIES["sleepy1"] = sleepy
         try:
             runner = SweepRunner(
-                executor="process", jobs=2, cache={},
-                policy=FailurePolicy(mode="record", timeout=0.2),
+                executor=ProcessExecutor(2, FailurePolicy(mode="record", timeout=0.2)),
+                cache={},
             )
             results = runner.run_many([_spec(workload="sleepy1")])
             assert isinstance(results[0], PointFailure)
@@ -458,8 +470,8 @@ class TestFailurePolicy:
         WORKLOAD_FACTORIES["dying"] = dying
         try:
             runner = SweepRunner(
-                executor="process", jobs=2, cache={},
-                policy=FailurePolicy(mode="record", retries=retries),
+                executor=ProcessExecutor(2, FailurePolicy(mode="record", retries=retries)),
+                cache={},
             )
             results = runner.run_many(
                 [_spec(workload="dying")] + [_spec(seed=s) for s in range(30, 36)]
@@ -480,8 +492,8 @@ class TestFailurePolicy:
         WORKLOAD_FACTORIES["unreadable"] = _raise_unreadable
         try:
             runner = SweepRunner(
-                executor="process", jobs=2, cache={},
-                policy=FailurePolicy(mode="record"),
+                executor=ProcessExecutor(2, FailurePolicy(mode="record")),
+                cache={},
             )
             results = runner.run_many(
                 [_spec(workload="unreadable")] + [_spec(seed=s) for s in (37, 38)]
@@ -492,36 +504,38 @@ class TestFailurePolicy:
         finally:
             del WORKLOAD_FACTORIES["unreadable"]
 
-    def test_executor_string_with_policy(self):
-        runner = SweepRunner(executor="process", jobs=2, policy=FailurePolicy(mode="skip"))
-        assert runner.executor.policy.mode == "skip"
-        runner = SweepRunner(policy=FailurePolicy(retries=3))
-        assert runner.executor.policy.retries == 3
-
 
 class TestExecutorHygiene:
-    def test_jobs_exceeding_points_is_clamped_and_logged(self):
-        messages = []
+    def test_jobs_exceeding_points_is_clamped_and_logged(self, monkeypatch):
+        # Eight workers asked for, two points to run: two workers start.
+        import repro.sweep.runner as runner_mod
+
+        started = []
+
+        class CountedWorker(runner_mod._Worker):
+            def __init__(self):
+                super().__init__()
+                started.append(self)
+
+        monkeypatch.setattr(runner_mod, "_Worker", CountedWorker)
+        stream = io.StringIO()
         runner = SweepRunner(
-            executor="process", jobs=8, cache={}, log=messages.append
+            executor=ProcessExecutor(jobs=8), cache={},
+            manifest=RunManifest(stream),
         )
         results = runner.run_many([_spec(seed=11), _spec(seed=12)])
         assert all(r.completed > 0 for r in results)
-        assert any("clamped" in m for m in messages)
-
-    def test_exact_jobs_not_logged_as_clamped(self):
-        messages = []
-        runner = SweepRunner(
-            executor="process", jobs=2, cache={}, log=messages.append
-        )
-        runner.run_many([_spec(seed=13), _spec(seed=14)])
-        assert not any("clamped" in m for m in messages)
+        assert len(started) == 2
+        (sweep,) = _events(stream, "sweep")
+        assert sweep["executor"] == "process"
+        assert sweep["to_simulate"] == 2
+        assert len(_events(stream, "finished")) == 2
 
     @fork_only
     def test_abandoned_timeout_worker_logs_the_cache_key(self):
-        # A timed-out point's worker is killed; the log must name the
-        # spec's cache key so the killed point is identifiable (e.g.
-        # against the result store) afterwards.
+        # A timed-out point's worker is killed; the manifest's timeout
+        # line must name the spec's cache key so the killed point is
+        # identifiable (e.g. against the result store) afterwards.
         from repro.sweep.spec import WORKLOAD_FACTORIES
         from repro.workloads import memcached_workload
 
@@ -532,20 +546,22 @@ class TestExecutorHygiene:
             return memcached_workload()
 
         WORKLOAD_FACTORIES["sleepy_logged"] = sleepy
-        messages = []
+        stream = io.StringIO()
         try:
             runner = SweepRunner(
-                executor="process", jobs=2, cache={}, log=messages.append,
-                policy=FailurePolicy(mode="record", timeout=0.2),
+                executor=ProcessExecutor(
+                    2, FailurePolicy(mode="record", timeout=0.2)
+                ),
+                cache={}, manifest=RunManifest(stream),
             )
             results = runner.run_many(
                 [_spec(workload="sleepy_logged"), _spec(seed=15)]
             )
             assert isinstance(results[0], PointFailure)
-            assert any(
-                "killed timed-out worker" in m and "sleepy_logged" in m
-                for m in messages
-            )
+            (timeout,) = _events(stream, "timeout")
+            assert timeout["key"] == spec_key(_spec(workload="sleepy_logged"))
+            assert "sleepy_logged" in timeout["key"]
+            assert timeout["budget_s"] == 0.2
         finally:
             del WORKLOAD_FACTORIES["sleepy_logged"]
 
@@ -558,8 +574,8 @@ class TestKillablePool:
     def test_timed_out_big_point_is_killed_and_logged(self):
         # A 30 s hog with a tight budget and default settings: the sweep
         # must settle quickly — the worker is terminated, not left to
-        # finish its sleep — and the kill must be logged with the spec's
-        # cache key.
+        # finish its sleep — and the manifest's timeout line must name
+        # the spec's cache key.
         from time import monotonic
 
         from repro.sweep.spec import WORKLOAD_FACTORIES
@@ -572,13 +588,13 @@ class TestKillablePool:
             return memcached_workload()
 
         WORKLOAD_FACTORIES["big_hog"] = big_hog
-        messages = []
+        stream = io.StringIO()
         try:
             executor = ProcessExecutor(
                 jobs=2, policy=FailurePolicy(mode="record", timeout=0.3)
             )
             runner = SweepRunner(
-                executor=executor, cache={}, log=messages.append
+                executor=executor, cache={}, manifest=RunManifest(stream)
             )
             start = monotonic()
             results = runner.run_many(
@@ -591,11 +607,8 @@ class TestKillablePool:
             assert results[1].completed > 0
             # Well under the hog's 30 s sleep: the kill actually landed.
             assert elapsed < 10.0
-            spec_key = str(_spec(workload="big_hog").cache_key)
-            assert any(
-                "killed timed-out worker" in m and spec_key in m
-                for m in messages
-            )
+            (timeout,) = _events(stream, "timeout")
+            assert timeout["key"] == spec_key(_spec(workload="big_hog"))
         finally:
             del WORKLOAD_FACTORIES["big_hog"]
 
