@@ -15,10 +15,12 @@ one request arriving now, at simulated ``time``; call
 works — :class:`repro.server.node.ServerNode` in production, trivial
 stubs in tests.
 
-Hot-path discipline: a logical request costs one dispatch frame, one
-balancer pick and one frame per leaf constructed; each leaf goes
+Hot-path discipline: a logical request costs one dispatch frame and one
+balancer pick; leaves are built without an ``__init__`` frame, each goes
 straight into its node's bound ``arrive`` and joins in its own
-``__call__``, and node loads are read with a C-level ``attrgetter``.
+``__call__``, node loads are read with a C-level ``attrgetter``, and the
+hedge timer is pushed through the engine's frame-free
+:meth:`~repro.simkit.engine.Simulator.pusher`.
 """
 
 from __future__ import annotations
@@ -55,19 +57,22 @@ class _Leaf:
 
     The leaf *is* its own completion callback (``arrive(time, leaf)``),
     so dispatching a request allocates no per-leaf closure, and the join
-    runs in that one frame.
+    runs in that one frame. It has no ``__init__``: the dispatcher sets
+    every slot right after ``_Leaf()``, which enters no Python frame.
+
+    Slots: ``dispatcher``, ``logical`` (its :class:`_Logical`), ``home``
+    (the node index), ``done``, and ``ordinal``, the position within the
+    logical request's leaf set; a hedged duplicate shares its original's
+    ``(lid, ordinal)`` span id.
     """
 
     __slots__ = ("dispatcher", "logical", "home", "done", "ordinal")
 
-    def __init__(self, dispatcher: "FanoutDispatcher", logical: _Logical, home: int):
-        self.dispatcher = dispatcher
-        self.logical = logical
-        self.home = home
-        self.done = False
-        #: Position within the logical request's leaf set; a hedged
-        #: duplicate shares its original's ``(lid, ordinal)`` span id.
-        self.ordinal = 0
+    dispatcher: "FanoutDispatcher"
+    logical: _Logical
+    home: int
+    done: bool
+    ordinal: int
 
     def __call__(self, now: float) -> None:
         if self.done:
@@ -123,6 +128,7 @@ class FanoutDispatcher:
         if hedge_s is not None and hedge_s <= 0:
             raise ConfigurationError(f"hedge delay must be positive, got {hedge_s}")
         self.sim = sim
+        self._push, self._next_seq = sim.pusher()
         self.nodes = list(nodes)
         #: Each node's ``arrive``, bound once: a leaf is sent in one call.
         self._arrive = [node.arrive for node in self.nodes]
@@ -153,7 +159,13 @@ class FanoutDispatcher:
         # comprehension is one more frame per logical request.
         leaves: List[_Leaf] = []
         for idx in targets:
-            leaves.append(_Leaf(self, logical, idx))
+            leaf = _Leaf()
+            leaf.dispatcher = self
+            leaf.logical = logical
+            leaf.home = idx
+            leaf.done = False
+            leaf.ordinal = 0
+            leaves.append(leaf)
         trace = self.trace
         if trace.enabled:
             lid = self._trace_seq
@@ -168,10 +180,14 @@ class FanoutDispatcher:
         arrive = self._arrive
         for leaf in leaves:
             arrive[leaf.home](arrival, leaf)
-        if self.hedge_s is not None:
+        hedge_s = self.hedge_s
+        if hedge_s is not None:
             # Never cancelled, so no Event handle; one sequence number,
-            # as schedule() would take.
-            self.sim.schedule_fast(self.hedge_s, partial(self._hedge, leaves))
+            # as schedule() would take. hedge_s > 0 was checked in
+            # __init__, so the push cannot land in the past.
+            self._push(
+                (self.sim.now + hedge_s, self._next_seq(), partial(self._hedge, leaves))
+            )
 
     def _hedge(self, leaves: Sequence[_Leaf]) -> None:
         """Duplicate still-outstanding leaves onto *other* nodes.

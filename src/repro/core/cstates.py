@@ -28,6 +28,7 @@ The headline numbers (Table 1)::
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -260,6 +261,11 @@ def make_c6ae(power_watts: float = C6AE_POWER) -> CState:
     )
 
 
+#: A selection table: ``choices[bisect_right(thresholds, predicted)]`` is
+#: :meth:`CStateCatalog.select`'s answer (``choices[0]`` is the fallback).
+SelectionTable = Tuple[List[float], List[CState]]
+
+
 class CStateCatalog:
     """An ordered hierarchy of C-states plus governor-facing queries.
 
@@ -282,6 +288,12 @@ class CStateCatalog:
         # Governor queries read the enabled list on every idle entry (the
         # simulation hot path); rebuild it only when the switches flip.
         self._enabled_cache: Optional[List[CState]] = None
+        #: Latency limit -> :data:`SelectionTable`, built by
+        #: :meth:`select` on first use and dropped when the switches
+        #: flip. Governors read it directly so one idle decision is one
+        #: frame; a limit whose candidates' target residencies are not
+        #: nondecreasing maps to None and is always scanned linearly.
+        self.selection_tables: Dict[Optional[float], Optional[SelectionTable]] = {}
 
     # -- lookups ----------------------------------------------------------
     @property
@@ -320,6 +332,7 @@ class CStateCatalog:
             self.get(name)  # validate
             self._disabled.add(name)
         self._enabled_cache = None
+        self.selection_tables.clear()
         if not self.enabled_idle_states:
             raise CStateError("cannot disable every idle state")
         return self
@@ -328,6 +341,7 @@ class CStateCatalog:
         for name in names:
             self._disabled.discard(name)
         self._enabled_cache = None
+        self.selection_tables.clear()
         return self
 
     def is_enabled(self, name: str) -> bool:
@@ -349,14 +363,48 @@ class CStateCatalog:
         whose target residency is within the predicted idle span and whose
         exit latency respects any QoS latency limit. Falls back to the
         shallowest enabled state.
+
+        The states within the latency limit normally have nondecreasing
+        target residencies, so the ones fitting the prediction are a
+        prefix of them and one ``bisect_right`` over a per-limit
+        threshold table finds the deepest. Otherwise the enabled states
+        are scanned linearly.
         """
         if predicted_idle < 0:
             raise CStateError(f"predicted idle must be >= 0, got {predicted_idle}")
-        # Runs once per idle entry: read the cache without the property
-        # frame once it is built.
-        states = self._enabled_cache
-        if states is None:
-            states = self.enabled_idle_states
+        table = self.selection_tables.get(latency_limit)
+        if table is None:
+            table = self._selection_table(latency_limit)
+            if table is None:
+                return self._select_linear(predicted_idle, latency_limit)
+        return table[1][bisect_right(table[0], predicted_idle)]
+
+    def _selection_table(
+        self, latency_limit: Optional[float]
+    ) -> Optional[SelectionTable]:
+        """Build and remember the table for ``latency_limit`` (None when
+        the candidates' target residencies decrease somewhere)."""
+        tables = self.selection_tables
+        if latency_limit in tables:
+            return tables[latency_limit]
+        states = self.enabled_idle_states
+        # The linear scan's own test, so a NaN limit excludes nothing.
+        candidates = [
+            s for s in states
+            if not (latency_limit is not None and s.exit_latency > latency_limit)
+        ]
+        thresholds = [s.target_residency for s in candidates]
+        table: Optional[SelectionTable] = None
+        if all(a <= b for a, b in zip(thresholds, thresholds[1:])):
+            table = (thresholds, [states[0]] + candidates)
+        if latency_limit == latency_limit:  # a NaN key would never hit
+            tables[latency_limit] = table
+        return table
+
+    def _select_linear(
+        self, predicted_idle: float, latency_limit: Optional[float]
+    ) -> CState:
+        states = self.enabled_idle_states
         chosen = states[0]
         for state in states:
             if state.target_residency > predicted_idle:

@@ -23,6 +23,7 @@ Three policies are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from repro.core.cstates import CState, CStateCatalog
@@ -30,7 +31,26 @@ from repro.errors import ConfigurationError
 
 
 class IdleGovernor:
-    """Interface: observe idle durations, choose C-states."""
+    """Interface: observe idle durations, choose C-states.
+
+    The simulator calls :meth:`decide` once per idle entry. Per core,
+    observations and choices strictly alternate (an idle period ends
+    with a wake before the next one starts), so the node defers each
+    observation to the next entry and hands both to one call.
+    Subclasses that define only :meth:`observe_idle` and :meth:`choose`
+    get the equivalent default; the built-in governors fuse the two,
+    and the catalog's threshold table, into one frame.
+    """
+
+    def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
+        """Fold ``observed`` (the idle span that ended at the last wake,
+        None before the first) into the history, then select a state.
+
+        Bitwise equal to :meth:`observe_idle` followed by :meth:`choose`.
+        """
+        if observed is not None:
+            self.observe_idle(observed)
+        return self.choose(catalog)
 
     def observe_idle(self, duration: float) -> None:
         """Record a completed idle interval (wake time - idle-entry time)."""
@@ -86,8 +106,20 @@ class MenuGovernor(IdleGovernor):
         self._ewma = self.alpha * duration + (1.0 - self.alpha) * self._ewma
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
-        # predicted_idle, inlined: choose runs once per idle entry.
+        # predicted_idle, inlined.
         return catalog.select(self._ewma * self.caution, self.latency_limit)
+
+    def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
+        # observe_idle, choose and the table hit of CStateCatalog.select,
+        # inlined: this runs once per idle period.
+        if observed is not None:
+            if observed < 0:
+                raise ConfigurationError(f"idle duration must be >= 0, got {observed}")
+            self._ewma = self.alpha * observed + (1.0 - self.alpha) * self._ewma
+        table = catalog.selection_tables.get(self.latency_limit)
+        if table is None:
+            return catalog.select(self._ewma * self.caution, self.latency_limit)
+        return table[1][bisect_right(table[0], self._ewma * self.caution)]
 
 
 class FixedGovernor(IdleGovernor):
@@ -100,6 +132,9 @@ class FixedGovernor(IdleGovernor):
 
     def __init__(self, state_name: str):
         self.state_name = state_name
+
+    def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
+        return self.choose(catalog)
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
         if self.state_name not in catalog:
@@ -160,3 +195,15 @@ class ReplayOracleGovernor(OracleGovernor):
         # Always replay the last observed interval: callers that *could*
         # pass a hint (none do today) would be peeking at the future.
         return super().choose(catalog, hint=self._last)
+
+    def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
+        # observe_idle, choose and the table hit of CStateCatalog.select,
+        # inlined, as in MenuGovernor.decide.
+        if observed is not None:
+            if observed < 0:
+                raise ConfigurationError(f"idle duration must be >= 0, got {observed}")
+            self._last = observed
+        table = catalog.selection_tables.get(self.latency_limit)
+        if table is None:
+            return catalog.select(self._last, self.latency_limit)
+        return table[1][bisect_right(table[0], self._last)]

@@ -20,12 +20,22 @@ end-to-end views.
 
 Hot-path discipline: the per-event code allocates nothing beyond the
 engine's heap entry — callbacks are prebound per core at construction,
-requests are recycled through a free list, and scheduling goes through
-:meth:`~repro.simkit.engine.Simulator.schedule_fast` (service
-completions, C-state entries and wakes are never cancelled). The
-``fast_path=False`` reference mode routes the same call sites through the
-original Event-allocating scheduler so the golden bit-identity tests can
-replay both and compare.
+requests are recycled through a free list, and service completions,
+C-state entries and wakes (never cancelled) are pushed through the
+engine's :meth:`~repro.simkit.engine.Simulator.pusher` without entering
+an engine frame. Each push is ``(now + delay, next_seq(), callback)``:
+C-state latencies are validated ``>= 0`` when the state is built, and a
+service draw is checked inline, which keeps the engine's past-time
+guarantee. The rare snoop events keep the scheduling methods. The ``fast_path=False`` reference mode gets a pusher that
+wraps every entry in an :class:`~repro.simkit.engine.Event` under the
+same sequence number, so the golden bit-identity tests can replay both
+and compare.
+
+The governor makes one call per idle period. A wake stores the idle span
+that just ended on the core's runtime; the next idle entry hands it to
+:meth:`~repro.governor.idle.IdleGovernor.decide`, which folds it into
+the history and selects the state. Per core an observation always comes
+between two choices, so deferring it changes nothing.
 
 Each C-state transition is one call into the package
 (:meth:`~repro.uarch.package.Package.enter_idle` /
@@ -77,6 +87,11 @@ _IDLE = CoreMode.IDLE
 _WAKING = CoreMode.WAKING
 
 
+def _negative_service(delay: float) -> SimulationError:
+    """The engine's past-time error, for a negative service draw."""
+    return SimulationError(f"cannot schedule event with negative delay {delay}")
+
+
 class _Request:
     """One in-flight request. Instances are recycled via the node's free
     list, so a steady-state run allocates O(max in-flight) of them total
@@ -100,8 +115,8 @@ class _CoreRuntime:
 
     __slots__ = (
         "core", "queue", "governor", "mode", "busy", "idle_since",
-        "wake_pending", "snoop_token", "in_service", "entering_state",
-        "finish_cb", "entry_cb", "wake_cb", "snoop_cb",
+        "observed", "wake_pending", "snoop_token", "in_service",
+        "entering_state", "finish_cb", "entry_cb", "wake_cb", "snoop_cb",
     )
 
     def __init__(self, core: Core, governor: IdleGovernor):
@@ -111,6 +126,10 @@ class _CoreRuntime:
         self.mode = _ACTIVE
         self.busy = False
         self.idle_since = 0.0
+        #: The idle span that ended at the last wake, not yet shown to
+        #: the governor (None before the first): the next idle entry
+        #: passes it to ``governor.decide``.
+        self.observed: Optional[float] = None
         self.wake_pending = False
         self.snoop_token = 0
         #: Request currently in service (cores serve one at a time), read
@@ -173,9 +192,11 @@ class ServerNode:
         #: arrive solely through :meth:`arrive` (cluster dispatch).
         self.external_arrivals = external_arrivals
         self.fast_path = fast_path
-        # One call-site indirection selects the scheduling path: both
-        # consume (delay/time, callback) in the same order, so sequence
-        # numbers — and therefore event order — are identical.
+        # The hot pushes (service, idle entry, wake) go through the
+        # engine's pusher, the rare snoop events through the scheduling
+        # methods. Either way the reference mode takes the same sequence
+        # numbers in the same order, so event order is identical.
+        self._push, self._next_seq = self.sim.pusher(fast_path)
         if fast_path:
             self._sched = self.sim.schedule_fast
             self._sched_at = self.sim.schedule_at_fast
@@ -371,22 +392,22 @@ class ServerNode:
                 # keeps it busy), so this request is next in FIFO order.
                 rt.busy = True
                 rt.in_service = request
-                self._sched(
-                    self._sample_service(rt.core._frequency, self._frequency_derate),
-                    rt.finish_cb,
-                )
+                delay = self._sample_service(rt.core._frequency, self._frequency_derate)
+                if delay < 0:
+                    raise _negative_service(delay)
+                self._push((self.sim.now + delay, self._next_seq(), rt.finish_cb))
             return
         rt.queue.append(request)
         if mode is _IDLE:
             # _begin_wake, inlined: the mode test above is its check.
-            rt.governor.observe_idle(arrival - rt.idle_since)
+            rt.observed = arrival - rt.idle_since
             rt.snoop_token += 1  # invalidate in-flight snoop service
             core = rt.core
             if trace.enabled:
                 trace.record(arrival, f"core{index}", "wake", core.state.name)
             exit_latency = self._wake(core, arrival)
             rt.mode = _WAKING
-            self._sched(exit_latency, rt.wake_cb)
+            self._push((self.sim.now + exit_latency, self._next_seq(), rt.wake_cb))
         elif mode is _ENTERING:
             rt.wake_pending = True
         # WAKING: the pending wake will drain the queue.
@@ -415,28 +436,29 @@ class ServerNode:
         if queue:
             # Start the next request inline; the core stays busy.
             rt.in_service = queue.popleft()
-            self._sched(
-                self._sample_service(rt.core._frequency, self._frequency_derate),
-                rt.finish_cb,
-            )
+            delay = self._sample_service(rt.core._frequency, self._frequency_derate)
+            if delay < 0:
+                raise _negative_service(delay)
+            self._push((now + delay, self._next_seq(), rt.finish_cb))
         else:
             # _go_idle, inlined: the governor picks the state to enter.
             rt.busy = False
-            state = rt.governor.choose(self._catalog)
+            state = rt.governor.decide(self._catalog, rt.observed)
             rt.mode = _ENTERING
             rt.idle_since = now
             rt.wake_pending = False
             rt.entering_state = state
-            self._sched(state.entry_latency, rt.entry_cb)
+            self._push((now + state.entry_latency, self._next_seq(), rt.entry_cb))
 
     # -- idle path -----------------------------------------------------------------
     def _go_idle(self, rt: _CoreRuntime) -> None:
-        state = rt.governor.choose(self._catalog)
+        state = rt.governor.decide(self._catalog, rt.observed)
+        now = self.sim.now
         rt.mode = _ENTERING
-        rt.idle_since = self.sim.now
+        rt.idle_since = now
         rt.wake_pending = False
         rt.entering_state = state
-        self._sched(state.entry_latency, rt.entry_cb)
+        self._push((now + state.entry_latency, self._next_seq(), rt.entry_cb))
 
     def _entry_complete(self, rt: _CoreRuntime) -> None:
         state = rt.entering_state
@@ -453,14 +475,14 @@ class ServerNode:
         if rt.mode is not _IDLE:
             raise SimulationError(f"cannot wake core in mode {rt.mode}")
         now = self.sim.now
-        rt.governor.observe_idle(now - rt.idle_since)
+        rt.observed = now - rt.idle_since
         rt.snoop_token += 1  # invalidate in-flight snoop service
         trace = self.trace
         if trace.enabled:
             trace.record(now, f"core{rt.core.core_id}", "wake", rt.core.state.name)
         exit_latency = self._wake(rt.core, now)
         rt.mode = _WAKING
-        self._sched(exit_latency, rt.wake_cb)
+        self._push((now + exit_latency, self._next_seq(), rt.wake_cb))
 
     def _wake_complete(self, rt: _CoreRuntime) -> None:
         rt.mode = _ACTIVE
@@ -472,10 +494,10 @@ class ServerNode:
             # _start_service, inlined: a wake almost always finds work.
             rt.busy = True
             rt.in_service = queue.popleft()
-            self._sched(
-                self._sample_service(rt.core._frequency, self._frequency_derate),
-                rt.finish_cb,
-            )
+            delay = self._sample_service(rt.core._frequency, self._frequency_derate)
+            if delay < 0:
+                raise _negative_service(delay)
+            self._push((self.sim.now + delay, self._next_seq(), rt.finish_cb))
 
     # -- snoop path -----------------------------------------------------------------
     def _on_snoop(self, idx: int) -> None:

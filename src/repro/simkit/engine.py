@@ -9,17 +9,28 @@ order, which keeps every simulation reproducible for a fixed seed — and
 because both paths draw from the *same* sequence counter, mixing them
 never reorders anything.
 
-Two scheduling paths:
+Three scheduling paths:
 
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`Event` that can be cancelled and carries a debug label.
 - :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast`
   push the callback straight into the heap — no ``Event`` object, no
-  cancellation, no label. This is the hot path for the ~95% of simulation
-  events (service completions, wakes, arrivals) that are never cancelled:
-  per-event cost drops to a tuple allocation plus a heap push, and the
-  fired order is bit-identical to the slow path for the same scheduling
-  sequence.
+  cancellation, no label — for events that are never cancelled.
+- :meth:`Simulator.pusher` hands hot callers a ``(push, next_seq)``
+  pair of C-level callables, so a push enters no Python frame at all.
+  The caller pushes ``(now + delay, next_seq(), callback)`` and owns the
+  past-time check: it must prove ``delay >= 0`` (a constant validated at
+  construction, such as a C-state latency) or test it inline. This is
+  the path for the service completions, C-state entries, wakes and
+  arrivals that make up almost every simulated event; the fired order
+  is bit-identical to the other two for the same scheduling sequence.
+
+Bookkeeping lives in the run loop, not in the pushes. Pops happen only
+in the loop, so the heap only grows inside a callback (or outside a
+run): the loop checks the heap length once before its first pop and
+after each callback, and :attr:`Simulator.peak_pending_events` is exact.
+The bare :meth:`Simulator.run` loop counts executed events in a local
+and publishes :attr:`Simulator.events_processed` when it returns.
 
 Time is a float in **seconds**. Nanosecond-scale C-state transitions inside
 a seconds-scale run are well within float64 resolution (~1e-16 relative).
@@ -28,7 +39,9 @@ a seconds-scale run are well within float64 resolution (~1e-16 relative).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -78,6 +91,9 @@ class Event:
 #: lines in the repository.
 _HeapEntry = Tuple[float, int, Any]
 
+#: What :meth:`Simulator.pusher` hands out: pushes one heap entry.
+HeapPush = Callable[[_HeapEntry], None]
+
 
 class Simulator:
     """Deterministic discrete-event simulator.
@@ -98,9 +114,15 @@ class Simulator:
         #: read-only outside the engine.
         self.now = 0.0
         self._queue: List[_HeapEntry] = []
-        self._seq = 0
+        #: The one sequence source: every path, and every pusher handed
+        #: out, draws from this counter, so mixing them never reorders
+        #: anything.
+        self._counter = itertools.count()
+        self._next_seq: Callable[[], int] = self._counter.__next__
         self._running = False
         self._events_processed = 0
+        #: Heap high-water mark as of the last loop check; the property
+        #: folds in the current length (see peak_pending_events).
         self._peak_pending = 0
         #: Runtime sanitizer hook. None unless REPRO_SANITIZE was on at
         #: construction; components register deep audits on it and
@@ -119,7 +141,12 @@ class Simulator:
     # -- clock ---------------------------------------------------------------
     @property
     def events_processed(self) -> int:
-        """Number of callbacks executed so far."""
+        """Number of callbacks executed so far.
+
+        The bare :meth:`run` loop publishes its count when it returns,
+        so a callback reading this mid-run sees the value at the start
+        of that run; :meth:`step` and the instrumented loop keep it live.
+        """
         return self._events_processed
 
     @property
@@ -128,9 +155,44 @@ class Simulator:
 
         Memory pressure in long runs is governed by this, not by the
         instantaneous heap length; streaming event sources keep
-        it O(actors) instead of O(total events).
+        it O(actors) instead of O(total events). Exact: the loops sample
+        the heap length wherever it can have peaked since the last
+        sample (before the first pop, after each callback, before a
+        drain), and pushes made since are still in the heap.
         """
-        return self._peak_pending
+        peak = self._peak_pending
+        pending = len(self._queue)
+        return pending if pending > peak else peak
+
+    def _sequences_issued(self) -> int:
+        """How many sequence numbers the counter has handed out."""
+        # itertools.count exposes its next value only through repr.
+        return int(repr(self._counter)[6:-1])
+
+    def pusher(self, fast: bool = True) -> Tuple[HeapPush, Callable[[], int]]:
+        """Frame-free scheduling for hot callers: ``(push, next_seq)``.
+
+        ``push((time, next_seq(), callback))`` schedules ``callback`` at
+        ``time`` with no Python frame: ``push`` is ``heapq.heappush``
+        bound to this simulator's heap and ``next_seq`` draws from the
+        one sequence counter every scheduling path shares. The contract
+        is :meth:`schedule_at_fast`'s (no cancel, no label), but the
+        past-time check is the caller's: ``time`` must be ``now + delay``
+        with ``delay`` a constant validated ``>= 0`` at construction, or
+        the caller tests ``time < now`` inline and raises
+        :class:`~repro.errors.SimulationError`.
+
+        ``fast=False`` returns a ``push`` that wraps each entry's
+        callback in an :class:`Event` under the same sequence number —
+        the reference path, bit-identical in firing order.
+        """
+        if fast:
+            return partial(heapq.heappush, self._queue), self._next_seq
+        return self._push_event, self._next_seq
+
+    def _push_event(self, entry: _HeapEntry) -> None:
+        time, seq, callback = entry
+        heapq.heappush(self._queue, (time, seq, Event(time, seq, callback)))
 
     # -- scheduling ------------------------------------------------------------
     def schedule_at(self, time: float, callback: EventCallback, label: str = "") -> Event:
@@ -146,13 +208,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self._next_seq()
         event = Event(time, seq, callback, label)
-        queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule(self, delay: float, callback: EventCallback, label: str = "") -> Event:
@@ -180,12 +238,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        queue = self._queue
-        heapq.heappush(queue, (time, seq, callback))
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
+        heapq.heappush(self._queue, (time, self._next_seq(), callback))
 
     def schedule_fast(self, delay: float, callback: EventCallback) -> None:
         """Allocation-free scheduling after ``delay`` seconds from now.
@@ -198,12 +251,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event with negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        queue = self._queue
-        heapq.heappush(queue, (self.now + delay, seq, callback))
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
+        heapq.heappush(self._queue, (self.now + delay, self._next_seq(), callback))
 
     # -- telemetry ticks ---------------------------------------------------------
     def set_tick_hook(self, hz: float, callback: Callable[[float], None]) -> None:
@@ -250,8 +298,11 @@ class Simulator:
     # -- execution -------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event. Returns False if queue is empty."""
-        while self._queue:
-            time, _seq, payload = heapq.heappop(self._queue)
+        queue = self._queue
+        if len(queue) > self._peak_pending:
+            self._peak_pending = len(queue)
+        while queue:
+            time, _seq, payload = heapq.heappop(queue)
             if payload.__class__ is Event:
                 if payload.cancelled:
                     continue
@@ -261,6 +312,8 @@ class Simulator:
             self.now = time
             self._events_processed += 1
             payload()
+            if len(queue) > self._peak_pending:
+                self._peak_pending = len(queue)
             return True
         return False
 
@@ -271,42 +324,52 @@ class Simulator:
         even if the last event fires earlier, so residency accounting that
         closes out at ``sim.now`` covers the full horizon.
         """
-        if self.sanitizer is not None or self._tick_hook is not None:
+        if (
+            self.sanitizer is not None
+            or self._tick_hook is not None
+            or max_events is not None
+        ):
             self._run_instrumented(until, max_events)
             return
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         # This loop is the single most executed piece of code in the
-        # repository: hot names are localised, the bound checks are
-        # hoisted to infinities, and entries are popped first — the rare
+        # repository: hot names are localised, the one bound check is
+        # hoisted to an infinity, the counters live in locals until the
+        # loop ends, and entries are popped first — the rare
         # past-the-bound entry is pushed back, which costs one heap op
         # per run() instead of a peek-then-pop pair per event.
         queue = self._queue
         heappop = heapq.heappop
         event_class = Event
         until_t = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
         executed = 0
+        peak = self._peak_pending
+        if len(queue) > peak:
+            peak = len(queue)
         try:
             while queue:
                 entry = heappop(queue)
-                payload = entry[2]
+                time, _seq, payload = entry
                 if payload.__class__ is event_class:
                     if payload.cancelled:
                         continue
                     payload = payload.callback
-                time = entry[0]
-                if time > until_t or executed >= budget:
+                if time > until_t:
                     heapq.heappush(queue, entry)
                     break
                 self.now = time
                 executed += 1
-                # Kept live (not batched into the finally): callbacks and
-                # instrumentation may sample events_processed mid-run.
-                self._events_processed += 1
                 payload()
+                # No pop happens inside a callback, so the heap peaks at
+                # a callback's end.
+                if len(queue) > peak:
+                    peak = len(queue)
         finally:
+            self._events_processed += executed
+            if peak > self._peak_pending:
+                self._peak_pending = peak
             self._running = False
         if until is not None and self.now < until:
             self.now = until
@@ -314,12 +377,14 @@ class Simulator:
     def _run_instrumented(
         self, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Twin of :meth:`run` with the sanitizer and the tick hook armed.
+        """Twin of :meth:`run` with the sanitizer, the tick hook or a
+        ``max_events`` budget armed.
 
-        :meth:`run` dispatches here once per call when either hook is
-        present, so the bare loop stays branch-free. Event execution
-        order, clock updates and counters are identical to :meth:`run`,
-        so a run that raises no violation is bit-identical to a bare one.
+        :meth:`run` dispatches here once per call when any of them is
+        present, so the bare loop tests only ``until``. Event execution
+        order, clock updates and counters are identical to :meth:`run`
+        (``events_processed`` is kept live here), so a run that raises no
+        violation is bit-identical to a bare one.
 
         Sanitizer (SAN001 + deep audits): per pop it verifies strictly
         increasing ``(time, seq)`` heap order (which subsumes monotonic
@@ -351,6 +416,11 @@ class Simulator:
         until_t = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
         executed = 0
+        if len(queue) > self._peak_pending:
+            self._peak_pending = len(queue)
+        # Sequence numbers below this were issued; refreshed from the
+        # counter only when a popped seq reaches it (it only grows).
+        issued = self._sequences_issued() if san is not None else 0
         last_time = -math.inf
         last_seq = -1
         try:
@@ -369,11 +439,13 @@ class Simulator:
                             "corrupted (non-monotonic event time or "
                             "duplicate sequence)",
                         )
-                    if seq < 0 or seq >= self._seq:
+                    if seq >= issued:
+                        issued = self._sequences_issued()
+                    if seq < 0 or seq >= issued:
                         raise _sanitizer.violation(
                             "SAN001", "simkit.engine",
                             f"popped sequence number {seq} was never issued "
-                            f"(counter at {self._seq}): the heap was "
+                            f"(counter at {issued}): the heap was "
                             "tampered with outside the scheduling API",
                         )
                     if time < self.now:
@@ -404,6 +476,8 @@ class Simulator:
                 executed += 1
                 self._events_processed += 1
                 payload()
+                if len(queue) > self._peak_pending:
+                    self._peak_pending = len(queue)
                 if san is not None:
                     san.tick()
         finally:
@@ -424,4 +498,7 @@ class Simulator:
 
     def drain(self) -> None:
         """Discard all pending events without executing them."""
-        self._queue.clear()
+        queue = self._queue
+        if len(queue) > self._peak_pending:
+            self._peak_pending = len(queue)
+        queue.clear()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import log
 from typing import Callable, Iterator
 
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.simkit.distributions import Exponential
 
 
@@ -50,10 +50,12 @@ class ArrivalStream:
 
     The stream holds one in-flight arrival, so it schedules through one
     prebound callback and remembers the pending arrival time on itself —
-    no per-arrival closure. ``fast_path=False`` routes scheduling through
-    the cancellable Event path instead (the bit-identity reference mode);
-    either way the scheduling order, and therefore the event sequence, is
-    identical.
+    no per-arrival closure — and pushes it through the engine's
+    :meth:`~repro.simkit.engine.Simulator.pusher`, testing inline that a
+    generator's time is not in the past. ``fast_path=False`` takes the
+    pusher that wraps each entry in an Event (the bit-identity reference
+    mode); either way the scheduling order, and therefore the event
+    sequence, is identical.
     """
 
     def __init__(
@@ -71,23 +73,23 @@ class ArrivalStream:
         self._iter: Iterator[float] = iter(())
         self._next_arrival = 0.0
         self._fired_cb = self._fired
-        if fast_path:
-            self._schedule_at = sim.schedule_at_fast
-        else:
-            self._schedule_at = lambda t, cb: sim.schedule_at(t, cb, label="arrival")
+        self._push, self._next_seq = sim.pusher(fast_path)
 
     def start(self) -> None:
         """Arm the stream: schedule the first in-window arrival."""
         self._iter = self._loadgen.arrivals(self._horizon)
         horizon = self._horizon
+        now = self._sim.now
         for t in self._iter:
             # Generators bound arrivals to [0, horizon), but guard anyway
             # so a custom LoadGenerator cannot fire past the accounting
             # window; keep consuming in case later yields are in-window.
             if t >= horizon:
                 continue
+            if t < now:
+                raise _behind_clock(t, now)
             self._next_arrival = t
-            self._schedule_at(t, self._fired_cb)
+            self._push((t, self._next_seq(), self._fired_cb))
             return
 
     def _fired(self) -> None:
@@ -98,15 +100,23 @@ class ArrivalStream:
         # dispatches are resolved by scheduling order, as with any event
         # source; the stochastic float-time workloads here never tie.)
         # The chaining loop is start()'s, inlined: one frame per arrival.
+        # This event fired at its own time, so ``arrival`` is the clock.
         arrival = self._next_arrival
         horizon = self._horizon
         for t in self._iter:
             if t >= horizon:
                 continue
+            if t < arrival:
+                raise _behind_clock(t, arrival)
             self._next_arrival = t
-            self._schedule_at(t, self._fired_cb)
+            self._push((t, self._next_seq(), self._fired_cb))
             break
         self._on_arrival(arrival)
+
+
+def _behind_clock(time: float, now: float) -> SimulationError:
+    """The engine's past-time error, for an out-of-order arrival."""
+    return SimulationError(f"cannot schedule event at t={time} before now={now}")
 
 
 class OpenLoopPoisson(LoadGenerator):

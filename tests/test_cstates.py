@@ -23,6 +23,7 @@ from repro.core.cstates import (
     skylake_baseline_catalog,
 )
 from repro.errors import CStateError
+from repro.server.config import CONFIGURATION_NAMES, named_configuration
 from repro.units import US
 
 
@@ -220,6 +221,108 @@ class TestGovernorSelect:
         a = cat.select(idle)
         b = cat.select(idle * 2)
         assert b.depth >= a.depth
+
+
+def _linear_select(catalog, predicted_idle, latency_limit=None):
+    """The documented selection rule, scanned state by state."""
+    states = catalog.enabled_idle_states
+    chosen = states[0]
+    for state in states:
+        if state.target_residency > predicted_idle:
+            continue
+        if latency_limit is not None and state.exit_latency > latency_limit:
+            continue
+        chosen = state
+    return chosen
+
+
+def _probe_points(catalog):
+    """Predictions and limits at, around and between every threshold."""
+    import math
+
+    values = {0.0, 1e-9, 1.0, math.inf}
+    for state in catalog.idle_states:
+        for value in (state.target_residency, state.exit_latency):
+            values.update((value, math.nextafter(value, 0.0),
+                           math.nextafter(value, math.inf)))
+    return sorted(values)
+
+
+class TestSelectionTable:
+    """``select``'s bisect over a threshold table is the linear scan."""
+
+    @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
+    def test_every_configuration_catalog_matches_the_scan(self, name):
+        catalog = named_configuration(name).catalog
+        points = _probe_points(catalog)
+        for limit in [None] + points:
+            for idle in points:
+                assert catalog.select(idle, limit) is _linear_select(
+                    catalog, idle, limit
+                ), (name, idle, limit)
+        assert catalog.selection_tables
+        assert all(table is not None for table in catalog.selection_tables.values())
+
+    @given(
+        idle=st.floats(min_value=0.0, allow_infinity=True, allow_nan=False),
+        limit=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e-3)),
+        switches=st.lists(st.tuples(st.booleans(), st.sampled_from(
+            ["C1", "C1E", "C6", "C6A", "C6AE"])), max_size=6),
+        aw=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scan_after_switches_flip(self, idle, limit, switches, aw):
+        catalog = agilewatts_catalog() if aw else skylake_baseline_catalog()
+        for disable, name in switches:
+            catalog.select(idle, limit)  # build a table the switch must drop
+            if name not in catalog:
+                continue
+            if disable:
+                if [s.name for s in catalog.enabled_idle_states] == [name]:
+                    continue
+                catalog.disable(name)
+            else:
+                catalog.enable(name)
+            assert catalog.select(idle, limit) is _linear_select(catalog, idle, limit)
+
+    def test_disable_drops_the_table(self):
+        catalog = skylake_baseline_catalog()
+        assert catalog.select(1.0).name == "C6"
+        assert catalog.disable("C6").select(1.0).name == "C1E"
+        assert catalog.enable("C6").select(1.0).name == "C6"
+
+    def _non_monotone(self):
+        def state(name, depth, residency, exit_latency):
+            return CState(name, 1.0 / depth, 1 * US, exit_latency, residency,
+                          FrequencyPoint.P1, depth)
+
+        return CStateCatalog(
+            active=CState("C0", C0_P1_POWER, 0.0, 0.0, 0.0, FrequencyPoint.P1, 0),
+            idle_states=[state("S1", 1, 2 * US, 1 * US),
+                         state("S2", 2, 50 * US, 5 * US),
+                         state("S3", 3, 10 * US, 40 * US)],
+        )
+
+    def test_non_monotone_catalog_takes_the_linear_scan(self):
+        catalog = self._non_monotone()
+        for idle in _probe_points(catalog):
+            assert catalog.select(idle) is _linear_select(catalog, idle)
+        assert catalog.selection_tables == {None: None}
+        # S3 decides at 10 us despite S2's larger residency: the scan's
+        # last fitting state, which a prefix bisect would miss.
+        assert catalog.select(20 * US).name == "S3"
+        assert catalog.select(60 * US).name == "S3"
+
+    def test_limit_excluding_the_offender_gets_a_table(self):
+        catalog = self._non_monotone()
+        assert catalog.select(60 * US, latency_limit=10 * US).name == "S2"
+        assert catalog.selection_tables[10 * US] is not None
+
+    def test_nan_limit_is_not_cached(self):
+        catalog = skylake_baseline_catalog()
+        nan = float("nan")
+        assert catalog.select(1.0, nan) is _linear_select(catalog, 1.0, nan)
+        assert catalog.selection_tables == {}
 
 
 class TestCatalogConstruction:

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from repro.core.cstates import agilewatts_catalog, skylake_baseline_catalog
 from repro.errors import ConfigurationError
-from repro.governor import FixedGovernor, MenuGovernor, OracleGovernor
+from repro.governor import (
+    FixedGovernor,
+    IdleGovernor,
+    MenuGovernor,
+    OracleGovernor,
+    ReplayOracleGovernor,
+)
 from repro.units import US
 
 
@@ -103,3 +109,74 @@ class TestOracleGovernor:
     def test_respects_latency_limit(self):
         gov = OracleGovernor(latency_limit=2 * US)
         assert gov.choose(skylake_baseline_catalog(), hint=1.0).name == "C1"
+
+
+class _HistoryGovernor(IdleGovernor):
+    """A third-party governor: defines only ``observe_idle``/``choose``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe_idle(self, duration):
+        self.seen.append(duration)
+
+    def choose(self, catalog, hint=None):
+        predicted = max(self.seen[-3:], default=0.0)
+        return catalog.select(predicted)
+
+
+_DECIDING_GOVERNORS = {
+    "menu": MenuGovernor,
+    "menu_limited": lambda: MenuGovernor(alpha=0.7, caution=0.9,
+                                         latency_limit=10 * US),
+    "replay": ReplayOracleGovernor,
+    "replay_limited": lambda: ReplayOracleGovernor(latency_limit=5 * US),
+    "fixed": lambda: FixedGovernor("C1E"),
+    "fixed_absent": lambda: FixedGovernor("C1"),
+    "subclass": _HistoryGovernor,
+}
+
+
+def _state(governor):
+    """Everything a governor remembers, compared bit for bit."""
+    return {
+        key: (value.hex() if isinstance(value, float) else value)
+        for key, value in vars(governor).items()
+    }
+
+
+class TestDecide:
+    """``decide(catalog, observed)`` is ``observe_idle`` then ``choose``."""
+
+    @pytest.mark.parametrize("name", sorted(_DECIDING_GOVERNORS))
+    @given(
+        durations=st.lists(
+            st.floats(min_value=0.0, max_value=0.01),
+            min_size=1, max_size=40,
+        ),
+        aw=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_observe_then_choose(self, name, durations, aw):
+        make = _DECIDING_GOVERNORS[name]
+        catalog = agilewatts_catalog() if aw else skylake_baseline_catalog()
+        fused, reference = make(), make()
+        # The first idle entry follows no wake, so it observes nothing.
+        for observed in [None] + durations:
+            if observed is not None:
+                reference.observe_idle(observed)
+            expected = reference.choose(catalog)
+            assert fused.decide(catalog, observed) is expected
+            assert _state(fused) == _state(reference)
+
+    @pytest.mark.parametrize("name", ["menu", "replay"])
+    def test_negative_observation_rejected(self, name):
+        with pytest.raises(ConfigurationError):
+            _DECIDING_GOVERNORS[name]().decide(skylake_baseline_catalog(), -1e-9)
+
+    def test_table_is_dropped_when_switches_flip(self):
+        catalog = skylake_baseline_catalog()
+        gov = MenuGovernor(caution=1.0)
+        assert gov.decide(catalog, 0.01).name == "C6"
+        catalog.disable("C6")
+        assert gov.decide(catalog, 0.01).name == "C1E"

@@ -1,4 +1,4 @@
-"""A machine-independent budget on Python calls per simulated request.
+"""Machine-independent budgets on the work done per simulated request.
 
 Wall-clock throughput is noisy on shared hosts; the number of Python
 frames the event loop enters per request is not. These tests profile a
@@ -7,36 +7,50 @@ the stdlib :mod:`random` module, per completed request: one single-node
 point, and the two shared-simulator cluster points of perfbench's
 ``fleet`` workload, where a request is a logical (fanned-out) request.
 A change that adds one frame per event fails them: a no-op wrapper
-around ``Simulator.schedule_fast`` adds about three calls per request
-on the node point, and one around ``ServerNode.arrive`` adds one per
-leaf on the cluster points. A last budget counts the event engine
-alone, per event of a 10,000-event chain of ``Simulator.schedule``
-callbacks; a no-op wrapper around ``schedule`` adds one call per event.
+around ``ServerNode._finish_service`` adds one call per request on the
+node point, and one around ``ServerNode.arrive`` adds one per leaf on
+the cluster points. A budget counts the event engine alone, per event
+of a 10,000-event chain of ``Simulator.schedule`` callbacks; a no-op
+wrapper around ``schedule`` adds one call per event.
+
+Frames proved a poor proxy for host time: removing a third of them
+saved a few percent, because most of a request's cost is straight-line
+bytecode. The last budget therefore counts bytecode instructions per
+request on a short node point, under CPython 3.11 only: instruction
+counts are a property of one interpreter version's compiler.
 
 The measured values are CPython 3.11's. CPython 3.12 inlines
-comprehensions, so it reads at most these. If a change lowers a count,
-lower its measured value with it; raising one needs a reason the hot
-path must grow.
+comprehensions, so it reads at most the call counts. If a change lowers
+a count, lower its measured value with it; raising one needs a reason
+the hot path must grow.
 """
 
 import os
-import random
 import sys
 
 import pytest
 
-import repro
-from repro.simkit import Simulator
-from repro.sweep.spec import ScenarioSpec
+sys.path.insert(0, os.path.dirname(__file__))
+
+from call_counts import profiled_calls, traced_bytecodes  # noqa: E402
+
+from repro.simkit import Simulator  # noqa: E402
+from repro.sweep.spec import ScenarioSpec  # noqa: E402
 
 #: Calls per completed request for the node point below, as measured.
-MEASURED_CALLS_PER_REQUEST = 15.44
+MEASURED_CALLS_PER_REQUEST = 9.93
 #: Calls per completed logical request for the fleet points, as measured.
-MEASURED_FLEET_CALLS_PER_REQUEST = {"jsq": 56.11, "hedged": 42.87}
+MEASURED_FLEET_CALLS_PER_REQUEST = {"jsq": 36.78, "hedged": 29.14}
 #: Calls per event for a chain of ``Simulator.schedule`` callbacks.
 MEASURED_CALLS_PER_EVENT = 3.00
 #: Slack over the measured value before the budget fails.
 SLACK = 1.0
+#: Bytecode instructions per completed request on the short node
+#: point, as measured under CPython 3.11.
+MEASURED_BYTECODES_PER_REQUEST = 1033.7
+#: Slack over the measured bytecode count: a few instructions per
+#: request, well under one added frame's worth.
+BYTECODE_SLACK = 15.0
 
 #: perfbench ``fleet``'s shared-simulator points at seed 1.
 FLEET_SPECS = {
@@ -47,39 +61,10 @@ FLEET_SPECS = {
                            hedge_ms=0.02),
 }
 
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-_RANDOM_FILE = os.path.abspath(random.__file__)
-
-
-def _profiled_calls(fn):
-    """The calls ``fn()`` made into repro or random, and its result."""
-    filenames = {}
-    calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal calls
-        if event != "call":
-            return
-        filename = frame.f_code.co_filename
-        counted = filenames.get(filename)
-        if counted is None:
-            path = os.path.abspath(filename)
-            counted = path.startswith(_PACKAGE_DIR) or path == _RANDOM_FILE
-            filenames[filename] = counted
-        if counted:
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(None)
-    return calls, result
-
 
 def _calls_per_request(spec):
     spec.execute()  # warm-up: imports and one-time caches are not counted
-    calls, result = _profiled_calls(spec.execute)
+    calls, result = profiled_calls(spec.execute)
     return calls / result.completed, result.completed
 
 
@@ -121,10 +106,27 @@ def test_fleet_calls_per_request_within_budget(point):
 
 
 def test_event_engine_calls_per_event_within_budget():
-    calls, fired = _profiled_calls(lambda: _event_chain(10_000))
+    calls, fired = profiled_calls(lambda: _event_chain(10_000))
     assert fired == 10_000
     per_event = calls / fired
     assert per_event <= MEASURED_CALLS_PER_EVENT + SLACK, (
         f"{per_event:.4f} profiled calls per Simulator.schedule event; "
         f"the budget is {MEASURED_CALLS_PER_EVENT} + {SLACK}"
+    )
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="bytecode counts are CPython 3.11's; other versions compile "
+    "the same source to different instruction sequences",
+)
+def test_bytecodes_per_request_within_budget():
+    spec = ScenarioSpec("memcached", "AW", 100e3, horizon=0.005, seed=1)
+    spec.execute()  # warm-up, as for the call budgets
+    executed, result = traced_bytecodes(spec.execute)
+    assert result.completed > 400
+    per_request = executed / result.completed
+    assert per_request <= MEASURED_BYTECODES_PER_REQUEST + BYTECODE_SLACK, (
+        f"{per_request:.1f} bytecode instructions per simulated request; "
+        f"the budget is {MEASURED_BYTECODES_PER_REQUEST} + {BYTECODE_SLACK}"
     )

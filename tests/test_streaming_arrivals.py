@@ -9,6 +9,7 @@ O(cores + in-flight) instead of O(qps * horizon).
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.server import ServerNode, named_configuration
 from repro.workloads import memcached_workload
 from repro.workloads.loadgen import LoadGenerator
@@ -94,6 +95,36 @@ class TestHorizonGuard:
         node._loadgen = Mixed(node.horizon)
         result = node.run()
         assert result.completed == 2
+
+
+class _Scripted(LoadGenerator):
+    def __init__(self, times):
+        self._times = times
+
+    def arrivals(self, horizon):
+        yield from self._times
+
+
+class TestPastTimeGuard:
+    """Pushes skip the engine's scheduling frame, so the arrival stream
+    and the node's service starts raise the engine's past-time error
+    themselves, on the fast and the reference path alike."""
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize("times", [[-1e-3], [4e-3, 2e-3]])
+    def test_arrival_behind_the_clock_fails_the_run(self, fast_path, times):
+        node = _node(qps=1_000, horizon=0.01, seed=1, fast_path=fast_path)
+        node._loadgen = _Scripted(times)
+        with pytest.raises(SimulationError, match="before now"):
+            node.run()
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_negative_service_draw_fails_the_run(self, fast_path):
+        node = _node(qps=1_000, horizon=0.01, seed=1, fast_path=fast_path)
+        node._loadgen = _Scripted([1e-3])
+        node._sample_service = lambda _frequency, _derate: -1e-9
+        with pytest.raises(SimulationError, match="negative delay"):
+            node.run()
 
 
 class TestHeapBounds:
