@@ -261,11 +261,6 @@ def make_c6ae(power_watts: float = C6AE_POWER) -> CState:
     )
 
 
-#: A selection table: ``choices[bisect_right(thresholds, predicted)]`` is
-#: :meth:`CStateCatalog.select`'s answer (``choices[0]`` is the fallback).
-SelectionTable = Tuple[List[float], List[CState]]
-
-
 class CStateCatalog:
     """An ordered hierarchy of C-states plus governor-facing queries.
 
@@ -288,12 +283,10 @@ class CStateCatalog:
         # Governor queries read the enabled list on every idle entry (the
         # simulation hot path); rebuild it only when the switches flip.
         self._enabled_cache: Optional[List[CState]] = None
-        #: Latency limit -> :data:`SelectionTable`, built by
-        #: :meth:`select` on first use and dropped when the switches
-        #: flip. Governors read it directly so one idle decision is one
-        #: frame; a limit whose candidates' target residencies are not
-        #: nondecreasing maps to None and is always scanned linearly.
-        self.selection_tables: Dict[Optional[float], Optional[SelectionTable]] = {}
+        # Latency limit -> (thresholds, choices): select()'s answer is
+        # choices[bisect_right(thresholds, predicted)]. Built on first
+        # use per limit, dropped when the switches flip.
+        self._tables: Dict[Optional[float], Tuple[List[float], List[CState]]] = {}
 
     # -- lookups ----------------------------------------------------------
     @property
@@ -332,7 +325,7 @@ class CStateCatalog:
             self.get(name)  # validate
             self._disabled.add(name)
         self._enabled_cache = None
-        self.selection_tables.clear()
+        self._tables.clear()
         if not self.enabled_idle_states:
             raise CStateError("cannot disable every idle state")
         return self
@@ -341,7 +334,7 @@ class CStateCatalog:
         for name in names:
             self._disabled.discard(name)
         self._enabled_cache = None
-        self.selection_tables.clear()
+        self._tables.clear()
         return self
 
     def is_enabled(self, name: str) -> bool:
@@ -364,46 +357,45 @@ class CStateCatalog:
         exit latency respects any QoS latency limit. Falls back to the
         shallowest enabled state.
 
-        The states within the latency limit normally have nondecreasing
-        target residencies, so the ones fitting the prediction are a
-        prefix of them and one ``bisect_right`` over a per-limit
-        threshold table finds the deepest. Otherwise the enabled states
-        are scanned linearly.
+        Answered by one ``bisect_right`` over a per-limit threshold
+        table (see :meth:`_selection_table`).
         """
         if predicted_idle < 0:
             raise CStateError(f"predicted idle must be >= 0, got {predicted_idle}")
-        table = self.selection_tables.get(latency_limit)
+        table = self._tables.get(latency_limit)
         if table is None:
             table = self._selection_table(latency_limit)
-            if table is None:
-                return self._select_linear(predicted_idle, latency_limit)
         return table[1][bisect_right(table[0], predicted_idle)]
 
     def _selection_table(
         self, latency_limit: Optional[float]
-    ) -> Optional[SelectionTable]:
-        """Build and remember the table for ``latency_limit`` (None when
-        the candidates' target residencies decrease somewhere)."""
-        tables = self.selection_tables
-        if latency_limit in tables:
-            return tables[latency_limit]
+    ) -> Tuple[List[float], List[CState]]:
+        """Tabulate :meth:`_select_linear` for ``latency_limit``.
+
+        As a function of the prediction the scan is a right-continuous
+        step function that can change only where the prediction reaches
+        some state's target residency. So it is exact to evaluate it at
+        each distinct residency: ``choices[i + 1]`` is its answer from
+        ``thresholds[i]`` up, ``choices[0]`` (the shallowest state) its
+        answer below them all, for any catalog and any prediction, NaN
+        included (``bisect_right`` puts NaN past the last threshold,
+        where the scan also lands).
+        """
         states = self.enabled_idle_states
-        # The linear scan's own test, so a NaN limit excludes nothing.
-        candidates = [
-            s for s in states
-            if not (latency_limit is not None and s.exit_latency > latency_limit)
+        thresholds = sorted({s.target_residency for s in states})
+        choices = [states[0]] + [
+            self._select_linear(t, latency_limit) for t in thresholds
         ]
-        thresholds = [s.target_residency for s in candidates]
-        table: Optional[SelectionTable] = None
-        if all(a <= b for a, b in zip(thresholds, thresholds[1:])):
-            table = (thresholds, [states[0]] + candidates)
+        table = (thresholds, choices)
         if latency_limit == latency_limit:  # a NaN key would never hit
-            tables[latency_limit] = table
+            self._tables[latency_limit] = table
         return table
 
     def _select_linear(
         self, predicted_idle: float, latency_limit: Optional[float]
     ) -> CState:
+        """The selection rule, state by state: the last enabled state
+        fitting both the prediction and the limit."""
         states = self.enabled_idle_states
         chosen = states[0]
         for state in states:

@@ -23,7 +23,6 @@ Three policies are provided:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional
 
 from repro.core.cstates import CState, CStateCatalog
@@ -38,8 +37,9 @@ class IdleGovernor:
     with a wake before the next one starts), so the node defers each
     observation to the next entry and hands both to one call.
     Subclasses that define only :meth:`observe_idle` and :meth:`choose`
-    get the equivalent default; the built-in governors fuse the two,
-    and the catalog's threshold table, into one frame.
+    get the equivalent default. The history-based built-ins implement
+    :meth:`decide` itself (fold, then one :meth:`CStateCatalog.select`)
+    and answer :meth:`choose` through it.
     """
 
     def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
@@ -106,20 +106,16 @@ class MenuGovernor(IdleGovernor):
         self._ewma = self.alpha * duration + (1.0 - self.alpha) * self._ewma
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
-        # predicted_idle, inlined.
-        return catalog.select(self._ewma * self.caution, self.latency_limit)
+        return self.decide(catalog, None)
 
     def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
-        # observe_idle, choose and the table hit of CStateCatalog.select,
-        # inlined: this runs once per idle period.
+        # Runs once per idle period, so observe_idle's fold and
+        # predicted_idle are inlined rather than called.
         if observed is not None:
             if observed < 0:
                 raise ConfigurationError(f"idle duration must be >= 0, got {observed}")
             self._ewma = self.alpha * observed + (1.0 - self.alpha) * self._ewma
-        table = catalog.selection_tables.get(self.latency_limit)
-        if table is None:
-            return catalog.select(self._ewma * self.caution, self.latency_limit)
-        return table[1][bisect_right(table[0], self._ewma * self.caution)]
+        return catalog.select(self._ewma * self.caution, self.latency_limit)
 
 
 class FixedGovernor(IdleGovernor):
@@ -194,16 +190,12 @@ class ReplayOracleGovernor(OracleGovernor):
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
         # Always replay the last observed interval: callers that *could*
         # pass a hint (none do today) would be peeking at the future.
-        return super().choose(catalog, hint=self._last)
+        return self.decide(catalog, None)
 
     def decide(self, catalog: CStateCatalog, observed: Optional[float]) -> CState:
-        # observe_idle, choose and the table hit of CStateCatalog.select,
-        # inlined, as in MenuGovernor.decide.
+        # observe_idle's fold inlined, as in MenuGovernor.decide.
         if observed is not None:
             if observed < 0:
                 raise ConfigurationError(f"idle duration must be >= 0, got {observed}")
             self._last = observed
-        table = catalog.selection_tables.get(self.latency_limit)
-        if table is None:
-            return catalog.select(self._last, self.latency_limit)
-        return table[1][bisect_right(table[0], self._last)]
+        return catalog.select(self._last, self.latency_limit)

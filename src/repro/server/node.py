@@ -26,10 +26,14 @@ engine's :meth:`~repro.simkit.engine.Simulator.pusher` without entering
 an engine frame. Each push is ``(now + delay, next_seq(), callback)``:
 C-state latencies are validated ``>= 0`` when the state is built, and a
 service draw is checked inline, which keeps the engine's past-time
-guarantee. The rare snoop events keep the scheduling methods. The ``fast_path=False`` reference mode gets a pusher that
+guarantee. The ``fast_path=False`` reference mode gets a pusher that
 wraps every entry in an :class:`~repro.simkit.engine.Event` under the
 same sequence number, so the golden bit-identity tests can replay both
-and compare.
+and compare. Snoop bursts (a few hundred per core-second) go through the
+engine's checked :meth:`~repro.simkit.engine.Simulator.schedule_at` /
+:meth:`~repro.simkit.engine.Simulator.schedule` in both modes: their
+gaps are sampled, so the engine's own past-time check guards them, and
+they draw from the same sequence counter, so the order is unchanged.
 
 The governor makes one call per idle period. A wake stores the idle span
 that just ended on the core's runtime; the next idle entry hands it to
@@ -192,17 +196,10 @@ class ServerNode:
         #: arrive solely through :meth:`arrive` (cluster dispatch).
         self.external_arrivals = external_arrivals
         self.fast_path = fast_path
-        # The hot pushes (service, idle entry, wake) go through the
-        # engine's pusher, the rare snoop events through the scheduling
-        # methods. Either way the reference mode takes the same sequence
-        # numbers in the same order, so event order is identical.
+        # The hot events go through the engine's pusher; the reference
+        # mode's pusher takes the same sequence numbers in the same
+        # order, so event order is identical.
         self._push, self._next_seq = self.sim.pusher(fast_path)
-        if fast_path:
-            self._sched = self.sim.schedule_fast
-            self._sched_at = self.sim.schedule_at_fast
-        else:
-            self._sched = self.sim.schedule
-            self._sched_at = self.sim.schedule_at
         self._dispatch_rng = random.Random(seed)
         # Core dispatch replicates Random._randbelow_with_getrandbits
         # inline (draw cores.bit_length() bits, reject >= cores): the
@@ -346,7 +343,7 @@ class ServerNode:
         when = self.sim.now + delay
         if when >= self.horizon:
             return
-        self._sched_at(when, self._runtimes[idx].snoop_cb)
+        self.sim.schedule_at(when, self._runtimes[idx].snoop_cb)
 
     # -- request path ------------------------------------------------------------
     def arrive(
@@ -508,7 +505,7 @@ class ServerNode:
             rt.core.begin_snoop_service(self.sim.now, delta)
             token = rt.snoop_token
             duration = self.snoop_model.service_time + state.snoop_wake_overhead
-            self._sched(duration, lambda: self._end_snoop(rt, token))
+            self.sim.schedule(duration, lambda: self._end_snoop(rt, token))
             self.snoops_served += 1
             trace = self.trace
             if trace.enabled:

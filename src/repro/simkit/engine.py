@@ -12,17 +12,19 @@ never reorders anything.
 Three scheduling paths:
 
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-  :class:`Event` that can be cancelled and carries a debug label.
+  :class:`Event` that can be cancelled and carries a debug label. The
+  server node's rare snoop events use them for the past-time check.
 - :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast`
   push the callback straight into the heap — no ``Event`` object, no
-  cancellation, no label — for events that are never cancelled.
+  cancellation, no label — behind the engine's own past-time check:
+  the checked no-handle API for drivers and tests.
 - :meth:`Simulator.pusher` hands hot callers a ``(push, next_seq)``
   pair of C-level callables, so a push enters no Python frame at all.
   The caller pushes ``(now + delay, next_seq(), callback)`` and owns the
   past-time check: it must prove ``delay >= 0`` (a constant validated at
-  construction, such as a C-state latency) or test it inline. This is
-  the path for the service completions, C-state entries, wakes and
-  arrivals that make up almost every simulated event; the fired order
+  construction, such as a C-state latency) or test it inline. The
+  node's service completions, C-state entries and wakes, the arrival
+  stream and the fan-out hedge timer take this path; the fired order
   is bit-identical to the other two for the same scheduling sequence.
 
 Bookkeeping lives in the run loop, not in the pushes. Pops happen only

@@ -260,8 +260,6 @@ class TestSelectionTable:
                 assert catalog.select(idle, limit) is _linear_select(
                     catalog, idle, limit
                 ), (name, idle, limit)
-        assert catalog.selection_tables
-        assert all(table is not None for table in catalog.selection_tables.values())
 
     @given(
         idle=st.floats(min_value=0.0, allow_infinity=True, allow_nan=False),
@@ -303,26 +301,29 @@ class TestSelectionTable:
                          state("S3", 3, 10 * US, 40 * US)],
         )
 
-    def test_non_monotone_catalog_takes_the_linear_scan(self):
+    def test_non_monotone_catalog_matches_the_scan(self):
         catalog = self._non_monotone()
-        for idle in _probe_points(catalog):
-            assert catalog.select(idle) is _linear_select(catalog, idle)
-        assert catalog.selection_tables == {None: None}
+        points = _probe_points(catalog)
+        for limit in [None] + points:
+            for idle in points:
+                assert catalog.select(idle, limit) is _linear_select(
+                    catalog, idle, limit
+                ), (idle, limit)
         # S3 decides at 10 us despite S2's larger residency: the scan's
-        # last fitting state, which a prefix bisect would miss.
+        # last fitting state, which a prefix of the residencies misses.
         assert catalog.select(20 * US).name == "S3"
         assert catalog.select(60 * US).name == "S3"
-
-    def test_limit_excluding_the_offender_gets_a_table(self):
-        catalog = self._non_monotone()
         assert catalog.select(60 * US, latency_limit=10 * US).name == "S2"
-        assert catalog.selection_tables[10 * US] is not None
 
-    def test_nan_limit_is_not_cached(self):
-        catalog = skylake_baseline_catalog()
+    @pytest.mark.parametrize("aw", [False, True])
+    def test_nan_inputs_match_the_scan(self, aw):
+        catalog = agilewatts_catalog() if aw else skylake_baseline_catalog()
         nan = float("nan")
-        assert catalog.select(1.0, nan) is _linear_select(catalog, 1.0, nan)
-        assert catalog.selection_tables == {}
+        for limit in (None, nan, 10 * US):
+            for idle in (nan, 0.0, 1.0):
+                assert catalog.select(idle, limit) is _linear_select(
+                    catalog, idle, limit
+                ), (idle, limit)
 
 
 class TestCatalogConstruction:

@@ -38,16 +38,16 @@ from repro.simkit import Simulator  # noqa: E402
 from repro.sweep.spec import ScenarioSpec  # noqa: E402
 
 #: Calls per completed request for the node point below, as measured.
-MEASURED_CALLS_PER_REQUEST = 9.93
+MEASURED_CALLS_PER_REQUEST = 10.79
 #: Calls per completed logical request for the fleet points, as measured.
-MEASURED_FLEET_CALLS_PER_REQUEST = {"jsq": 36.78, "hedged": 29.14}
+MEASURED_FLEET_CALLS_PER_REQUEST = {"jsq": 39.34, "hedged": 31.02}
 #: Calls per event for a chain of ``Simulator.schedule`` callbacks.
 MEASURED_CALLS_PER_EVENT = 3.00
 #: Slack over the measured value before the budget fails.
 SLACK = 1.0
 #: Bytecode instructions per completed request on the short node
 #: point, as measured under CPython 3.11.
-MEASURED_BYTECODES_PER_REQUEST = 1033.7
+MEASURED_BYTECODES_PER_REQUEST = 1043.2
 #: Slack over the measured bytecode count: a few instructions per
 #: request, well under one added frame's worth.
 BYTECODE_SLACK = 15.0

@@ -15,7 +15,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from call_counts import profiled_calls  # noqa: E402
+from call_counts import profiled_calls, traced_bytecodes  # noqa: E402
 from golden_specs import digest_result  # noqa: E402
 
 from repro.obs.timeline import (
@@ -197,4 +197,46 @@ class TestOverheadBound:
         assert extra <= budget, (
             f"10 Hz telemetry added {extra} calls over {ticks} tick(s) and "
             f"{plain.events_processed} events; the budget is {budget}"
+        )
+
+    #: Bytecode instructions a telemetry run adds over a bare one, as
+    #: measured on CPython 3.11: the instrumented loop's own per-event
+    #: checks (31 exactly), each sampler tick (one row, 993) and the
+    #: sampler's build, attach and finish (362).
+    LOOP_BYTECODES_PER_EVENT = 31
+    SAMPLER_BYTECODES_PER_TICK = 993
+    SAMPLER_SETUP_BYTECODES = 362
+    #: Under two instructions per event: one more per-event branch (an
+    #: ``is None`` test is two instructions) exceeds it.
+    PER_EVENT_SLACK = 1.0
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="bytecode counts are CPython 3.11's; other versions compile "
+        "the same source to different instruction sequences",
+    )
+    def test_probes_add_no_per_event_bytecodes(self):
+        """The call bound above misses inline per-event work (a branch,
+        bookkeeping) in the instrumented loop the sampler runs in;
+        counting instructions catches it."""
+        spec = _spec(qps=100_000, horizon=0.01)
+        probed_spec = dataclasses.replace(spec, telemetry_hz=1000.0)
+        spec.execute()  # warm caches out of the count
+        probed_spec.execute()
+        plain_count, plain = traced_bytecodes(spec.execute)
+        probed_count, probed = traced_bytecodes(probed_spec.execute)
+        events = plain.events_processed
+        assert probed.events_processed == events
+        ticks = len(probed.timeline["times"])
+        assert ticks == 11
+        budget = (
+            self.SAMPLER_SETUP_BYTECODES
+            + self.SAMPLER_BYTECODES_PER_TICK * ticks
+            + (self.LOOP_BYTECODES_PER_EVENT + self.PER_EVENT_SLACK) * events
+        )
+        extra = probed_count - plain_count
+        assert extra <= budget, (
+            f"1 kHz telemetry added {extra} bytecode instructions over "
+            f"{ticks} ticks and {events} events "
+            f"({extra / events:.2f} per event); the budget is {budget:.0f}"
         )
