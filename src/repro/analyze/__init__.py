@@ -2,9 +2,8 @@
 
 Every headline number this reproduction reports rests on invariants the
 runtime golden-digest suite can only check *after* a simulation ran:
-bit-identical ``RunResult``s across serial/process/sharded executors,
-exhaustive ``ScenarioSpec -> cache_key -> store codec`` coverage, and the
-``schedule_fast`` no-cancel/no-label contract. :mod:`repro.analyze` is an
+bit-identical ``RunResult``s across serial/process/sharded executors
+and the ``schedule_fast`` no-cancel/no-label contract. :mod:`repro.analyze` is an
 AST-based pass that catches violations of those contracts at *analysis*
 time — before any simulation runs — and gates CI on a committed
 zero-finding baseline.
@@ -20,10 +19,6 @@ Rule series (see each rule's docstring for the full rationale):
   :meth:`~repro.simkit.engine.Simulator.schedule_fast` /
   ``schedule_at_fast`` must not cancel or label events, and hot-path
   modules must not allocate :class:`~repro.simkit.engine.Event` objects.
-- **SPEC** — cross-module consistency, verified by walking dataclass
-  fields against both serializers' ASTs: every ``ScenarioSpec`` field in
-  the canonical ``cache_key``, every ``RunResult`` field in the store
-  codec, and codec shape changes must bump ``FORMAT_VERSION``.
 - **CONC** — process-boundary hazards, resolved through a project call
   graph (:mod:`repro.analyze.callgraph`): unpicklable callables and
   captures handed to pools, module globals written in worker-reachable
@@ -60,7 +55,6 @@ from repro.analyze.report import (
     report_from_dict,
     report_to_dict,
 )
-from repro.analyze.speccheck import update_codec_manifest
 
 __all__ = [
     "Finding",
@@ -77,5 +71,4 @@ __all__ = [
     "report_to_dict",
     "rule_catalog",
     "run_lint",
-    "update_codec_manifest",
 ]

@@ -47,8 +47,7 @@ definitions draw no second finding. Imports are not uses either: a
 re-export alone keeps nothing alive.
 
 Both rules run only when the analysed set contains
-``repro/__main__.py``, as the SPEC series runs only when its modules are
-present. DEAD001 reports each module at its first statement and DEAD002
+``repro/__main__.py``. DEAD001 reports each module at its first statement and DEAD002
 each definition at its ``def``/``class`` line, so a reasoned
 ``allow[DEAD001]``/``allow[DEAD002]`` comment on that line, or on a
 comment-only line above it, suppresses the finding.

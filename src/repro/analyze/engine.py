@@ -3,11 +3,11 @@
 Per-file work (parse + every registered rule) is embarrassingly
 parallel, so with ``jobs > 1`` it fans out over a process pool; results
 merge deterministically (findings sort by location) regardless of which
-worker analysed which file. The project-level SPEC, CONC and DEAD
-checks — which relate several files — run once in the parent, CONC and
-DEAD over one shared call graph. Suppression comments from every
-analysed file are then matched centrally, so one mechanism covers
-per-file and cross-module findings alike.
+worker analysed which file. The project-level CONC and DEAD checks —
+which relate several files — run once in the parent over one shared
+call graph. Suppression comments from every analysed file are then
+matched centrally, so one mechanism covers per-file and cross-module
+findings alike.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import repro.analyze.fastpath  # noqa: F401  (registration side effect)
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.conc import check_process_boundaries
 from repro.analyze.dead import check_dead_modules, check_dead_symbols
-from repro.analyze.speccheck import MANIFEST_PATH, run_project_checks
 from repro.analyze.suppress import (
     _ALLOW,
     _MARKER,
@@ -134,7 +133,6 @@ def run_lint(
     paths: Sequence[str],
     jobs: Optional[int] = None,
     project_checks: bool = True,
-    manifest_path: str = MANIFEST_PATH,
 ) -> LintResult:
     """Analyze ``paths`` and return matched, sorted findings.
 
@@ -143,11 +141,7 @@ def run_lint(
         jobs: worker processes; ``None`` picks serial for small file
             sets and ``os.cpu_count()`` (capped at 8) above
             ``_PARALLEL_THRESHOLD`` files.
-        project_checks: run the cross-module SPEC, CONC and DEAD series
-            (SPEC and DEAD only when the analysed set contains the
-            modules they relate).
-        manifest_path: codec-shape manifest for SPEC003 (overridable so
-            fixture trees can carry their own).
+        project_checks: run the cross-module CONC and DEAD series.
 
     Raises:
         ConfigurationError: for nonexistent paths or invalid ``jobs``.
@@ -173,7 +167,6 @@ def run_lint(
             by_path[_display_path(path)] = suppressions
 
     if project_checks:
-        findings.extend(run_project_checks(files, manifest_path))
         graph = CallGraph(files)
         findings.extend(check_process_boundaries(graph))
         findings.extend(check_dead_modules(graph))
@@ -235,7 +228,6 @@ def _remove_allow_clause(line_text: str, col: int, rule_id: str) -> Optional[str
 def fix_stale_suppressions(
     paths: Sequence[str],
     jobs: Optional[int] = None,
-    manifest_path: str = MANIFEST_PATH,
 ) -> int:
     """Delete every ANA003 stale suppression in place; returns the count.
 
@@ -244,7 +236,7 @@ def fix_stale_suppressions(
     is removed from its comment, an emptied comment is removed from its
     line, and an emptied comment-only line is deleted entirely.
     """
-    result = run_lint(paths, jobs=jobs, manifest_path=manifest_path)
+    result = run_lint(paths, jobs=jobs)
     stale = [f for f in result.findings if f.rule_id == "ANA003"]
     if not stale:
         return 0

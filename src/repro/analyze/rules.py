@@ -171,8 +171,8 @@ class Rule:
 #: Registry of per-file rules by id, in registration (series) order.
 RULES: Dict[str, Rule] = {}
 
-#: Ids of findings produced outside per-file rules (project-level SPEC
-#: checks and ANA hygiene findings); they join the catalog with a title
+#: Ids of findings produced outside per-file rules (project-level CONC
+#: and DEAD checks and ANA hygiene findings); they join the catalog with a title
 #: and rationale but have no ``check`` to run per file.
 DECLARED_IDS: Dict[str, Tuple[str, str]] = {}
 

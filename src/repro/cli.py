@@ -25,7 +25,6 @@ Usage::
     python -m repro lint src             # determinism/invariant analysis
     python -m repro lint --rules         # print the rule catalog
     python -m repro lint src --format json              # machine-readable
-    python -m repro lint --update-codec-manifest        # after codec bumps
 
 Experiments come from the declarative registry
 (:mod:`repro.experiments.api`): ``run`` collects the union of every
@@ -944,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "static determinism & invariant analysis "
-            "(DET/FAST/SPEC/CONC/DEAD/ANA rules)"
+            "(DET/FAST/CONC/DEAD/ANA rules)"
         ),
     )
     lint.add_argument(
@@ -976,19 +975,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--no-project-checks", action="store_true",
-        help="skip the project-level SPEC invariant checks (cache-key / "
-             "codec coverage), running only the per-file rules",
+        help="skip the project-level CONC and DEAD checks (process "
+             "boundaries, reachability), running only the per-file rules",
     )
     lint.add_argument(
         "--fix-stale", action="store_true",
         help="delete stale allow[...] suppression clauses (ANA003) from "
              "the analyzed files in place, then exit",
-    )
-    lint.add_argument(
-        "--update-codec-manifest", action="store_true",
-        help="re-fingerprint the store codec and write the committed "
-             "manifest (run after an intentional, version-bumped codec "
-             "change), then exit",
     )
     lint.set_defaults(handler=cmd_lint)
     return parser
@@ -1004,17 +997,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for line in rationale.splitlines():
                 print(f"    {line}")
             print()
-        return EXIT_OK
-    if args.update_codec_manifest:
-        try:
-            manifest = analyze.update_codec_manifest()
-        except ReproError as exc:
-            print(f"cannot update codec manifest: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print(
-            f"wrote codec manifest: format_version="
-            f"{manifest['format_version']} fingerprint={manifest['fingerprint']}"
-        )
         return EXIT_OK
 
     # Default to the installed repro package so `python -m repro lint`

@@ -172,7 +172,7 @@ class ResultStore:
             return None
         try:
             return result_from_dict(json.loads(row[0]))
-        except (ConfigurationError, json.JSONDecodeError):
+        except (ConfigurationError, ValueError):  # ValueError: bad JSON or UTF-8
             self.delete(key)
             return None
 
@@ -204,7 +204,7 @@ class ResultStore:
                             json.loads(payload)
                         )
                         hits.append(digest)
-                    except (ConfigurationError, json.JSONDecodeError):
+                    except (ConfigurationError, ValueError):
                         corrupt.append(digest)
                 if hits:
                     # Record the hits so LRU eviction keeps hot points.

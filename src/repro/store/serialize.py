@@ -13,6 +13,13 @@ bounded-error summaries; the store round-trips the sketch's integer
 bucket state exactly (format v3), so a decoded tracker reports the same
 percentiles — and merges identically — as the one that was encoded. v2
 rows (exact samples only) remain readable.
+
+Both directions are derived from the :class:`RunResult` fields: a record
+is ``"format"``, then the latency tracker under its own key (the one
+field with a hook), then every other field by name in declaration order.
+A new field therefore reaches the codec by itself; ``tests/test_store.py``
+pins the resulting shape per :data:`FORMAT_VERSION`, so it cannot change
+without a version bump.
 """
 
 from __future__ import annotations
@@ -20,12 +27,14 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
-from typing import Any, Dict, List, Sequence
+from dataclasses import MISSING, Field, fields
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.server.metrics import RunResult
 from repro.simkit.sketch import DDSketch
 from repro.simkit.stats import PercentileTracker
+from repro.sweep.spec import check_field_type
 
 #: Bump when the record layout changes; readers treat other values as a miss.
 #: v2: added the events_processed / peak_pending_events perf counters.
@@ -51,92 +60,92 @@ def decode_samples(blob: str) -> List[float]:
     return list(struct.unpack(f"<{len(packed) // 8}d", packed))
 
 
+#: The field with a codec hook: a latency tracker is stored as exact
+#: samples or as sketch state, under the key that names which.
+_LATENCY = "server_latency"
+_SAMPLES_KEY = "server_latency_samples"
+_SKETCH_KEY = "server_latency_sketch"
+
+#: Every other RunResult field, stored under its own name.
+_PLAIN_FIELDS: Tuple[Field[Any], ...] = tuple(
+    f for f in fields(RunResult) if f.name != _LATENCY
+)
+
+
+def _encode_latency(tracker: PercentileTracker) -> Tuple[str, object]:
+    """``(key, value)`` of a tracker: sketch state or a sample blob."""
+    sketch = tracker.sketch
+    if sketch is not None:
+        return _SKETCH_KEY, sketch.to_state()
+    return _SAMPLES_KEY, encode_samples(tracker.samples)
+
+
+def _decode_latency(data: Dict[str, Any]) -> PercentileTracker:
+    """Inverse of :func:`_encode_latency`.
+
+    Raises:
+        ConfigurationError: when neither key holds a decodable value.
+    """
+    sketch_state = data.get(_SKETCH_KEY)
+    if sketch_state is not None:
+        return PercentileTracker._from_sketch(DDSketch.from_state(sketch_state))
+    blob = data.get(_SAMPLES_KEY)
+    if not isinstance(blob, str):
+        raise ConfigurationError(
+            f"corrupt result record: {_SAMPLES_KEY} must be a string, "
+            f"got {blob!r}"
+        )
+    tracker = PercentileTracker()
+    try:
+        tracker.add_many(decode_samples(blob))
+    except (ValueError, struct.error, zlib.error) as exc:
+        raise ConfigurationError(f"corrupt result record: {exc}") from exc
+    return tracker
+
+
 def result_to_dict(result: RunResult) -> Dict[str, object]:
     """JSON-safe dict capturing a :class:`RunResult` exactly.
 
-    Exact-mode latency goes out as a packed sample blob
-    (``server_latency_samples``); sketch-mode latency as the sketch's
-    integer bucket state (``server_latency_sketch``) — JSON round-trips
-    both exactly.
+    JSON round-trips every value exactly: floats (also inside the
+    cluster ``node_detail`` and the telemetry ``timeline``) by
+    shortest repr, the tracker as a packed sample blob or integer
+    bucket state.
     """
-    tracker = result.server_latency
-    if tracker.sketch_error is not None:
-        latency_fields: Dict[str, object] = {
-            "server_latency_sketch": tracker.sketch.to_state(),
-        }
-    else:
-        latency_fields = {
-            "server_latency_samples": encode_samples(tracker.samples),
-        }
-    return {
-        "format": FORMAT_VERSION,
-        **latency_fields,
-        "config_name": result.config_name,
-        "workload_name": result.workload_name,
-        "qps": result.qps,
-        "horizon": result.horizon,
-        "cores": result.cores,
-        "residency": dict(result.residency),
-        "transitions_per_second": dict(result.transitions_per_second),
-        "avg_core_power": result.avg_core_power,
-        "package_power": result.package_power,
-        "completed": result.completed,
-        "turbo_grant_rate": result.turbo_grant_rate,
-        "network_latency": result.network_latency,
-        "snoops_served": result.snoops_served,
-        # Cluster runs carry per-node breakdowns; JSON round-trips the
-        # floats inside exactly (shortest-repr), preserving bit-identity.
-        "node_detail": result.node_detail,
-        "hedges_issued": result.hedges_issued,
-        "events_processed": result.events_processed,
-        "peak_pending_events": result.peak_pending_events,
-        # Telemetry timeline (plain JSON floats/lists) or null; JSON
-        # round-trips the sampled floats exactly.
-        "timeline": result.timeline,
-    }
+    latency_key, latency = _encode_latency(result.server_latency)
+    record: Dict[str, object] = {"format": FORMAT_VERSION, latency_key: latency}
+    for f in _PLAIN_FIELDS:
+        record[f.name] = getattr(result, f.name)
+    return record
 
 
-def result_from_dict(data: Dict[str, Any]) -> RunResult:
+def result_from_dict(data: object) -> RunResult:
     """Rebuild a :class:`RunResult` from :func:`result_to_dict` output.
 
+    A field an older format lacks takes its dataclass default.
+
     Raises:
-        ConfigurationError: on a missing/foreign format marker or missing
-            fields — callers treat this as a cache miss, not a crash.
+        ConfigurationError: on a non-object record, a missing or foreign
+            format marker, a missing required field, or a value of the
+            wrong JSON type — callers treat this as a cache miss, not a
+            crash.
     """
-    if not isinstance(data, dict) or data.get("format") not in SUPPORTED_VERSIONS:
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"result record must be a JSON object, got {type(data).__name__}"
+        )
+    if data.get("format") not in SUPPORTED_VERSIONS:
         raise ConfigurationError(
             f"unsupported result record format {data.get('format')!r} "
             f"(expected one of {SUPPORTED_VERSIONS})"
         )
-    try:
-        sketch_state = data.get("server_latency_sketch")
-        if sketch_state is not None:
-            tracker = PercentileTracker._from_sketch(
-                DDSketch.from_state(sketch_state)
+    values: Dict[str, Any] = {_LATENCY: _decode_latency(data)}
+    for f in _PLAIN_FIELDS:
+        if f.name in data:
+            value = data[f.name]
+            check_field_type("RunResult", f.name, str(f.type), value)
+            values[f.name] = value
+        elif f.default is MISSING:
+            raise ConfigurationError(
+                f"corrupt result record: missing field {f.name!r}"
             )
-        else:
-            tracker = PercentileTracker()
-            tracker.add_many(decode_samples(data["server_latency_samples"]))
-        return RunResult(
-            config_name=data["config_name"],
-            workload_name=data["workload_name"],
-            qps=data["qps"],
-            horizon=data["horizon"],
-            cores=data["cores"],
-            residency=dict(data["residency"]),
-            transitions_per_second=dict(data["transitions_per_second"]),
-            avg_core_power=data["avg_core_power"],
-            package_power=data["package_power"],
-            server_latency=tracker,
-            completed=data["completed"],
-            turbo_grant_rate=data["turbo_grant_rate"],
-            network_latency=data["network_latency"],
-            snoops_served=data.get("snoops_served", 0),
-            node_detail=data.get("node_detail"),
-            hedges_issued=data.get("hedges_issued", 0),
-            events_processed=data.get("events_processed", 0),
-            peak_pending_events=data.get("peak_pending_events", 0),
-            timeline=data.get("timeline"),
-        )
-    except (KeyError, TypeError, ValueError, struct.error, zlib.error) as exc:
-        raise ConfigurationError(f"corrupt result record: {exc}") from exc
+    return RunResult(**values)

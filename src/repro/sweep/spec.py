@@ -10,9 +10,11 @@ plain dicts.
 
 Each field declares its axis once: the annotation gives the type, the
 field default the default, and ``field(metadata=...)`` the help text
-(plus the grid default of ``workload`` and ``config``). :data:`SPEC_AXES`
+(plus the grid default of ``workload`` and ``config``, and how
+``sketch_error`` and ``telemetry_hz`` join the cache key). :data:`SPEC_AXES`
 derives the rest; the ``repro sweep``/``repro trace`` flags and
-:meth:`ScenarioGrid.product` are generated from it.
+:meth:`ScenarioGrid.product` are generated from it, and
+:attr:`ScenarioSpec.cache_key` reads the fields in declaration order.
 
 :class:`ScenarioGrid` builds sweeps declaratively; its keywords are the
 field names::
@@ -31,6 +33,7 @@ import inspect
 import itertools
 import math
 from dataclasses import Field, asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -109,12 +112,16 @@ WORKLOAD_NODE_SEED_STRIDE = 104_729
 CacheKey = Tuple[object, ...]
 
 
-#: ScenarioSpec field annotation -> (description, accepted types).
+#: Dataclass field annotation -> (description, accepted JSON types): the
+#: scalar axes of ScenarioSpec and the containers of RunResult.
 _FIELD_TYPES: Dict[str, Tuple[str, Tuple[type, ...]]] = {
     "str": ("a string", (str,)),
     "int": ("an integer", (int,)),
     "float": ("a number", (int, float)),
     "bool": ("a boolean", (bool,)),
+    "Dict[str, float]": ("an object", (dict,)),
+    "Dict[str, object]": ("an object", (dict,)),
+    "List[Dict[str, object]]": ("a list", (list,)),
 }
 
 
@@ -125,8 +132,14 @@ def _split_optional(annotation: str) -> Tuple[bool, str]:
     return False, annotation
 
 
-def _check_field_type(name: str, annotation: str, value: object) -> None:
-    """Reject a spec-dict value whose type does not match its field.
+def check_field_type(
+    owner: str, name: str, annotation: str, value: object
+) -> None:
+    """Reject a decoded value whose type does not match its field.
+
+    ``owner`` names the dataclass in the message; ``annotation`` is the
+    field's annotation string, a key of :data:`_FIELD_TYPES`, optionally
+    wrapped in ``Optional[...]``.
 
     Raises:
         ConfigurationError: naming the field, the expected and the given
@@ -142,7 +155,7 @@ def _check_field_type(name: str, annotation: str, value: object) -> None:
     ):
         expected = f"{description} or null" if optional else description
         raise ConfigurationError(
-            f"ScenarioSpec field {name!r} must be {expected}, got {value!r}"
+            f"{owner} field {name!r} must be {expected}, got {value!r}"
         )
 
 
@@ -222,11 +235,18 @@ class ScenarioSpec:
         "help": "track latency with a mergeable bounded-memory DDSketch at "
                 "this relative-error guarantee in (0, 1), e.g. 0.01, "
                 "instead of exact samples: the fleet-scale memory knob",
+        # Keyed only when set, so exact-mode keys keep the shape they
+        # had before the sketch backend existed.
+        "key_if_set": (),
     })
     telemetry_hz: Optional[float] = field(default=None, metadata={
         "help": "sample a simulated-time telemetry timeline (power, C-state "
                 "occupancy, load) at this many samples per simulated second "
                 "into the result; every other metric stays bit-identical",
+        # Keyed only when set, behind a tag (sketch_error is a float
+        # too): the scalars match the untracked run, but the stored
+        # result also carries the timeline, so it is a distinct row.
+        "key_if_set": ("telemetry",),
     })
 
     def __post_init__(self) -> None:
@@ -299,24 +319,15 @@ class ScenarioSpec:
     def cache_key(self) -> CacheKey:
         """Canonical, hashable identity: equal keys mean equal results.
 
-        ``sketch_error`` joins the key only when set, so every exact-mode
-        key (the universal default before the sketch backend existed)
-        keeps its original shape — stored results and golden labels stay
-        addressable. ``telemetry_hz`` follows the same pattern (and a
-        tagged one, since both are floats): the scalars of a telemetry
-        run are bit-identical to the untracked run, but the stored result
-        additionally carries the timeline, so the two are distinct store
-        rows.
+        The values of the fields without ``key_if_set`` metadata, in
+        declaration order; then each ``key_if_set`` field that is not
+        ``None``, behind the tags its metadata names.
         """
-        key = (
-            self.workload, self.config, self.qps, self.cores, self.horizon,
-            self.seed, self.governor, self.turbo, self.snoops,
-            self.nodes, self.balancer, self.fanout, self.hedge_ms,
-        )
-        if self.sketch_error is not None:
-            key = key + (self.sketch_error,)
-        if self.telemetry_hz is not None:
-            key = key + ("telemetry", self.telemetry_hz)
+        key: CacheKey = _KEY_ALWAYS(self)
+        for name, tags in _KEY_IF_SET:
+            value = getattr(self, name)
+            if value is not None:
+                key += tags + (value,)
         return key
 
     @property
@@ -368,7 +379,7 @@ class ScenarioSpec:
             )
         for f in fields(cls):
             if f.name in data:
-                _check_field_type(f.name, str(f.type), data[f.name])
+                check_field_type("ScenarioSpec", f.name, str(f.type), data[f.name])
         try:
             return cls(**data)
         except TypeError as exc:
@@ -498,6 +509,17 @@ def _axis(spec_field: Field[Any]) -> Axis:
         help=spec_field.metadata["help"],
     )
 
+
+#: The two halves of :attr:`ScenarioSpec.cache_key`, both in declaration
+#: order: one getter of every field keyed unconditionally, and ``(name,
+#: tags)`` of each ``key_if_set`` field.
+_KEY_ALWAYS: Callable[[ScenarioSpec], CacheKey] = attrgetter(*(
+    f.name for f in fields(ScenarioSpec) if "key_if_set" not in f.metadata
+))
+_KEY_IF_SET: Tuple[Tuple[str, CacheKey], ...] = tuple(
+    (f.name, f.metadata["key_if_set"])
+    for f in fields(ScenarioSpec) if "key_if_set" in f.metadata
+)
 
 #: Every ScenarioSpec axis in field order: the source of the CLI's axis
 #: flags and of :meth:`ScenarioGrid.product`.

@@ -27,16 +27,8 @@ from repro.analyze import (
 )
 from repro.analyze.engine import analyze_file
 from repro.analyze.rules import _module_identity
-from repro.analyze.speccheck import (
-    run_project_checks,
-    update_codec_manifest,
-)
 from repro.cli import main
 from repro.errors import ConfigurationError
-
-REPO_SPEC = "src/repro/sweep/spec.py"
-REPO_SERIALIZE = "src/repro/store/serialize.py"
-REPO_METRICS = "src/repro/server/metrics.py"
 
 
 def write_module(tmp_path, rel, source):
@@ -330,65 +322,6 @@ def test_syntax_error_is_ana004(tmp_path):
     assert rule_ids(result.findings) == ["ANA004"]
 
 
-# -- SPEC project checks ---------------------------------------------------
-def copy_project_fixture(tmp_path):
-    """A mutable copy of the real spec/codec modules + matching manifest."""
-    spec = write_module(
-        tmp_path, "sweep/spec.py", open(REPO_SPEC).read()
-    )
-    serialize = write_module(
-        tmp_path, "store/serialize.py", open(REPO_SERIALIZE).read()
-    )
-    metrics = write_module(
-        tmp_path, "server/metrics.py", open(REPO_METRICS).read()
-    )
-    manifest = str(tmp_path / "codec_manifest.json")
-    update_codec_manifest(serialize, manifest)
-    return spec, serialize, metrics, manifest
-
-
-def test_spec_checks_pass_on_real_tree(tmp_path):
-    spec, serialize, metrics, manifest = copy_project_fixture(tmp_path)
-    assert run_project_checks([spec, serialize, metrics], manifest) == []
-
-
-def test_spec001_detects_field_missing_from_cache_key(tmp_path):
-    spec, serialize, metrics, manifest = copy_project_fixture(tmp_path)
-    source = open(spec).read()
-    assert "self.governor," in source
-    open(spec, "w").write(source.replace("self.governor,", "", 1))
-    findings = run_project_checks([spec, serialize, metrics], manifest)
-    assert rule_ids(findings) == ["SPEC001"]
-    assert "governor" in findings[0].message
-    assert findings[0].line > 1  # anchored at the field definition
-
-
-def test_spec002_and_spec003_detect_dropped_codec_field(tmp_path):
-    spec, serialize, metrics, manifest = copy_project_fixture(tmp_path)
-    source = open(serialize).read()
-    dropped = '"snoops_served": result.snoops_served,\n'
-    assert dropped in source
-    open(serialize, "w").write(source.replace(dropped, "", 1))
-    findings = run_project_checks([spec, serialize, metrics], manifest)
-    # Dropping the emit breaks codec coverage AND changes the codec
-    # shape without a version bump.
-    assert rule_ids(findings) == ["SPEC002", "SPEC003"]
-
-
-def test_spec003_version_bump_requires_manifest_refresh(tmp_path):
-    spec, serialize, metrics, manifest = copy_project_fixture(tmp_path)
-    source = open(serialize).read()
-    open(serialize, "w").write(
-        source.replace("FORMAT_VERSION = 4", "FORMAT_VERSION = 5", 1)
-    )
-    findings = run_project_checks([spec, serialize, metrics], manifest)
-    assert rule_ids(findings) == ["SPEC003"]
-    assert "--update-codec-manifest" in findings[0].message
-    # Refreshing the manifest (the documented workflow) clears it.
-    update_codec_manifest(serialize, manifest)
-    assert run_project_checks([spec, serialize, metrics], manifest) == []
-
-
 @pytest.fixture(scope="module")
 def src_lint_report():
     """One ``repro lint src --format json`` run, shared by the tree-wide
@@ -454,7 +387,7 @@ def test_committed_baseline_is_empty():
 def test_rule_catalog_covers_all_series():
     ids = {rule_id for rule_id, _title, _rationale in rule_catalog()}
     assert {"DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-            "FAST001", "FAST002", "SPEC001", "SPEC002", "SPEC003",
+            "FAST001", "FAST002",
             "ANA001", "ANA002", "ANA003", "ANA004"} <= ids
     for _rule_id, title, rationale in rule_catalog():
         assert title and rationale
@@ -522,7 +455,7 @@ def test_cli_lint_json_format(tmp_path, capsys):
 def test_cli_lint_rules_catalog(capsys):
     assert main(["lint", "--rules"]) == 0
     out = capsys.readouterr().out
-    assert "DET001" in out and "SPEC003" in out
+    assert "DET001" in out and "DEAD002" in out
 
 
 def test_cli_lint_missing_path_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.obs.manifest import RunManifest
 from repro.store import (
     FORMAT_VERSION,
+    SUPPORTED_VERSIONS,
     ResultStore,
     code_version_salt,
     decode_samples,
@@ -37,6 +40,67 @@ def _spec(**overrides):
 @pytest.fixture(scope="module")
 def result():
     return _spec().execute()
+
+
+#: v2, v3 and v4 rows from the writer that named every field by hand,
+#: with what its decoder returned (see the file's "_about").
+with open(os.path.join(os.path.dirname(__file__), "store_rows.json")) as _f:
+    STORE_ROWS = json.load(_f)
+
+#: The codec's shape per FORMAT_VERSION: the keys a record carries, in
+#: order, for an exact and for a sketch result; the RunResult fields a
+#: record decodes into, and those an older row may omit (their dataclass
+#: default fills in); and the formats the decoder accepts. A change to
+#: any of them needs a FORMAT_VERSION bump and a new entry here.
+CODEC_SHAPE = {
+    4: {
+        "exact_keys": [
+            "format", "server_latency_samples", "config_name",
+            "workload_name", "qps", "horizon", "cores", "residency",
+            "transitions_per_second", "avg_core_power", "package_power",
+            "completed", "turbo_grant_rate", "network_latency",
+            "snoops_served", "node_detail", "hedges_issued",
+            "events_processed", "peak_pending_events", "timeline",
+        ],
+        "sketch_keys": [
+            "format", "server_latency_sketch", "config_name",
+            "workload_name", "qps", "horizon", "cores", "residency",
+            "transitions_per_second", "avg_core_power", "package_power",
+            "completed", "turbo_grant_rate", "network_latency",
+            "snoops_served", "node_detail", "hedges_issued",
+            "events_processed", "peak_pending_events", "timeline",
+        ],
+        "decoded_fields": [
+            "config_name", "workload_name", "qps", "horizon", "cores",
+            "residency", "transitions_per_second", "avg_core_power",
+            "package_power", "server_latency", "completed",
+            "turbo_grant_rate", "network_latency", "snoops_served",
+            "node_detail", "hedges_issued", "events_processed",
+            "peak_pending_events", "timeline",
+        ],
+        "optional_keys": [
+            "snoops_served", "node_detail", "hedges_issued",
+            "events_processed", "peak_pending_events", "timeline",
+        ],
+        "supported_versions": [2, 3, 4],
+    },
+}
+
+
+def _decoded_view(result):
+    """A decoded result in the form of ``STORE_ROWS["decoded"]``."""
+    view = {
+        f.name: getattr(result, f.name)
+        for f in fields(result) if f.name != "server_latency"
+    }
+    latency = result.server_latency
+    view["latency"] = {
+        "sketch_error": latency.sketch_error,
+        "count": latency.count,
+        "p50": latency.percentile(50),
+        "p99": latency.percentile(99),
+    }
+    return view
 
 
 class TestSerialize:
@@ -126,16 +190,15 @@ class TestSketchSerialization:
         after = PercentileTracker.merge_all(decoded)
         assert after.sketch.to_state() == before.sketch.to_state()
 
-    def test_v2_row_with_raw_samples_still_decodes(self, result):
-        # A pre-sketch row: format marker 2, exact sample blob. Built
-        # directly (the writer no longer emits v2) to pin back-compat.
-        data = result_to_dict(result)
-        assert "server_latency_samples" in data
-        data["format"] = 2
+    def test_v2_row_with_raw_samples_still_decodes(self):
+        # A pre-sketch row: format marker 2, exact sample blob, and no
+        # timeline key (the v2 writer had none).
+        data = STORE_ROWS["rows"]["v2"]
+        assert data["format"] == 2 and "timeline" not in data
         rebuilt = result_from_dict(data)
         assert rebuilt.server_latency.sketch_error is None
-        assert rebuilt.server_latency.p99 == result.server_latency.p99
-        assert rebuilt.completed == result.completed
+        assert rebuilt.timeline is None
+        assert rebuilt.completed == STORE_ROWS["decoded"]["v2"]["completed"]
 
     def test_v1_format_rejected(self, result):
         data = result_to_dict(result)
@@ -165,6 +228,121 @@ class TestSketchSerialization:
         assert exact.cache_key != sketched.cache_key
         # Exact mode keeps the pre-sketch key shape (store compatible).
         assert len(exact.cache_key) + 1 == len(sketched.cache_key)
+
+
+class TestCodecShape:
+    def test_shape_is_pinned_for_this_format_version(self, result):
+        assert FORMAT_VERSION in CODEC_SHAPE, (
+            f"codec format {FORMAT_VERSION} has no pinned shape: add one"
+        )
+        shape = CODEC_SHAPE[FORMAT_VERSION]
+        sketch = _spec(sketch_error=0.01).execute()
+        assert list(result_to_dict(result)) == shape["exact_keys"]
+        assert list(result_to_dict(sketch)) == shape["sketch_keys"]
+        decoded = result_from_dict(result_to_dict(result))
+        assert [f.name for f in fields(decoded)] == shape["decoded_fields"]
+        optional = []
+        for key in shape["exact_keys"]:
+            row = result_to_dict(result)
+            del row[key]
+            try:
+                result_from_dict(row)
+            except ConfigurationError:
+                continue
+            optional.append(key)
+        assert optional == shape["optional_keys"]
+        assert list(SUPPORTED_VERSIONS) == shape["supported_versions"]
+
+    @pytest.mark.parametrize("version", ["v2", "v3", "v4"])
+    def test_older_writer_row_decodes_to_its_values(self, version):
+        decoded = result_from_dict(STORE_ROWS["rows"][version])
+        assert _decoded_view(decoded) == STORE_ROWS["decoded"][version]
+
+    def test_current_format_row_reencodes_byte_identically(self):
+        row = STORE_ROWS["rows"]["v4"]
+        assert json.dumps(result_to_dict(result_from_dict(row))) == json.dumps(row)
+
+
+class TestUntrustedRows:
+    """Malformed rows raise ConfigurationError, which the store reads as
+    a miss; any other exception would abort the sweep."""
+
+    @pytest.mark.parametrize("data", [[1], "x", None, 4, []])
+    def test_non_object_row(self, data):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            result_from_dict(data)
+
+    @pytest.mark.parametrize("blob", [5, None, ["AAAA"], {"a": 1}])
+    def test_non_string_sample_blob(self, result, blob):
+        data = result_to_dict(result)
+        data["server_latency_samples"] = blob
+        with pytest.raises(ConfigurationError, match="server_latency_samples"):
+            result_from_dict(data)
+
+    def test_invalid_base64_sample_blob(self, result):
+        data = result_to_dict(result)
+        data["server_latency_samples"] = "not base64!"
+        with pytest.raises(ConfigurationError):
+            result_from_dict(data)
+
+    @pytest.mark.parametrize("name, value", [
+        ("qps", "abc"),
+        ("qps", None),
+        ("completed", None),
+        ("completed", 1.5),
+        ("completed", True),
+        ("cores", "4"),
+        ("config_name", 3),
+        ("residency", [1]),
+        ("transitions_per_second", None),
+        ("node_detail", {"node": 0}),
+        ("timeline", [1.0]),
+        ("snoops_served", "3"),
+    ])
+    def test_wrongly_typed_field(self, result, name, value):
+        data = result_to_dict(result)
+        data[name] = value
+        with pytest.raises(ConfigurationError, match=repr(name)):
+            result_from_dict(data)
+
+    def test_integral_float_field_accepts_a_json_integer(self, result):
+        data = json.loads(json.dumps(result_to_dict(result)))
+        data["qps"] = 20000
+        assert result_from_dict(data).qps == 20000
+
+    @pytest.mark.parametrize(
+        "payload", ["[1]", '"x"', "null", '{"format": 4}', b"\xff"]
+    )
+    def test_store_reads_a_malformed_row_as_a_miss(self, tmp_path, result, payload):
+        import sqlite3
+
+        store = ResultStore(tmp_path, salt="s1")
+        spec = _spec()
+        store.put(spec.cache_key, result)
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute("UPDATE results SET result = ?", (payload,))
+        assert store.get(spec.cache_key) is None
+        assert store.total_records() == 0
+
+    def test_get_many_reads_a_malformed_row_as_a_miss(self, tmp_path, result):
+        import sqlite3
+
+        store = ResultStore(tmp_path, salt="s1")
+        good, bad, worse = _spec(seed=1), _spec(seed=2), _spec(seed=3)
+        for spec in (good, bad, worse):
+            store.put(spec.cache_key, result)
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute(
+                "UPDATE results SET result = '[1]' WHERE digest = ?",
+                (store._digest(bad.cache_key),),
+            )
+            conn.execute(
+                "UPDATE results SET result = ? WHERE digest = ?",
+                (b"\xff", store._digest(worse.cache_key)),
+            )
+        found = store.get_many([good.cache_key, bad.cache_key, worse.cache_key])
+        assert set(found) == {good.cache_key}
+        assert store.total_records() == 1
 
 
 class TestResultStore:
