@@ -1,10 +1,12 @@
 """The simulated experiment grids that more than one test file asserts on.
 
-``tests/test_experiments_sim.py`` and the claim checks under
-``benchmarks/`` assert on the same reduced grids. Each grid here is
-simulated at most once per process and the payload is shared, so the
-suite never simulates a figure grid twice. (The sweep runner's own memo
-cannot do this: several tests clear it on purpose.)
+``tests/test_experiments_sim.py``, ``tests/test_rendered_tables.py`` and
+the claim checks under ``benchmarks/`` assert on the same reduced grids.
+Each grid here is simulated at most once per process and the whole
+:class:`~repro.experiments.api.ExperimentResult` is shared, so the suite
+never simulates a figure grid twice and can render what it simulated.
+(The sweep runner's own memo cannot do this: several tests clear it on
+purpose.)
 
 Import it as ``figure_grids`` with this directory on ``sys.path``, the way
 the test modules here import ``golden_specs``: one module name means one
@@ -39,64 +41,72 @@ SEED = 42
 FIG11_RATES = (10, 300, 500)
 FIG11_HORIZON = 0.4
 
-_once = functools.lru_cache(maxsize=None)
-
-
-@_once
-def fig8_points():
-    return Fig8Experiment(
+#: Every shared grid, by experiment id.
+EXPERIMENTS = {
+    "fig8": Fig8Experiment(
         Fig8Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED,
                    with_scalability=True)
-    ).execute().payload
-
-
-@_once
-def fig9_sweep():
-    return Fig9Experiment(
+    ),
+    "fig9": Fig9Experiment(
         Fig9Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
-    ).execute().payload
-
-
-@_once
-def fig10_points():
-    return Fig10Experiment(
+    ),
+    "fig10": Fig10Experiment(
         Fig10Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
-    ).execute().payload
-
-
-@_once
-def fig11_sweep():
-    return Fig11Experiment(
+    ),
+    "fig11": Fig11Experiment(
         Fig11Params(rates_kqps=FIG11_RATES, horizon=FIG11_HORIZON, seed=SEED)
-    ).execute().payload
-
-
-@_once
-def fig12_points():
-    return Fig12Experiment(Fig12Params(horizon=1.0, seed=SEED)).execute().payload
-
-
-@_once
-def fig13_points():
-    return Fig13Experiment(Fig13Params(horizon=0.5, seed=SEED)).execute().payload
-
-
-@_once
-def table5_savings():
-    return Table5Experiment(
+    ),
+    "fig12": Fig12Experiment(Fig12Params(horizon=1.0, seed=SEED)),
+    "fig13": Fig13Experiment(Fig13Params(horizon=0.5, seed=SEED)),
+    "table5": Table5Experiment(
         Table5Params(rates_kqps=RATES, horizon=HORIZON, seed=SEED)
-    ).execute().payload
-
-
-@_once
-def governor_study_points():
-    return GovernorStudyExperiment(
+    ),
+    "governor_study": GovernorStudyExperiment(
         GovernorStudyParams(qps=80_000, horizon=0.08, seed=SEED)
-    ).execute().payload
-
-
-@_once
-def proportionality_comparison():
-    return ProportionalityExperiment(
+    ),
+    "proportionality": ProportionalityExperiment(
         ProportionalityParams(rates_kqps=RATES, horizon=0.08)
-    ).execute().payload
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def result(experiment_id):
+    """The shared grid's :class:`ExperimentResult`, simulated once."""
+    return EXPERIMENTS[experiment_id].execute()
+
+
+def fig8_points():
+    return result("fig8").payload
+
+
+def fig9_sweep():
+    return result("fig9").payload
+
+
+def fig10_points():
+    return result("fig10").payload
+
+
+def fig11_sweep():
+    return result("fig11").payload
+
+
+def fig12_points():
+    return result("fig12").payload
+
+
+def fig13_points():
+    return result("fig13").payload
+
+
+def table5_savings():
+    return result("table5").payload
+
+
+def governor_study_points():
+    return result("governor_study").payload
+
+
+def proportionality_comparison():
+    return result("proportionality").payload
