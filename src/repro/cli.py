@@ -70,7 +70,7 @@ from repro.experiments.api import (
     render,
     run_experiments,
 )
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, number
 from repro.store import ResultStore
 from repro.sweep import (
     FailurePolicy,
@@ -518,9 +518,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_ERROR if n_failed else EXIT_OK
 
 
-def _latency_cell(seconds: Optional[float]) -> str:
-    """A sweep-table latency in microseconds; ``-`` when none was measured."""
-    return "-" if seconds is None else f"{seconds_to_us(seconds):.1f}us"
+#: A sweep-table latency in microseconds; ``-`` when none was measured.
+_latency_cell = number(".1f", seconds_to_us, "us")
 
 
 def cmd_worker(args: argparse.Namespace) -> int:

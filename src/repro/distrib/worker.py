@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 from repro.distrib.chaos import ChaosPlan
 from repro.distrib.queue import DEFAULT_LEASE_S, JobQueue
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, describe
 from repro.obs.manifest import RunManifest, spec_key
 from repro.store import ResultStore
 from repro.sweep.spec import ScenarioSpec
@@ -59,10 +59,6 @@ def default_worker_id() -> str:
     """Host/pid identity, unique across a filesystem-sharing fleet."""
     host = platform.node() or "host"
     return f"{host}-{os.getpid()}"
-
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 class _Heartbeat:
@@ -213,10 +209,10 @@ def worker_main(
                 # with retries=-1 so it goes terminal immediately; the
                 # coordinator's heal pass can restore and requeue.
                 beat.clear()
-                queue.fail(job.key, worker_id, _describe(exc), retries=-1)
+                queue.fail(job.key, worker_id, describe(exc), retries=-1)
                 manifest.emit(
                     "failed", job=job.key[:12], attempt=job.attempt,
-                    error=_describe(exc),
+                    error=describe(exc),
                 )
                 continue
             manifest.emit(
@@ -248,13 +244,13 @@ def worker_main(
                 except Exception as exc:  # the point, not the worker, failed
                     beat.clear()
                     outcome = queue.fail(
-                        job.key, worker_id, _describe(exc), retries=retries
+                        job.key, worker_id, describe(exc), retries=retries
                     )
                     manifest.emit(
                         "retry" if outcome == "requeued" else "failed",
                         key=spec_key(spec),
                         attempt=job.attempt,
-                        error=_describe(exc),
+                        error=describe(exc),
                     )
                     continue
                 store.put(spec.cache_key, result, spec=spec)

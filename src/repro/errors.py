@@ -46,3 +46,9 @@ class PowerModelError(ConfigurationError):
 
 class WorkloadError(ConfigurationError):
     """A workload or load-generator parameterisation is invalid."""
+
+
+def describe(exc: BaseException) -> str:
+    """``Type: message`` of an exception, as failure records and run
+    manifests report it."""
+    return f"{type(exc).__name__}: {exc}"

@@ -47,28 +47,3 @@ from repro.experiments import (  # noqa: E402  (registration imports)
     sensitivity,
     cluster,
 )
-
-__all__ = [
-    "api",
-    "common",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "motivation",
-    "latency_breakdown",
-    "validation",
-    "snoop",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "table5",
-    "ablation",
-    "governor_study",
-    "proportionality",
-    "sensitivity",
-    "cluster",
-]

@@ -8,9 +8,11 @@ i.e. that *every* idea is necessary for nanosecond transitions.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.ablation import AblationStudy
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column, number, section
 from repro.units import pretty_power, pretty_time
 
 
@@ -44,30 +46,19 @@ class AblationExperiment(Experiment):
             )
         return self.make_result(records=records, payload=variants)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        # Re-derive the study for the contribution lines; the payload
-        # holds only the variants.
-        study = AblationStudy()
-        variants = result.payload
-        full = variants[0]
-        lines = ["Ablation: removing each AW idea from the C6A design"]
-        rows = []
-        for v in variants:
-            rows.append(
-                [
-                    v.name,
-                    pretty_time(v.entry_latency),
-                    pretty_time(v.exit_latency),
-                    pretty_time(v.round_trip),
-                    f"{v.slowdown_vs(full):,.0f}x" if v is not full else "1x",
-                    pretty_power(v.idle_power),
-                ]
-            )
-        lines.append(format_table(
-            ["Variant", "Entry", "Exit", "Round trip", "vs full", "Idle power"], rows
-        ))
-        lines.append("")
-        lines.append("Round-trip latency saved by each idea:")
-        for idea, saved in study.latency_contributions().items():
-            lines.append(f"  {idea}: {pretty_time(saved)}")
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        saved = [
+            f"  {r['idea']}: {pretty_time(r['round_trip_saved_seconds'])}"
+            for r in section(result.records, "contributions")
+        ]
+        return [
+            Table("Ablation: removing each AW idea from the C6A design", [
+                column("Variant", "variant"),
+                column("Entry", "entry_seconds", pretty_time),
+                column("Exit", "exit_seconds", pretty_time),
+                column("Round trip", "round_trip_seconds", pretty_time),
+                column("vs full", "slowdown_vs_full", number(",.0f", suffix="x")),
+                column("Idle power", "idle_power_w", pretty_power),
+            ], section(result.records, "variants")),
+            "\n".join(["Round-trip latency saved by each idea:", *saved]),
+        ]

@@ -3,9 +3,11 @@
 Every paper artifact (a figure, a table, an extension study) is an
 :class:`Experiment`: it *declares* the simulation points it needs
 (:meth:`Experiment.grid`) separately from how it turns results into an
-artifact (:meth:`Experiment.analyze`), and renders independently of both
-(:meth:`Experiment.render_text` plus the generic :func:`render_json` /
-:func:`render_jsonl` / :func:`render_csv` renderers).
+artifact (:meth:`Experiment.analyze`), and separately again from what its
+text rendering shows (:meth:`Experiment.blocks`: table declarations and
+free-text lines). :meth:`Experiment.render_text` lays out those blocks;
+the generic :func:`render_json` / :func:`render_jsonl` /
+:func:`render_csv` renderers serve the structured formats.
 
 That split is what lets ``python -m repro run --all`` execute *one*
 deduplicated batched sweep for the union of every selected experiment's
@@ -32,6 +34,16 @@ Experiments register themselves with :func:`register_experiment`::
         def analyze(self, results=None):
             result = self.point(results, spec)      # map hit or memoised run
             return self.make_result(records=[...], payload=...)
+
+        def blocks(self, result):            # what `repro run` prints
+            return [Table("My study", [column("p99 (us)", "p99_latency",
+                                              microseconds)], result.records)]
+
+Table cells read the records ``analyze()`` named, so a value is named
+once (``None`` prints as ``-``); :mod:`repro.experiments.common` holds the
+declarations and the shapes that recur. Without ``blocks`` the text is
+one table of every record field. Memcached rate sweeps subclass
+:class:`RateSweepExperiment` and declare only the configs they sweep.
 
 Programmatic callers use the same classes: ``Fig8Experiment(Fig8Params(
 ...)).execute().payload`` runs one experiment's grid and returns its
@@ -60,6 +72,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.common import Block, Table, column, render_blocks
 from repro.server.metrics import RunResult
 from repro.sweep.runner import SweepRunner, default_runner
 from repro.sweep.spec import (
@@ -70,16 +83,18 @@ from repro.sweep.spec import (
     ScenarioGrid,
     ScenarioSpec,
 )
+from repro.units import seconds_to_us
+from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 
 #: Shared result map: cache key -> simulated result (one entry per unique
 #: spec across every experiment in a batch).
 ResultMap = Mapping[CacheKey, RunResult]
 
-#: Output formats understood by :func:`render` (and ``repro run --format``).
-FORMATS: Tuple[str, ...] = ("table", "json", "jsonl", "csv")
-
-#: File extension per format for ``repro run --out DIR``.
+#: File extension per output format, for ``repro run --out DIR``.
 _EXTENSIONS = {"table": "txt", "json": "json", "jsonl": "jsonl", "csv": "csv"}
+
+#: Output formats understood by :func:`render` (and ``repro run --format``).
+FORMATS: Tuple[str, ...] = tuple(_EXTENSIONS)
 
 
 @dataclass(frozen=True)
@@ -183,42 +198,29 @@ def generic_figures(result: ExperimentResult) -> List["FigureSpec"]:
     # No qps axis: first numeric column as a bar chart over records.
     for key in _union_keys(records):
         values = [_numeric(r.get(key)) for r in records]
-        if sum(1 for v in values if v is not None) >= 1:
-            points = [
-                (float(i), v) for i, v in enumerate(values) if v is not None
-            ]
-            return [
-                FigureSpec(
-                    id=f"{result.experiment_id}:{key}",
-                    title=f"{result.artifact}: {key} by record",
-                    x_label="record",
-                    y_label=key,
-                    series=(
-                        FigureSeries(
-                            label=key,
-                            x=tuple(p[0] for p in points),
-                            y=tuple(p[1] for p in points),
-                        ),
-                    ),
-                    kind="bar",
-                )
-            ]
+        points = [(float(i), v) for i, v in enumerate(values) if v is not None]
+        if points:
+            return [_bar_figure(result, key, f"{key} by record", "record", points)]
     # Nothing numeric at all (purely descriptive tables): a record-count
     # bar keeps the report's one-figure-per-experiment invariant.
-    return [
-        FigureSpec(
-            id=f"{result.experiment_id}:records",
-            title=f"{result.artifact}: records",
-            x_label="",
-            y_label="records",
-            series=(
-                FigureSeries(
-                    label="records", x=(0.0,), y=(float(len(records)),)
-                ),
-            ),
-            kind="bar",
-        )
-    ]
+    return [_bar_figure(result, "records", "records", "", [(0.0, float(len(records)))])]
+
+
+def _bar_figure(
+    result: "ExperimentResult", name: str, title: str, x_label: str,
+    points: Sequence[Tuple[float, float]],
+) -> FigureSpec:
+    """One bar series ``name`` over ``points`` of ``result``."""
+    return FigureSpec(
+        id=f"{result.experiment_id}:{name}",
+        title=f"{result.artifact}: {title}",
+        x_label=x_label,
+        y_label=name,
+        series=(FigureSeries(
+            label=name, x=tuple(p[0] for p in points), y=tuple(p[1] for p in points)
+        ),),
+        kind="bar",
+    )
 
 
 @dataclass
@@ -301,15 +303,24 @@ class Experiment(abc.ABC):
         runner (memoised), so ``analyze()`` is also self-sufficient.
         """
 
-    def render_text(self, result: ExperimentResult) -> str:
-        """Human-readable rendering (the artifact's legacy table text)."""
-        from repro.experiments.common import format_table
+    def blocks(self, result: ExperimentResult) -> Sequence[Block]:
+        """What the text rendering shows: tables and free text, in order.
 
+        The default is one table of every record field.
+        """
+        return [
+            Table(
+                None,
+                [column(key, key, _text_cell) for key in _union_keys(result.records)],
+                result.records,
+            )
+        ]
+
+    def render_text(self, result: ExperimentResult) -> str:
+        """Human-readable rendering: :meth:`blocks`, laid out."""
         if not result.records:
             return f"{result.artifact}: no records"
-        headers = _union_keys(result.records)
-        rows = [[_csv_cell(r.get(h, "")) for h in headers] for r in result.records]
-        return format_table(headers, rows)
+        return render_blocks(self.blocks(result))
 
     def figures(self, result: ExperimentResult) -> List[FigureSpec]:
         """Declarative figures for the HTML report (``repro report``).
@@ -641,14 +652,8 @@ def render_jsonl(result: ExperimentResult) -> str:
 
 
 def _union_keys(records: Sequence[Dict[str, object]]) -> List[str]:
-    keys: List[str] = []
-    seen = set()
-    for record in records:
-        for key in record:
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return keys
+    """Every key of ``records``, in first-seen order."""
+    return list(dict.fromkeys(key for record in records for key in record))
 
 
 def _csv_cell(value: object) -> object:
@@ -656,6 +661,10 @@ def _csv_cell(value: object) -> object:
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, separators=(",", ":"))
     return value
+
+
+def _text_cell(value: object) -> str:
+    return str(_csv_cell(value))
 
 
 def render_csv(result: ExperimentResult) -> str:
@@ -678,31 +687,22 @@ def render(experiment: Experiment, result: ExperimentResult, fmt: str) -> str:
     _check_format(fmt)
     if fmt == "table":
         return experiment.render_text(result)
-    if fmt == "json":
-        return render_json(result)
-    if fmt == "jsonl":
-        return render_jsonl(result)
-    return render_csv(result)
+    return {"json": render_json, "jsonl": render_jsonl, "csv": render_csv}[fmt](result)
 
 
 # -- common parameter shapes ---------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepParams:
-    """Rate-sweep knobs shared by the rate-sweeping experiments.
-
-    Subclasses set :attr:`default_rates` to their paper sweep;
-    ``rates_kqps=None`` resolves to it, so the default stays in one
-    place per experiment.
-    """
+    """Knobs of a Memcached rate sweep; ``rates_kqps=None`` resolves to
+    :attr:`default_rates`, the paper's sweep."""
 
     rates_kqps: Optional[Tuple[float, ...]] = None
     horizon: float = DEFAULT_HORIZON
     cores: int = DEFAULT_CORES
     seed: int = DEFAULT_SEED
 
-    #: The paper sweep used when ``rates_kqps`` is None.
-    default_rates: ClassVar[Tuple[float, ...]] = ()
+    default_rates: ClassVar[Tuple[float, ...]] = tuple(MEMCACHED_RATES_KQPS)
 
     def resolved_rates(self) -> Tuple[float, ...]:
         if self.rates_kqps is None:
@@ -715,3 +715,76 @@ class SweepParams:
         overrides.setdefault("rates_kqps", (20.0,))
         overrides.setdefault("horizon", 0.02)
         return cls(**overrides)
+
+
+# -- the Memcached rate sweep ---------------------------------------------------
+
+@dataclass
+class RateSweep:
+    """Every run of a rate sweep: per config name, one run per rate."""
+
+    results: Dict[str, List[RunResult]]
+    rates_kqps: Sequence[float]
+
+    def series(self, config: str) -> List[RunResult]:
+        return self.results[config]
+
+    def avg_latency_us(self, config: str) -> List[float]:
+        return [seconds_to_us(r.avg_latency_e2e) for r in self.results[config]]
+
+    def tail_latency_us(self, config: str) -> List[float]:
+        return [seconds_to_us(r.tail_latency_e2e) for r in self.results[config]]
+
+    def turbo_grant_rates(self, config: str) -> List[float]:
+        return [r.turbo_grant_rate for r in self.results[config]]
+
+
+class RateSweepExperiment(Experiment):
+    """A Memcached request-rate sweep over the configurations it declares.
+
+    The grid is every (config, rate) point, config-major. The default
+    analysis records each run in grid order, with a :class:`RateSweep`
+    payload. ``Params`` must be a :class:`SweepParams`.
+    """
+
+    #: Configurations swept, in grid order.
+    CONFIGS: ClassVar[Tuple[str, ...]] = ()
+
+    def configs(self) -> Tuple[str, ...]:
+        return self.CONFIGS
+
+    def _spec(self, config: str, kqps: float) -> ScenarioSpec:
+        p = self.params
+        return ScenarioSpec(
+            workload="memcached", config=config, qps=kqps * 1000.0,
+            horizon=p.horizon, cores=p.cores, seed=p.seed,
+        )
+
+    def grid(self) -> ScenarioGrid:
+        return ScenarioGrid([
+            self._spec(config, kqps)
+            for config in self.configs()
+            for kqps in self.params.resolved_rates()
+        ])
+
+    def sweep(self, results: Optional[ResultMap]) -> RateSweep:
+        rates = self.params.resolved_rates()
+        return RateSweep(
+            results={
+                config: [self.point(results, self._spec(config, k)) for k in rates]
+                for config in self.configs()
+            },
+            rates_kqps=list(rates),
+        )
+
+    def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
+        sweep = self.sweep(results)
+        records = [
+            run.to_record()
+            for config in self.configs()
+            for run in sweep.results[config]
+        ]
+        return self.make_result(records=records, payload=sweep)
+
+    def quick_params(self) -> object:
+        return self.Params.quick()

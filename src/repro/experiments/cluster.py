@@ -26,7 +26,7 @@ existing scenario grid machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytical.proportionality import analyze_curve
 from repro.experiments.api import (
@@ -35,15 +35,35 @@ from repro.experiments.api import (
     ResultMap,
     register_experiment,
 )
-from repro.experiments.common import format_table
+from repro.experiments.common import (
+    Block,
+    Column,
+    Table,
+    column,
+    config_series,
+    microseconds,
+    number,
+    percent,
+)
+from repro.server import RunResult
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.sweep.spec import DEFAULT_CORES, DEFAULT_SEED
-from repro.units import seconds_to_us
 
 #: Cluster sweeps cost nodes x the single-node horizon; keep the default
 #: window shorter than the paper sweeps' 0.4 s but long enough for a
 #: stable p99 at the lowest per-node rate.
 DEFAULT_CLUSTER_HORIZON = 0.1
+
+
+#: Cluster powers: whole watts to one decimal.
+_WATTS = number(".1f")
+#: A per-node rate in KQPS.
+_KQPS = number(".0f", suffix="K")
+
+
+def _p99(run: RunResult) -> Optional[float]:
+    """Server-side p99; ``None`` when the run completed no request."""
+    return run.tail_latency if run.server_latency.count else None
 
 
 @dataclass(frozen=True)
@@ -57,6 +77,17 @@ class ClusterParams:
     workload: str = "memcached"
     config: str = "baseline"
     balancer: str = "random"
+
+    def spec(self, per_node_kqps: float, **axes: Any) -> ScenarioSpec:
+        """One point of these knobs (``axes`` override them) where each
+        node serves ``per_node_kqps`` of leaf requests."""
+        fields: Dict[str, Any] = {
+            "workload": self.workload, "config": self.config, "cores": self.cores,
+            "horizon": self.horizon, "seed": self.seed, "nodes": self.nodes,
+            "balancer": self.balancer, **axes,
+        }
+        qps = per_node_kqps * 1000.0 * fields["nodes"] / fields.get("fanout", 1)
+        return ScenarioSpec(qps=qps, **fields)
 
 
 # -- fanout_tail ---------------------------------------------------------------
@@ -86,13 +117,8 @@ class FanoutTailExperiment(Experiment):
 
     def _spec(self, governor: str, fanout: int) -> ScenarioSpec:
         p = self.params
-        return ScenarioSpec(
-            workload=p.workload, config=p.config,
-            qps=p.per_node_kqps * 1000.0 * p.nodes / fanout,
-            cores=p.cores, horizon=p.horizon, seed=p.seed,
-            governor=governor, nodes=p.nodes, balancer=p.balancer,
-            fanout=fanout, hedge_ms=p.hedge_ms,
-        )
+        return p.spec(p.per_node_kqps, governor=governor, fanout=fanout,
+                      hedge_ms=p.hedge_ms)
 
     def grid(self) -> ScenarioGrid:
         return ScenarioGrid([
@@ -109,18 +135,21 @@ class FanoutTailExperiment(Experiment):
             # The amplification baseline is the *smallest* fan-out, not
             # the first listed: `--params fanouts=8,4,1` must not invert
             # the ratios.
-            base_p99 = self.point(
-                results, self._spec(governor, min(p.fanouts))
-            ).tail_latency
+            base_p99 = _p99(
+                self.point(results, self._spec(governor, min(p.fanouts)))
+            )
             series: List[Dict[str, object]] = []
             for fanout in p.fanouts:
                 run = self.point(results, self._spec(governor, fanout))
-                p99 = run.tail_latency
+                p99 = _p99(run)
+                amplification: Optional[float] = None
+                if p99 is not None and base_p99 is not None:
+                    amplification = p99 / base_p99 if base_p99 else 0.0
                 record = {
                     "governor": governor,
                     "fanout": fanout,
                     "per_node_kqps": p.per_node_kqps,
-                    "p99_amplification": p99 / base_p99 if base_p99 else 0.0,
+                    "p99_amplification": amplification,
                     **run.to_record(),
                 }
                 series.append(record)
@@ -133,30 +162,22 @@ class FanoutTailExperiment(Experiment):
         ]
         return self.make_result(records=records, payload=by_governor, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        by_governor: Dict[str, List[Dict[str, object]]] = result.payload
-        governors = list(by_governor)
-        lines = [
-            f"Cluster tail at scale: p99 (us) vs fan-out, "
-            f"{self.params.nodes} nodes @ {self.params.per_node_kqps:.0f} "
-            f"KQPS/node ({self.params.config})"
-        ]
-        headers = ["fanout"]
-        for governor in governors:
-            headers += [f"{governor} p99", f"{governor} x"]
-        rows = []
-        for i, fanout in enumerate(self.params.fanouts):
-            row = [str(fanout)]
-            for governor in governors:
-                record = by_governor[governor][i]
-                row += [
-                    f"{seconds_to_us(record['p99_latency']):.1f}",
-                    f"{record['p99_amplification']:.2f}",
-                ]
-            rows.append(row)
-        lines.append(format_table(headers, rows))
-        lines.extend(result.notes)
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        p = self.params
+        series = config_series(result.records, p.governors)
+        columns = [Column("fanout", lambda rows: str(rows[0]["fanout"]))]
+        for i, governor in enumerate(series):
+            columns += [
+                Column(f"{governor} p99",
+                       lambda rows, i=i: microseconds(rows[i]["p99_latency"])),
+                Column(f"{governor} x",
+                       lambda rows, i=i: number(".2f")(rows[i]["p99_amplification"])),
+            ]
+        return [Table(
+            f"Cluster tail at scale: p99 (us) vs fan-out, {p.nodes} nodes @ "
+            f"{p.per_node_kqps:.0f} KQPS/node ({p.config})",
+            columns, list(zip(*series.values())), footer=result.notes,
+        )]
 
     def quick_params(self) -> FanoutTailParams:
         return FanoutTailParams(
@@ -185,14 +206,8 @@ class BalancerStudyExperiment(Experiment):
     Params = BalancerStudyParams
 
     def _spec(self, balancer: str, governor: str, kqps: float) -> ScenarioSpec:
-        p = self.params
-        return ScenarioSpec(
-            workload=p.workload, config=p.config,
-            qps=kqps * 1000.0 * p.nodes / p.fanout,
-            cores=p.cores, horizon=p.horizon, seed=p.seed,
-            governor=governor, nodes=p.nodes, balancer=balancer,
-            fanout=p.fanout,
-        )
+        return self.params.spec(kqps, balancer=balancer, governor=governor,
+                                fanout=self.params.fanout)
 
     def grid(self) -> ScenarioGrid:
         p = self.params
@@ -218,28 +233,21 @@ class BalancerStudyExperiment(Experiment):
                     })
         return self.make_result(records=records, payload=records)
 
-    def render_text(self, result: ExperimentResult) -> str:
+    def blocks(self, result: ExperimentResult) -> List[Block]:
         p = self.params
-        lines = [
+        return [Table(
             f"Cluster balancer study: p99 / avg latency (us), "
-            f"{p.nodes} nodes, fan-out {p.fanout} ({p.config})"
-        ]
-        rows = [
+            f"{p.nodes} nodes, fan-out {p.fanout} ({p.config})",
             [
-                record["balancer"],
-                record["governor"],
-                f"{record['per_node_kqps']:.0f}K",
-                f"{seconds_to_us(record['avg_latency']):.1f}",
-                f"{seconds_to_us(record['p99_latency']):.1f}",
-                f"{record['package_power']:.1f}",
-            ]
-            for record in result.records
-        ]
-        lines.append(format_table(
-            ["balancer", "governor", "KQPS/node", "avg", "p99", "cluster W"],
-            rows,
-        ))
-        return "\n".join(lines)
+                column("balancer", "balancer"),
+                column("governor", "governor"),
+                column("KQPS/node", "per_node_kqps", _KQPS),
+                column("avg", "avg_latency", microseconds),
+                column("p99", "p99_latency", microseconds),
+                column("cluster W", "package_power", _WATTS),
+            ],
+            result.records,
+        )]
 
     def quick_params(self) -> BalancerStudyParams:
         return BalancerStudyParams(
@@ -268,13 +276,7 @@ class ClusterEnergyExperiment(Experiment):
     Params = ClusterEnergyParams
 
     def _spec(self, config: str, kqps: float) -> ScenarioSpec:
-        p = self.params
-        return ScenarioSpec(
-            workload=p.workload, config=config,
-            qps=kqps * 1000.0 * p.nodes,
-            cores=p.cores, horizon=p.horizon, seed=p.seed,
-            governor=p.governor, nodes=p.nodes, balancer=p.balancer,
-        )
+        return self.params.spec(kqps, config=config, governor=self.params.governor)
 
     def grid(self) -> ScenarioGrid:
         p = self.params
@@ -309,27 +311,21 @@ class ClusterEnergyExperiment(Experiment):
             )
         return self.make_result(records=records, payload=curves, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
+    def blocks(self, result: ExperimentResult) -> List[Block]:
         p = self.params
-        lines = [
+        return [Table(
             f"Cluster energy proportionality: {p.nodes} nodes "
-            f"({', '.join(p.configs)})"
-        ]
-        rows = [
+            f"({', '.join(p.configs)})",
             [
-                record["config"],
-                f"{record['per_node_kqps']:.0f}K",
-                f"{record['utilization'] * 100:.1f}%",
-                f"{record['package_power']:.1f}",
-                f"{record['package_power'] / p.nodes:.1f}",
-            ]
-            for record in result.records
-        ]
-        lines.append(format_table(
-            ["config", "KQPS/node", "util", "cluster W", "W/node"], rows
-        ))
-        lines.extend(result.notes)
-        return "\n".join(lines)
+                column("config", "config"),
+                column("KQPS/node", "per_node_kqps", _KQPS),
+                column("util", "utilization", percent()),
+                column("cluster W", "package_power", _WATTS),
+                column("W/node", "package_power",
+                       number(".1f", lambda watts: watts / p.nodes)),
+            ],
+            result.records, footer=result.notes,
+        )]
 
     def quick_params(self) -> ClusterEnergyParams:
         return ClusterEnergyParams(
@@ -364,13 +360,8 @@ class FleetScaleExperiment(Experiment):
 
     def _spec(self, nodes: int) -> ScenarioSpec:
         p = self.params
-        return ScenarioSpec(
-            workload=p.workload, config=p.config,
-            qps=p.per_node_kqps * 1000.0 * nodes,
-            cores=p.cores, horizon=p.horizon, seed=p.seed,
-            nodes=nodes, balancer="random",
-            sketch_error=p.sketch_error,
-        )
+        return p.spec(p.per_node_kqps, nodes=nodes, balancer="random",
+                      sketch_error=p.sketch_error)
 
     def grid(self) -> ScenarioGrid:
         return ScenarioGrid([
@@ -384,7 +375,9 @@ class FleetScaleExperiment(Experiment):
             run = self.point(results, self._spec(nodes))
             records.append({
                 "per_node_kqps": p.per_node_kqps,
-                "p999_latency": run.server_latency.p999,
+                "p999_latency": (
+                    run.server_latency.p999 if run.server_latency.count else None
+                ),
                 "power_per_node": run.package_power / nodes,
                 **run.to_record(detail=False),
             })
@@ -396,29 +389,23 @@ class FleetScaleExperiment(Experiment):
         ]
         return self.make_result(records=records, payload=records, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
+    def blocks(self, result: ExperimentResult) -> List[Block]:
         p = self.params
-        lines = [
+        return [Table(
             f"Fleet scaling @ {p.per_node_kqps:.0f} KQPS/node "
             f"({p.workload}/{p.config}, random balancing, "
-            f"sketch alpha={p.sketch_error:.0%})"
-        ]
-        rows = [
+            f"sketch alpha={p.sketch_error:.0%})",
             [
-                str(record["nodes"]),
-                f"{record['achieved_qps'] / 1e6:.2f}M",
-                f"{seconds_to_us(record['avg_latency']):.1f}",
-                f"{seconds_to_us(record['p99_latency']):.1f}",
-                f"{seconds_to_us(record['p999_latency']):.1f}",
-                f"{record['power_per_node']:.1f}",
-            ]
-            for record in result.records
-        ]
-        lines.append(format_table(
-            ["nodes", "QPS", "avg", "p99", "p99.9", "W/node"], rows
-        ))
-        lines.extend(result.notes)
-        return "\n".join(lines)
+                column("nodes", "nodes"),
+                column("QPS", "achieved_qps",
+                       number(".2f", lambda qps: qps / 1e6, "M")),
+                column("avg", "avg_latency", microseconds),
+                column("p99", "p99_latency", microseconds),
+                column("p99.9", "p999_latency", microseconds),
+                column("W/node", "power_per_node", _WATTS),
+            ],
+            result.records, footer=result.notes,
+        )]
 
     def quick_params(self) -> FleetScaleParams:
         return FleetScaleParams(

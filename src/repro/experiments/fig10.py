@@ -17,17 +17,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.api import (
-    Experiment,
     ExperimentResult,
+    RateSweepExperiment,
     ResultMap,
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import Block, Table, column, pct, percent, qps_column
 from repro.experiments.fig9 import TUNED_CONFIGS
-from repro.server.metrics import RunResult, compare_power
-from repro.sweep import ScenarioGrid, ScenarioSpec
-from repro.workloads.memcached import MEMCACHED_RATES_KQPS
+from repro.server.metrics import RunResult, compare_latency, compare_power
 
 #: The AW configuration matched against the no-Turbo tuned configs. The
 #: paper's Fig 10 AW point is the recommended hierarchy of Sec 7.3: C6A
@@ -37,60 +35,37 @@ from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 AW_CONFIG = "NT_C6A_No_C6_No_C1E"
 
 
-def _e2e_latency_reduction(base: RunResult, other: RunResult, tail: bool) -> float:
-    """Fractional end-to-end latency reduction (positive: other faster).
-
-    Fig 9/10/11 latencies are end-to-end (the 117 us network component
-    included), so reductions are computed on the same basis.
-    """
-    base_lat = base.tail_latency_e2e if tail else base.avg_latency_e2e
-    new_lat = other.tail_latency_e2e if tail else other.avg_latency_e2e
-    if base_lat <= 0:
-        return 0.0
-    return (base_lat - new_lat) / base_lat
-
-
 @dataclass
 class Fig10Point:
-    """AW-vs-tuned comparisons at one request rate."""
+    """AW-vs-tuned comparisons at one request rate.
+
+    Fig 9/10/11 latencies are end-to-end (the 117 us network component
+    included), so the latency reductions are too; ``None`` where a run
+    completed no request.
+    """
 
     qps: float
     aw: RunResult
     power_reduction: Dict[str, float]
-    avg_latency_reduction: Dict[str, float]
-    tail_latency_reduction: Dict[str, float]
+    avg_latency_reduction: Dict[str, Optional[float]]
+    tail_latency_reduction: Dict[str, Optional[float]]
 
 
 @dataclass(frozen=True)
 class Fig10Params(SweepParams):
     """Fig 10 sweep knobs; ``rates_kqps=None`` uses the paper's sweep."""
 
-    default_rates = tuple(MEMCACHED_RATES_KQPS)
-
 
 @register_experiment
-class Fig10Experiment(Experiment):
+class Fig10Experiment(RateSweepExperiment):
     id = "fig10"
     title = "Fig 10: AW's power and latency reduction over the tuned configurations."
     artifact = "Figure 10"
     Params = Fig10Params
-
-    def _spec(self, config: str, kqps: float) -> ScenarioSpec:
-        p = self.params
-        return ScenarioSpec(
-            workload="memcached", config=config, qps=kqps * 1000.0,
-            horizon=p.horizon, cores=p.cores, seed=p.seed,
-        )
-
-    def grid(self) -> ScenarioGrid:
-        # Superset of Fig 9's grid at equal params: the tuned baselines
-        # are shared, so a batched cross-experiment run simulates them
-        # once for both figures.
-        return ScenarioGrid([
-            self._spec(config, kqps)
-            for config in [AW_CONFIG] + TUNED_CONFIGS
-            for kqps in self.params.resolved_rates()
-        ])
+    # Superset of Fig 9's grid at equal params: the tuned baselines are
+    # shared, so a batched cross-experiment run simulates them once for
+    # both figures.
+    CONFIGS = (AW_CONFIG, *TUNED_CONFIGS)
 
     def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
         points: List[Fig10Point] = []
@@ -98,13 +73,13 @@ class Fig10Experiment(Experiment):
             qps = kqps * 1000.0
             aw = self.point(results, self._spec(AW_CONFIG, kqps))
             power: Dict[str, float] = {}
-            avg_lat: Dict[str, float] = {}
-            tail_lat: Dict[str, float] = {}
+            avg_lat: Dict[str, Optional[float]] = {}
+            tail_lat: Dict[str, Optional[float]] = {}
             for config in TUNED_CONFIGS:
                 base = self.point(results, self._spec(config, kqps))
                 power[config] = compare_power(base, aw)
-                avg_lat[config] = _e2e_latency_reduction(base, aw, tail=False)
-                tail_lat[config] = _e2e_latency_reduction(base, aw, tail=True)
+                avg_lat[config] = compare_latency(base, aw)
+                tail_lat[config] = compare_latency(base, aw, tail=True)
             points.append(
                 Fig10Point(
                     qps=qps,
@@ -131,35 +106,25 @@ class Fig10Experiment(Experiment):
         ]
         return self.make_result(records=records, payload=points, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        points: List[Fig10Point] = result.payload
-        lines = ["Fig 10: AW (no Turbo) vs tuned configurations"]
-        rows = []
-        for p in points:
-            rows.append(
-                [f"{p.qps / 1000:.0f}K"]
-                + [pct(p.power_reduction[c]) for c in TUNED_CONFIGS]
-                + [pct(p.avg_latency_reduction[c]) for c in TUNED_CONFIGS]
-                + [pct(p.tail_latency_reduction[c]) for c in TUNED_CONFIGS]
-            )
-        avgs = average_power_reduction(points)
-        rows.append(["Avg"] + [pct(avgs[c]) for c in TUNED_CONFIGS] + [""] * 6)
-        headers = (
-            ["QPS"]
-            + [f"dP {c}" for c in TUNED_CONFIGS]
-            + [f"dAvgLat {c}" for c in TUNED_CONFIGS]
-            + [f"dTailLat {c}" for c in TUNED_CONFIGS]
-        )
-        lines.append(format_table(headers, rows))
-        lines.append("")
-        lines.append(
-            f"peak power reduction: {pct(peak_power_reduction(points))} "
-            "(paper: up to ~71%)"
-        )
-        return "\n".join(lines)
-
-    def quick_params(self) -> Fig10Params:
-        return Fig10Params.quick()
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        average = {
+            "qps": "Avg",
+            "power_reduction": average_power_reduction(result.payload),
+        }
+        columns = [qps_column]
+        for key, label in (
+            ("power_reduction", "dP"),
+            ("avg_latency_reduction", "dAvgLat"),
+            ("tail_latency_reduction", "dTailLat"),
+        ):
+            columns += [
+                column(f"{label} {c}", (key, c), percent()) for c in TUNED_CONFIGS
+            ]
+        return [
+            Table("Fig 10: AW (no Turbo) vs tuned configurations", columns,
+                  result.records + [average]),
+            *result.notes,
+        ]
 
 
 def average_power_reduction(points: Sequence[Fig10Point]) -> Dict[str, float]:

@@ -16,7 +16,7 @@ rate, disabling C6 improves latency by ~4-10%, and C6A then recovers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.api import (
     Experiment,
@@ -24,9 +24,9 @@ from repro.experiments.api import (
     ResultMap,
     register_experiment,
 )
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import Block, Table, column, percent, residency_table
 from repro.server import RunResult
-from repro.server.metrics import compare_power
+from repro.server.metrics import compare_latency, compare_power
 from repro.sweep import ScenarioGrid, ScenarioSpec
 from repro.sweep.spec import DEFAULT_CORES, DEFAULT_SEED
 from repro.workloads.mysql import MYSQL_RATES
@@ -58,15 +58,14 @@ class Fig12Point:
         return self.no_c6.residency
 
     @property
-    def avg_latency_reduction(self) -> float:
-        """Panel (c): average end-to-end latency gain from disabling C6."""
-        base = self.baseline.avg_latency_e2e
-        return (base - self.no_c6.avg_latency_e2e) / base if base > 0 else 0.0
+    def avg_latency_reduction(self) -> Optional[float]:
+        """Panel (c): average end-to-end latency gain from disabling C6
+        (``None`` where a run completed no request)."""
+        return compare_latency(self.baseline, self.no_c6)
 
     @property
-    def tail_latency_reduction(self) -> float:
-        base = self.baseline.tail_latency_e2e
-        return (base - self.no_c6.tail_latency_e2e) / base if base > 0 else 0.0
+    def tail_latency_reduction(self) -> Optional[float]:
+        return compare_latency(self.baseline, self.no_c6, tail=True)
 
     @property
     def aw_power_reduction(self) -> float:
@@ -84,10 +83,11 @@ class Fig12Params:
     seed: int = DEFAULT_SEED
     workload_name: str = "mysql"
 
+    #: The paper's operating points, used when ``rates`` is None.
+    default_rates: ClassVar[Mapping[str, float]] = MYSQL_RATES
+
     def resolved_rates(self) -> "Dict[str, float]":
-        if self.rates is None:
-            return dict(MYSQL_RATES)
-        return dict(self.rates)
+        return dict(self.default_rates if self.rates is None else self.rates)
 
 
 @register_experiment
@@ -138,39 +138,28 @@ class Fig12Experiment(Experiment):
         ]
         return self.make_result(records=records, payload=points)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        points: List[Fig12Point] = result.payload
+    def blocks(self, result: ExperimentResult) -> List[Block]:
         number = self.artifact.split()[-1]
-        states = sorted({s for p in points for s in p.baseline_residency})
-        lines = [f"Fig {number}(a): baseline C-state residency"]
-        rows = [
-            [p.label] + [pct(p.baseline_residency.get(s, 0.0), 0) for s in states]
-            for p in points
+        rate = column("Rate", "label")
+        records = result.records
+        return [
+            residency_table(
+                f"Fig {number}(a): baseline C-state residency", [rate], records,
+                lambda record: record["baseline"]["residency"],
+            ),
+            residency_table(
+                f"Fig {number}(b): residency with C6 disabled", [rate], records,
+                lambda record: record["no_c6"]["residency"],
+            ),
+            Table(f"Fig {number}(c): latency reduction from disabling C6", [
+                rate,
+                column("Tail lat", "tail_latency_reduction", percent()),
+                column("Avg lat", "avg_latency_reduction", percent()),
+            ], records),
+            Table(f"Fig {number}(d): AW C6A average power reduction vs C6-disabled", [
+                rate, column("AvgP reduction", "aw_power_reduction", percent()),
+            ], records),
         ]
-        lines.append(format_table(["Rate"] + states, rows))
-
-        states_b = sorted({s for p in points for s in p.no_c6_residency})
-        lines.append("")
-        lines.append(f"Fig {number}(b): residency with C6 disabled")
-        rows = [
-            [p.label] + [pct(p.no_c6_residency.get(s, 0.0), 0) for s in states_b]
-            for p in points
-        ]
-        lines.append(format_table(["Rate"] + states_b, rows))
-
-        lines.append("")
-        lines.append(f"Fig {number}(c): latency reduction from disabling C6")
-        rows = [
-            [p.label, pct(p.tail_latency_reduction), pct(p.avg_latency_reduction)]
-            for p in points
-        ]
-        lines.append(format_table(["Rate", "Tail lat", "Avg lat"], rows))
-
-        lines.append("")
-        lines.append(f"Fig {number}(d): AW C6A average power reduction vs C6-disabled")
-        rows = [[p.label, pct(p.aw_power_reduction)] for p in points]
-        lines.append(format_table(["Rate", "AvgP reduction"], rows))
-        return "\n".join(lines)
 
     def quick_params(self) -> Fig12Params:
         rates = self.params.resolved_rates()

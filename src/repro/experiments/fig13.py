@@ -13,7 +13,6 @@ Same panel structure as Fig 12 (Kafka at two operating points):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.experiments.api import register_experiment
 from repro.experiments.fig12 import Fig12Experiment, Fig12Params
@@ -29,11 +28,7 @@ class Fig13Params(Fig12Params):
 
     horizon: float = KAFKA_HORIZON
     workload_name: str = "kafka"
-
-    def resolved_rates(self) -> "Dict[str, float]":
-        if self.rates is None:
-            return dict(KAFKA_RATES)
-        return dict(self.rates)
+    default_rates = KAFKA_RATES
 
 
 @register_experiment

@@ -12,34 +12,27 @@ transition penalty but parks idle cores in power-hungry C1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.api import (
-    Experiment,
     ExperimentResult,
-    ResultMap,
+    RateSweepExperiment,
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import format_table, pct
-from repro.server import RunResult
-from repro.sweep import ScenarioGrid, ScenarioSpec
-from repro.units import seconds_to_us
-from repro.workloads.memcached import MEMCACHED_RATES_KQPS
+from repro.experiments.common import (
+    Block,
+    column,
+    config_series,
+    kqps_label,
+    microseconds,
+    number,
+    rate_pivot,
+    residency_table,
+)
 
 #: The three Sec 7.2 configurations, in the paper's order.
 TUNED_CONFIGS = ["NT_Baseline", "NT_No_C6", "NT_No_C6_No_C1E"]
-
-
-@dataclass
-class Fig9Sweep:
-    """Results of the tuned-configuration sweep, keyed by config name."""
-
-    results: Dict[str, List[RunResult]]
-    rates_kqps: Sequence[float]
-
-    def series(self, config: str) -> List[RunResult]:
-        return self.results[config]
 
 
 @dataclass(frozen=True)
@@ -48,100 +41,31 @@ class Fig9Params(SweepParams):
 
     configs: Optional[Tuple[str, ...]] = None
 
-    default_rates = tuple(MEMCACHED_RATES_KQPS)
-
-    def resolved_configs(self) -> Tuple[str, ...]:
-        if self.configs is None:
-            return tuple(TUNED_CONFIGS)
-        return tuple(self.configs)
-
 
 @register_experiment
-class Fig9Experiment(Experiment):
+class Fig9Experiment(RateSweepExperiment):
     id = "fig9"
     title = "Fig 9: the three vendor-tuned configurations on Memcached."
     artifact = "Figure 9"
     Params = Fig9Params
 
-    def _spec(self, config: str, kqps: float) -> ScenarioSpec:
-        p = self.params
-        return ScenarioSpec(
-            workload="memcached", config=config, qps=kqps * 1000.0,
-            horizon=p.horizon, cores=p.cores, seed=p.seed,
-        )
+    def configs(self) -> Tuple[str, ...]:
+        configs = self.params.configs
+        return tuple(TUNED_CONFIGS if configs is None else configs)
 
-    def grid(self) -> ScenarioGrid:
-        return ScenarioGrid([
-            self._spec(config, kqps)
-            for config in self.params.resolved_configs()
-            for kqps in self.params.resolved_rates()
-        ])
-
-    def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
-        rates = self.params.resolved_rates()
-        configs = self.params.resolved_configs()
-        by_config = {
-            name: [self.point(results, self._spec(name, kqps)) for kqps in rates]
-            for name in configs
-        }
-        sweep = Fig9Sweep(results=by_config, rates_kqps=list(rates))
-        records = [
-            run.to_record()
-            for name in configs
-            for run in by_config[name]
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        series = config_series(result.records, self.configs())
+        return [
+            rate_pivot("Fig 9(a): average end-to-end latency (us)", series,
+                       "avg_latency_e2e", microseconds),
+            rate_pivot("Fig 9(b): tail (p99) end-to-end latency (us)", series,
+                       "p99_latency_e2e", microseconds),
+            rate_pivot("Fig 9(c): package power (W)", series,
+                       "package_power", number(".1f")),
+            residency_table(
+                "Fig 9(d): C-state residency per configuration",
+                [column("QPS", "qps", kqps_label), column("Config", "config")],
+                [run for runs in zip(*series.values()) for run in runs],
+                lambda record: record["residency"],
+            ),
         ]
-        return self.make_result(records=records, payload=sweep)
-
-    def render_text(self, result: ExperimentResult) -> str:
-        sweep: Fig9Sweep = result.payload
-        configs = list(sweep.results)
-        lines = ["Fig 9(a): average end-to-end latency (us)"]
-        rows = []
-        for i, kqps in enumerate(sweep.rates_kqps):
-            rows.append(
-                [f"{kqps:.0f}K"]
-                + [f"{seconds_to_us(sweep.results[c][i].avg_latency_e2e):.1f}"
-                   for c in configs]
-            )
-        lines.append(format_table(["QPS"] + configs, rows))
-
-        lines.append("")
-        lines.append("Fig 9(b): tail (p99) end-to-end latency (us)")
-        rows = []
-        for i, kqps in enumerate(sweep.rates_kqps):
-            rows.append(
-                [f"{kqps:.0f}K"]
-                + [f"{seconds_to_us(sweep.results[c][i].tail_latency_e2e):.1f}"
-                   for c in configs]
-            )
-        lines.append(format_table(["QPS"] + configs, rows))
-
-        lines.append("")
-        lines.append("Fig 9(c): package power (W)")
-        rows = []
-        for i, kqps in enumerate(sweep.rates_kqps):
-            rows.append(
-                [f"{kqps:.0f}K"]
-                + [f"{sweep.results[c][i].package_power:.1f}" for c in configs]
-            )
-        lines.append(format_table(["QPS"] + configs, rows))
-
-        lines.append("")
-        lines.append("Fig 9(d): C-state residency per configuration")
-        states = sorted(
-            {s for series in sweep.results.values() for r in series
-             for s in r.residency}
-        )
-        rows = []
-        for i, kqps in enumerate(sweep.rates_kqps):
-            for c in configs:
-                r = sweep.results[c][i]
-                rows.append(
-                    [f"{kqps:.0f}K", c]
-                    + [pct(r.residency.get(s, 0.0), 0) for s in states]
-                )
-        lines.append(format_table(["QPS", "Config"] + states, rows))
-        return "\n".join(lines)
-
-    def quick_params(self) -> Fig9Params:
-        return Fig9Params.quick()

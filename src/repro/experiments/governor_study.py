@@ -31,12 +31,10 @@ from repro.experiments.api import (
     ResultMap,
     register_experiment,
 )
-from repro.governor.idle import ReplayOracleGovernor
+from repro.experiments.common import Block, Table, column, number
 from repro.server import RunResult
 from repro.sweep import ScenarioGrid, ScenarioSpec
-
-#: Backwards-compatible alias: the adapter used to live in this module.
-_OracleAdapter = ReplayOracleGovernor
+from repro.units import seconds_to_us
 
 #: Governor names swept, in presentation order (all are import-time
 #: entries of GOVERNOR_FACTORIES, so they work under any executor).
@@ -95,51 +93,32 @@ class GovernorStudyExperiment(Experiment):
         ]
         return self.make_result(records=records, payload=points)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        from repro.experiments.common import format_table
-        from repro.units import seconds_to_us
-
-        points: List[GovernorPoint] = result.payload
-        rows = []
-        for p in points:
-            rows.append(
-                [
-                    p.config,
-                    p.governor,
-                    f"{p.result.avg_core_power:.2f} W",
-                    f"{seconds_to_us(p.result.avg_latency):.1f} us",
-                    f"{seconds_to_us(p.result.tail_latency):.1f} us",
-                ]
-            )
-        lines = [f"Governor study @ {self.params.qps / 1000:.0f}K QPS Memcached"]
-        lines.append(
-            format_table(
-                ["Config", "Governor", "Power/core", "Avg lat", "p99 lat"], rows
-            )
-        )
-        def find(config: str, governor: str):
-            return next(
-                (p for p in points
-                 if p.config == config and p.governor == governor),
-                None,
-            )
-
-        menu_base = find("NT_Baseline", "menu")
-        menu_aw = find("NT_AW", "menu")
-        oracle_base = find("NT_Baseline", "oracle")
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        latency = number(".1f", seconds_to_us, " us")
+        blocks: List[Block] = [
+            Table(f"Governor study @ {self.params.qps / 1000:.0f}K QPS Memcached", [
+                column("Config", "config"),
+                column("Governor", "governor"),
+                column("Power/core", "avg_core_power", number(".2f", suffix=" W")),
+                column("Avg lat", "avg_latency", latency),
+                column("p99 lat", "p99_latency", latency),
+            ], result.records),
+        ]
+        power = {
+            (record["config"], record["governor"]): record["avg_core_power"]
+            for record in result.records
+        }
+        headline = [("NT_AW", "menu"), ("NT_Baseline", "oracle"), ("NT_Baseline", "menu")]
         # The headline comparison only exists when the default points were
         # swept; custom configs/governors still get the table above.
-        if menu_base and menu_aw and oracle_base:
-            lines.append("")
-            lines.append(
-                f"menu+AW power: {menu_aw.result.avg_core_power:.2f} W vs "
-                f"oracle+legacy: {oracle_base.result.avg_core_power:.2f} W vs "
-                f"menu+legacy: {menu_base.result.avg_core_power:.2f} W"
-            )
-            lines.append(
+        if all(point in power for point in headline):
+            aw, oracle, legacy = (power[point] for point in headline)
+            blocks.append(
+                f"menu+AW power: {aw:.2f} W vs oracle+legacy: {oracle:.2f} W vs "
+                f"menu+legacy: {legacy:.2f} W\n"
                 "A perfect predictor on the legacy hierarchy cannot match AW."
             )
-        return "\n".join(lines)
+        return blocks
 
     def quick_params(self) -> GovernorStudyParams:
         return GovernorStudyParams(qps=20_000, horizon=0.02)

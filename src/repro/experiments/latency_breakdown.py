@@ -23,7 +23,7 @@ from repro.core.latency import (
     transition_speedup,
 )
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column, number, percent, section
 from repro.units import GHZ, MHZ, pretty_time
 
 
@@ -102,32 +102,34 @@ class LatencyBreakdownExperiment(Experiment):
             )
         return self.make_result(records=records, payload=report)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        report: LatencyReport = result.payload
-        lines = ["C6 latency breakdown (50% dirty cache, 800 MHz flow clock)"]
-        rows = [[phase, pretty_time(t)] for phase, t in report.c6_breakdown.items()]
-        rows.append(["entry total", pretty_time(report.c6_entry)])
-        rows.append(["exit total (hw)", pretty_time(report.c6_exit)])
-        rows.append(["worst-case round trip", pretty_time(report.c6_round_trip)])
-        lines.append(format_table(["Phase", "Latency"], rows))
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        records = result.records
 
-        lines.append("")
-        lines.append("C6A latency breakdown (500 MHz PMA clock)")
-        rows = [[step, pretty_time(t)] for step, t in report.c6a_breakdown.items()]
-        rows.append(["entry total", pretty_time(report.c6a_entry)])
-        rows.append(["exit total", pretty_time(report.c6a_exit)])
-        rows.append(["round trip", pretty_time(report.c6a_round_trip)])
-        lines.append(format_table(["Step", "Latency"], rows))
+        def breakdown(state: str, title: str, header: str, totals: Tuple[str, ...]) -> Table:
+            rows = [r for r in section(records, "breakdown") if r["state"] == state]
+            total = next(r for r in section(records, "totals") if r["state"] == state)
+            rows += [
+                {"phase": label, "seconds": total[key]}
+                for label, key in zip(
+                    totals, ("entry_seconds", "exit_seconds", "round_trip_seconds")
+                )
+            ]
+            return Table(title, [
+                column(header, "phase"), column("Latency", "seconds", pretty_time),
+            ], rows)
 
-        lines.append("")
-        lines.append(f"transition speedup C6 -> C6A: {report.speedup:.0f}x "
-                     "(paper: up to ~900x, i.e. three orders of magnitude)")
-
-        lines.append("")
-        lines.append("flush-time sensitivity (dirty fraction x frequency)")
-        rows = [
-            [f"{dirty * 100:.0f}%", f"{freq / 1e6:.0f} MHz", pretty_time(t)]
-            for dirty, freq, t in report.flush_grid
+        speedup = section(records, "speedup")[0]["c6_to_c6a_speedup"]
+        return [
+            breakdown("C6", "C6 latency breakdown (50% dirty cache, 800 MHz flow clock)",
+                      "Phase", ("entry total", "exit total (hw)", "worst-case round trip")),
+            breakdown("C6A", "C6A latency breakdown (500 MHz PMA clock)",
+                      "Step", ("entry total", "exit total", "round trip")),
+            f"transition speedup C6 -> C6A: {speedup:.0f}x "
+            "(paper: up to ~900x, i.e. three orders of magnitude)",
+            Table("flush-time sensitivity (dirty fraction x frequency)", [
+                column("Dirty", "dirty_fraction", percent(0)),
+                column("Frequency", "frequency_hz",
+                       number(".0f", lambda hz: hz / 1e6, " MHz")),
+                column("Flush time", "flush_seconds", pretty_time),
+            ], section(records, "flush_sensitivity")),
         ]
-        lines.append(format_table(["Dirty", "Frequency", "Flush time"], rows))
-        return "\n".join(lines)

@@ -6,9 +6,11 @@ workload at 50%/25% load and the key-value store at 20% load.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.analytical.motivation import motivation_table
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import Block, Table, column, number, percent
 
 
 @register_experiment
@@ -31,13 +33,13 @@ class MotivationExperiment(Experiment):
             records=records, payload=rows, notes=["paper: 23% / 41% / 55%"]
         )
 
-    def render_text(self, result: ExperimentResult) -> str:
-        rows = [
-            [description, f"{base:.3f} W", pct(savings)]
-            for description, base, savings in result.payload
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        return [
+            Table("Sec 2 (Eq. 1): ideal agile-deep-state savings opportunity", [
+                column("Workload", "workload"),
+                column("Baseline AvgP", "baseline_avg_power_w",
+                       number(".3f", suffix=" W")),
+                column("Savings bound", "savings_bound", percent()),
+            ], result.records),
+            *result.notes,
         ]
-        lines = ["Sec 2 (Eq. 1): ideal agile-deep-state savings opportunity"]
-        lines.append(format_table(["Workload", "Baseline AvgP", "Savings bound"], rows))
-        lines.append("")
-        lines.append("paper: 23% / 41% / 55%")
-        return "\n".join(lines)

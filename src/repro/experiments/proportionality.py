@@ -10,7 +10,7 @@ exactly in the low-utilisation band datacenters occupy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.analytical.proportionality import (
     ProportionalityReport,
@@ -18,15 +18,13 @@ from repro.analytical.proportionality import (
     curve_from_results,
 )
 from repro.experiments.api import (
-    Experiment,
     ExperimentResult,
+    RateSweepExperiment,
     ResultMap,
     SweepParams,
     register_experiment,
 )
-from repro.experiments.common import format_table
-from repro.sweep import ScenarioGrid, ScenarioSpec
-from repro.workloads.memcached import MEMCACHED_RATES_KQPS
+from repro.experiments.common import Block, Table, column, number, percent
 
 
 @dataclass
@@ -39,37 +37,20 @@ class ProportionalityComparison:
 class ProportionalityParams(SweepParams):
     """Curve sweep knobs; ``rates_kqps=None`` uses the paper's sweep."""
 
-    default_rates = tuple(MEMCACHED_RATES_KQPS)
-
 
 @register_experiment
-class ProportionalityExperiment(Experiment):
+class ProportionalityExperiment(RateSweepExperiment):
     id = "proportionality"
     title = "Energy-proportionality experiment (Sec 7.1's framing, extended)."
     artifact = "extension"
     Params = ProportionalityParams
-
-    def _spec(self, config: str, kqps: float) -> ScenarioSpec:
-        p = self.params
-        return ScenarioSpec(
-            workload="memcached", config=config, qps=kqps * 1000.0,
-            horizon=p.horizon, cores=p.cores, seed=p.seed,
-        )
-
-    def grid(self) -> ScenarioGrid:
-        return ScenarioGrid([
-            self._spec(config, kqps)
-            for config in ("baseline", "AW")
-            for kqps in self.params.resolved_rates()
-        ])
+    CONFIGS = ("baseline", "AW")
 
     def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
-        rates = self.params.resolved_rates()
-        base = [self.point(results, self._spec("baseline", k)) for k in rates]
-        aw = [self.point(results, self._spec("AW", k)) for k in rates]
+        sweep = self.sweep(results)
         comparison = ProportionalityComparison(
-            baseline=analyze_curve(curve_from_results(base)),
-            agilewatts=analyze_curve(curve_from_results(aw)),
+            baseline=analyze_curve(curve_from_results(sweep.series("baseline"))),
+            agilewatts=analyze_curve(curve_from_results(sweep.series("AW"))),
         )
         records = []
         for name, report in (
@@ -90,41 +71,25 @@ class ProportionalityExperiment(Experiment):
             )
         return self.make_result(records=records, payload=comparison)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        comparison: ProportionalityComparison = result.payload
-        lines = ["Energy proportionality: baseline vs AW (Memcached sweep)"]
-        rows = []
-        for name, report in (
-            ("baseline", comparison.baseline),
-            ("AW", comparison.agilewatts),
-        ):
-            rows.append(
-                [
-                    name,
-                    f"{report.curve[0][1]:.2f} W",
-                    f"{report.curve[-1][1]:.2f} W",
-                    f"{report.dynamic_range:.2f}x",
-                    f"{report.proportionality_gap * 100:.1f}%",
-                ]
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        watts = number(".2f", suffix=" W")
+        curves = [
+            f"  {record['config']}: " + ", ".join(
+                f"{point['utilization'] * 100:.0f}%:{point['power_w']:.2f}W"
+                for point in record["curve"]
             )
-        lines.append(
-            format_table(
-                ["Config", "Lightest-load power", "Peak power", "Dynamic range",
-                 "Proportionality gap"],
-                rows,
-            )
-        )
-        lines.append("")
-        lines.append("curves (utilisation -> power/core):")
-        for name, report in (
-            ("baseline", comparison.baseline),
-            ("AW", comparison.agilewatts),
-        ):
-            series = ", ".join(
-                f"{u * 100:.0f}%:{p:.2f}W" for u, p in report.curve
-            )
-            lines.append(f"  {name}: {series}")
-        return "\n".join(lines)
+            for record in result.records
+        ]
+        return [
+            Table("Energy proportionality: baseline vs AW (Memcached sweep)", [
+                column("Config", "config"),
+                column("Lightest-load power", "lightest_load_power_w", watts),
+                column("Peak power", "peak_power_w", watts),
+                column("Dynamic range", "dynamic_range", number(".2f", suffix="x")),
+                column("Proportionality gap", "proportionality_gap", percent()),
+            ], result.records),
+            "\n".join(["curves (utilisation -> power/core):", *curves]),
+        ]
 
     def quick_params(self) -> ProportionalityParams:
         # Two rates: the proportionality metrics need a curve, not a point.

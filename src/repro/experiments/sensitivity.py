@@ -9,10 +9,11 @@ stance in Sec 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.analytical.sensitivity import residency_sensitivity, tornado
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import Block, Table, column, number, pct, percent
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,19 @@ class SensitivityExperiment(Experiment):
         ]
         return self.make_result(records=records, payload=entries)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        entries = result.payload
-        lines = ["Sensitivity of AW savings to model parameters (+/-25%)"]
-        lines.append(f"(operating point: 10% C0 / 10% C1 / 80% C1E; nominal savings "
-                     f"{pct(entries[0].savings_nominal)})")
-        lines.append("")
-        rows = [
-            [
-                e.parameter,
-                pct(e.savings_low),
-                pct(e.savings_nominal),
-                pct(e.savings_high),
-                f"{e.swing * 100:.1f} pp",
-            ]
-            for e in entries
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        nominal = pct(result.records[0]["savings_nominal"])
+        return [
+            "Sensitivity of AW savings to model parameters (+/-25%)\n"
+            "(operating point: 10% C0 / 10% C1 / 80% C1E; nominal savings "
+            f"{nominal})",
+            Table(None, [
+                column("Parameter", "parameter"),
+                column("-25%", "savings_low", percent()),
+                column("nominal", "savings_nominal", percent()),
+                column("+25%", "savings_high", percent()),
+                column("swing", "swing_pp", number(".1f", suffix=" pp")),
+            ], result.records),
+            "No single-parameter error flips the conclusion: savings stay\n"
+            "double-digit under every perturbation.",
         ]
-        lines.append(format_table(
-            ["Parameter", "-25%", "nominal", "+25%", "swing"], rows
-        ))
-        lines.append("")
-        lines.append("No single-parameter error flips the conclusion: savings stay")
-        lines.append("double-digit under every perturbation.")
-        return "\n".join(lines)

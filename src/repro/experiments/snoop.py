@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from repro.analytical.snoop import SnoopBounds, snoop_bounds
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import Block, Table, column, pct, percent, section
 
 
 @dataclass
@@ -51,15 +51,15 @@ class SnoopExperiment(Experiment):
             )
         return self.make_result(records=records, payload=report)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        report: SnoopReport = result.payload
-        b = report.bounds
-        lines = ["Sec 7.5: snoop-traffic impact on AW savings (100% idle core)"]
-        lines.append(f"  savings, no snoops:        {pct(b.savings_no_snoops)} (paper ~79%)")
-        lines.append(f"  savings, saturated snoops: {pct(b.savings_full_snoops)} (paper ~68%)")
-        lines.append(f"  worst-case loss:           {b.savings_loss * 100:.1f} pp (paper ~11 pp)")
-        lines.append("")
-        lines.append("duty-cycle sweep")
-        rows = [[pct(duty, 0), pct(savings)] for duty, savings in report.duty_sweep]
-        lines.append(format_table(["Snoop duty cycle", "AW savings"], rows))
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        bounds = section(result.records, "bounds")[0]
+        return [
+            "Sec 7.5: snoop-traffic impact on AW savings (100% idle core)\n"
+            f"  savings, no snoops:        {pct(bounds['savings_no_snoops'])} (paper ~79%)\n"
+            f"  savings, saturated snoops: {pct(bounds['savings_full_snoops'])} (paper ~68%)\n"
+            f"  worst-case loss:           {bounds['savings_loss_pp']:.1f} pp (paper ~11 pp)",
+            Table("duty-cycle sweep", [
+                column("Snoop duty cycle", "snoop_duty_cycle", percent(0)),
+                column("AW savings", "savings", percent()),
+            ], section(result.records, "duty_sweep")),
+        ]

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 from repro.core.architecture import AgileWattsDesign
 from repro.core.cstates import skylake_baseline_catalog
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column
 from repro.units import pretty_power, pretty_time
 
 
@@ -55,6 +55,15 @@ def _rows(design: AgileWattsDesign) -> List[Tuple[str, str, str, str]]:
     ]
 
 
+#: Column header -> record key.
+_COLUMNS = {
+    "Core C-state": "state",
+    "Transition time": "transition_time",
+    "Target residency": "target_residency",
+    "Power per core": "power_per_core",
+}
+
+
 @register_experiment
 class Table1Experiment(Experiment):
     id = "table1"
@@ -65,24 +74,12 @@ class Table1Experiment(Experiment):
     def analyze(self, results=None) -> ExperimentResult:
         design = self.params.design
         rows = _rows(design if design is not None else AgileWattsDesign())
-        records = [
-            {
-                "state": state,
-                "transition_time": transition,
-                "target_residency": residency,
-                "power_per_core": power,
-            }
-            for state, transition, residency, power in rows
-        ]
+        records = [dict(zip(_COLUMNS.values(), row)) for row in rows]
         return self.make_result(records=records, payload=rows)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        lines = ["Table 1: core C-states (Skylake baseline + AW's C6A/C6AE)"]
-        lines.append(
-            format_table(
-                ["Core C-state", "Transition time", "Target residency",
-                 "Power per core"],
-                result.payload,
-            )
-        )
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        return [Table(
+            "Table 1: core C-states (Skylake baseline + AW's C6A/C6AE)",
+            [column(header, key) for header, key in _COLUMNS.items()],
+            result.records,
+        )]

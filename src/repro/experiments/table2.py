@@ -8,12 +8,24 @@ in-place save/restore like no existing state.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.cstates import ComponentStates, _COMPONENT_STATES
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column
 
 #: Paper row order.
 _ORDER = ["C0", "C1", "C6A", "C1E", "C6AE", "C6"]
+
+#: Column header -> record key.
+_COLUMNS = {
+    "C-State": "state",
+    "Clocks": "clocks",
+    "ADPLL": "adpll",
+    "L1/L2 Cache": "l1l2_cache",
+    "Voltage": "voltage",
+    "Context": "context",
+}
 
 
 @register_experiment
@@ -27,25 +39,12 @@ class Table2Experiment(Experiment):
         for name in _ORDER:
             c: ComponentStates = _COMPONENT_STATES[name]
             rows.append((name, c.clocks, c.adpll, c.l1l2, c.voltage, c.context))
-        records = [
-            {
-                "state": state,
-                "clocks": clocks,
-                "adpll": adpll,
-                "l1l2_cache": l1l2,
-                "voltage": voltage,
-                "context": context,
-            }
-            for state, clocks, adpll, l1l2, voltage, context in rows
-        ]
+        records = [dict(zip(_COLUMNS.values(), row)) for row in rows]
         return self.make_result(records=records, payload=rows)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        lines = ["Table 2: Skylake server core component states per C-state"]
-        lines.append(
-            format_table(
-                ["C-State", "Clocks", "ADPLL", "L1/L2 Cache", "Voltage", "Context"],
-                result.payload,
-            )
-        )
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        return [Table(
+            "Table 2: Skylake server core component states per C-state",
+            [column(header, key) for header, key in _COLUMNS.items()],
+            result.records,
+        )]

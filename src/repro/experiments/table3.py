@@ -8,12 +8,11 @@ the paper reports 290-315 mW (C6A), 227-243 mW (C6AE) and 3-7% core area.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.architecture import AgileWattsDesign
-from repro.core.ppa import PPABreakdown
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column
 
 
 @dataclass(frozen=True)
@@ -21,6 +20,16 @@ class Table3Params:
     """Design point regenerated; ``None`` uses the paper's defaults."""
 
     design: Optional[AgileWattsDesign] = None
+
+
+#: Column header -> record key of the component rows.
+_COLUMNS = {
+    "Component": "component",
+    "Sub-component": "sub_component",
+    "Area requirement": "area_requirement",
+    "C6A power": "c6a_power",
+    "C6AE power": "c6ae_power",
+}
 
 
 @register_experiment
@@ -34,16 +43,7 @@ class Table3Experiment(Experiment):
         design = self.params.design
         design = design if design is not None else AgileWattsDesign()
         breakdown = design.breakdown
-        records = [
-            {
-                "component": component,
-                "sub_component": sub,
-                "area_requirement": area,
-                "c6a_power": c6a,
-                "c6ae_power": c6ae,
-            }
-            for component, sub, area, c6a, c6ae in breakdown.rows()
-        ]
+        records = [dict(zip(_COLUMNS.values(), row)) for row in breakdown.rows()]
         low, high = breakdown.total_power_range("C6A")
         low_e, high_e = breakdown.total_power_range("C6AE")
         records.append(
@@ -61,17 +61,12 @@ class Table3Experiment(Experiment):
         ]
         return self.make_result(records=records, payload=breakdown, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        breakdown: PPABreakdown = result.payload
-        lines = ["Table 3: area and power requirements of AW (derived)"]
-        lines.append(
-            format_table(
-                ["Component", "Sub-component", "Area requirement", "C6A power",
-                 "C6AE power"],
-                breakdown.rows(),
-            )
-        )
-        for note in result.notes:
-            lines.append("")
-            lines.append(note)
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        return [
+            Table(
+                "Table 3: area and power requirements of AW (derived)",
+                [column(header, key) for header, key in _COLUMNS.items()],
+                result.records[:-1],  # the last record is the total
+            ),
+            *result.notes,
+        ]

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.ufpg import UFPG
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column
 from repro.units import seconds_to_ns
 
 #: (citation, core type, trigger, gated blocks, wake-up overhead) rows for
@@ -26,6 +26,16 @@ _PRIOR_SCHEMES: List[Tuple[str, str, str, str, str]] = [
     ("[111]", "GPU", "Register subarray unused", "Register subarray", "10 cycles"),
     ("[35]", "OoO CPU", "AVX execution unit idle", "Intel AVX execution unit", "~10-15 ns"),
 ]
+
+
+#: Column header -> record key.
+_COLUMNS = {
+    "Technique": "technique",
+    "Core type": "core_type",
+    "Trigger": "trigger",
+    "Power-gated blocks": "power_gated_blocks",
+    "Wake-up overhead": "wake_up_overhead",
+}
 
 
 @dataclass(frozen=True)
@@ -55,25 +65,12 @@ class Table4Experiment(Experiment):
                 f"~{seconds_to_ns(ufpg.wake_latency):.0f} ns",
             )
         )
-        records = [
-            {
-                "technique": technique,
-                "core_type": core_type,
-                "trigger": trigger,
-                "power_gated_blocks": blocks,
-                "wake_up_overhead": overhead,
-            }
-            for technique, core_type, trigger, blocks, overhead in rows
-        ]
+        records = [dict(zip(_COLUMNS.values(), row)) for row in rows]
         return self.make_result(records=records, payload=rows)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        lines = ["Table 4: comparison of core power-gating schemes"]
-        lines.append(
-            format_table(
-                ["Technique", "Core type", "Trigger", "Power-gated blocks",
-                 "Wake-up overhead"],
-                result.payload,
-            )
-        )
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        return [Table(
+            "Table 4: comparison of core power-gating schemes",
+            [column(header, key) for header, key in _COLUMNS.items()],
+            result.records,
+        )]

@@ -7,9 +7,11 @@ accuracies of 96.1% / 95.2% / 94.4% / 94.9%.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.analytical.validation import validate_power_model
 from repro.experiments.api import Experiment, ExperimentResult, register_experiment
-from repro.experiments.common import format_table
+from repro.experiments.common import Block, Table, column, number, percent
 
 
 @register_experiment
@@ -39,20 +41,17 @@ class ValidationExperiment(Experiment):
         ]
         return self.make_result(records=records, payload=validation, notes=notes)
 
-    def render_text(self, result: ExperimentResult) -> str:
-        lines = ["Sec 6.3: power-model validation (estimated vs measured)"]
-        for validation in result.payload:
-            rows = [
-                [label, f"{est:.3f} W", f"{meas:.3f} W",
-                 f"{abs(est - meas) / meas * 100:.1f}%"]
-                for label, est, meas in validation.points
-            ]
-            lines.append("")
-            lines.append(
-                f"{validation.workload} (accuracy {validation.accuracy_percent:.1f}%)"
-            )
-            lines.append(format_table(["Load", "Estimated", "Measured", "Error"], rows))
-        lines.append("")
-        lines.append("paper accuracies: SPECpower 96.1% / Nginx 95.2% / "
-                     "Spark 94.4% / Hive 94.9%")
-        return "\n".join(lines)
+    def blocks(self, result: ExperimentResult) -> List[Block]:
+        blocks: List[Block] = ["Sec 6.3: power-model validation (estimated vs measured)"]
+        watts = number(".3f", suffix=" W")
+        for workload in dict.fromkeys(r["workload"] for r in result.records):
+            rows = [r for r in result.records if r["workload"] == workload]
+            blocks.append(Table(
+                f"{workload} (accuracy {rows[0]['accuracy_percent']:.1f}%)", [
+                    column("Load", "load"),
+                    column("Estimated", "estimated_w", watts),
+                    column("Measured", "measured_w", watts),
+                    column("Error", "error", percent()),
+                ], rows,
+            ))
+        return blocks + list(result.notes)

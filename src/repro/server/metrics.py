@@ -181,3 +181,18 @@ def compare_power(baseline: RunResult, other: RunResult) -> float:
     if baseline.avg_core_power <= 0:
         return 0.0
     return (baseline.avg_core_power - other.avg_core_power) / baseline.avg_core_power
+
+
+def compare_latency(
+    baseline: RunResult, other: RunResult, tail: bool = False
+) -> Optional[float]:
+    """Fractional end-to-end latency reduction of ``other`` vs baseline
+    (positive: ``other`` is faster), on the mean or, with ``tail``, on
+    p99; ``None`` when either run completed no request."""
+    if not (baseline.server_latency.count and other.server_latency.count):
+        return None
+    base = baseline.tail_latency_e2e if tail else baseline.avg_latency_e2e
+    new = other.tail_latency_e2e if tail else other.avg_latency_e2e
+    if base <= 0:
+        return 0.0
+    return (base - new) / base

@@ -157,32 +157,15 @@ class ResultStore:
         Corrupt or format-incompatible rows are dropped and reported as
         misses, so a half-written record can never poison a sweep.
         """
-        digest = self._digest(key)
-        with self._db.transaction() as conn:
-            row = conn.execute(
-                "SELECT result FROM results WHERE digest = ?", (digest,)
-            ).fetchone()
-            if row is not None:
-                # Record the hit so LRU eviction keeps hot points.
-                conn.execute(
-                    "UPDATE results SET last_access = ? WHERE digest = ?",
-                    (time.time(), digest),
-                )
-        if row is None:
-            return None
-        try:
-            return result_from_dict(json.loads(row[0]))
-        except (ConfigurationError, ValueError):  # ValueError: bad JSON or UTF-8
-            self.delete(key)
-            return None
+        return self.get_many([key]).get(key)
 
     def get_many(self, keys) -> dict:
         """Stored results for ``keys`` under this salt, batched.
 
         One transaction serves the whole lookup (a warm thousand-point
         grid would otherwise pay a thousand commits). Returns
-        ``{key: RunResult}`` for the hits only; corrupt rows are dropped
-        and omitted, like :meth:`get`.
+        ``{key: RunResult}`` for the hits only; corrupt or
+        format-incompatible rows are dropped and omitted.
         """
         keys = list(keys)
         digest_to_key = {self._digest(key): key for key in keys}
@@ -204,8 +187,8 @@ class ResultStore:
                             json.loads(payload)
                         )
                         hits.append(digest)
-                    except (ConfigurationError, ValueError):
-                        corrupt.append(digest)
+                    except (ConfigurationError, ValueError):  # bad JSON or UTF-8
+                        corrupt.append(digest_to_key[digest])
                 if hits:
                     # Record the hits so LRU eviction keeps hot points.
                     now = time.time()
@@ -213,43 +196,20 @@ class ResultStore:
                         "UPDATE results SET last_access = ? WHERE digest = ?",
                         [(now, digest) for digest in hits],
                     )
-            if corrupt:
-                conn.executemany(
-                    "DELETE FROM results WHERE digest = ?",
-                    [(d,) for d in corrupt],
-                )
+        if corrupt:
+            self.delete(*corrupt)
         return out
 
     def put(self, key: Tuple, result: RunResult, spec=None) -> None:
         """Store ``result`` under ``key`` (last writer wins)."""
-        spec_json = None
-        if spec is not None:
-            spec_json = json.dumps(spec.to_dict(), separators=(",", ":"))
-        payload = json.dumps(result_to_dict(result), separators=(",", ":"))
-        if _sanitizer.is_enabled():
-            _audit_codec_roundtrip(payload)
-        now = time.time()
-        with self._db.transaction() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(digest, salt, spec, result, created_at, last_access) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    self._digest(key),
-                    self.salt,
-                    spec_json,
-                    payload,
-                    now,
-                    now,
-                ),
-            )
+        self.put_many([(key, result, spec)])
 
     def put_many(self, items) -> None:
         """Store many ``(key, result, spec_or_None)`` triples at once.
 
         One connection and one transaction (``executemany``) serve the
         whole batch, amortising sqlite round-trips on thousand-point
-        sweeps; semantics per row match :meth:`put` (last writer wins).
+        sweeps; last writer wins.
         """
         now = time.time()
         sanitize = _sanitizer.is_enabled()
@@ -283,9 +243,13 @@ class ResultStore:
                 rows,
             )
 
-    def delete(self, key: Tuple) -> None:
+    def delete(self, *keys: Tuple) -> None:
+        """Drop the records of ``keys``."""
         with self._db.transaction() as conn:
-            conn.execute("DELETE FROM results WHERE digest = ?", (self._digest(key),))
+            conn.executemany(
+                "DELETE FROM results WHERE digest = ?",
+                [(self._digest(key),) for key in keys],
+            )
 
     def __contains__(self, key: Tuple) -> bool:
         row = self._db.connection().execute(

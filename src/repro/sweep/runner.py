@@ -64,7 +64,7 @@ from repro.cluster.balancer import (
     BALANCER_FACTORIES,
     IMPORT_TIME_BALANCER_FACTORIES,
 )
-from repro.errors import ConfigurationError, PointTimeoutError, SimulationError
+from repro.errors import ConfigurationError, PointTimeoutError, SimulationError, describe
 from repro.server.metrics import RunResult
 from repro.sweep.spec import (
     GOVERNOR_FACTORIES,
@@ -179,10 +179,6 @@ ResultHook = Callable[[int, ScenarioSpec, RunResult], None]
 Outcome = Optional[Union[RunResult, PointFailure]]
 
 
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 class _Ledger:
     """Settles the points of one ``map_specs`` call: the only place that
     fills result slots, applies the :class:`FailurePolicy`, calls the
@@ -238,9 +234,9 @@ class _Ledger:
         if self.error is not None:
             return False
         if attempt <= self.policy.retries:
-            self.emit("retry", i, attempt=attempt, error=_describe(exc))
+            self.emit("retry", i, attempt=attempt, error=describe(exc))
             return True
-        self.terminal([i], attempt, _describe(exc), exc)
+        self.terminal([i], attempt, describe(exc), exc)
         return False
 
     def terminal(
@@ -402,7 +398,7 @@ def _worker_loop(conn) -> None:
             try:
                 conn.send(("err", exc))
             except Exception:
-                conn.send(("err", SimulationError(_describe(exc))))
+                conn.send(("err", SimulationError(describe(exc))))
         else:
             conn.send(("ok", result))
 
@@ -438,7 +434,7 @@ class _Worker:
             pass
         except Exception as exc:  # a payload the parent cannot unpickle
             return ("err", SimulationError(
-                f"unreadable worker result ({_describe(exc)})"
+                f"unreadable worker result ({describe(exc)})"
             ))
         self.stop(grace=_EXIT_GRACE_S)
         return None
@@ -790,7 +786,7 @@ class SweepRunner:
             except Exception as exc:  # sqlite3.Error, OSError, ...
                 store_ok[0] = False
                 if self.manifest is not None:
-                    self.manifest.emit("store_disabled", error=_describe(exc))
+                    self.manifest.emit("store_disabled", error=describe(exc))
                 return None
 
         store_hits = 0

@@ -9,6 +9,8 @@ code and cross-module from-imports link up.
 import os
 import shutil
 
+import pytest
+
 from repro.analyze import run_lint, rule_catalog
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.conc import check_process_boundaries
@@ -19,6 +21,16 @@ REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
 REAL_RUNNER = os.path.join(REPO_SRC, "sweep", "runner.py")
+
+
+@pytest.fixture(scope="module")
+def real_graph():
+    """The real tree's call graph, built once for the tests that read it.
+
+    No check mutates a graph (CONC and DEAD keep their walks in local
+    sets), so sharing it changes no finding.
+    """
+    return CallGraph(discover_files([REPO_SRC]))
 
 
 def write_module(tmp_path, rel, source):
@@ -342,11 +354,10 @@ def test_conc_findings_respect_suppressions(tmp_path):
     assert [f.rule_id for f in result.suppressed] == ["CONC001"]
 
 
-def test_real_tree_is_conc_clean():
+def test_real_tree_is_conc_clean(real_graph):
     """Every real submission boundary (sweep runner workers and the
     shards they run, the analyzer's own pool) passes its own analysis."""
-    files = discover_files([REPO_SRC])
-    graph = CallGraph(files)
+    graph = real_graph
     # The analysis saw the real boundaries, it didn't vacuously pass.
     apis = sorted(site.api for site in graph.sites)
     assert "process" in apis and "map" in apis
@@ -366,7 +377,7 @@ def test_real_tree_is_conc_clean():
     assert "repro.sweep.runner._execute_spec_dict" in reachable
     # Shard jobs run on those same workers, through the sharding module.
     assert "repro.cluster.sharding.run_shard" in reachable
-    assert run_conc_checks(files) == []
+    assert check_process_boundaries(graph) == []
 
 
 def test_from_package_import_submodule_resolves_calls(tmp_path):
@@ -657,17 +668,16 @@ def test_dead002_reasoned_allow_suppresses(tmp_path):
     assert [f.rule_id for f in result.suppressed] == ["DEAD002"]
 
 
-def test_real_tree_reaches_every_definition():
+def test_real_tree_reaches_every_definition(real_graph):
     # Zero DEAD002 findings once the suppressed Eq. 3 oracle is excused.
-    findings = check_dead_symbols(CallGraph(discover_files([REPO_SRC])))
+    findings = check_dead_symbols(real_graph)
     assert [f.message.split(" is ")[0] for f in findings] == [
         "class repro.analytical.power_model.AgileWattsPowerModel"
     ]
 
 
-def test_real_tree_reaches_every_module_but_the_kept_oracle():
-    graph = CallGraph(discover_files([REPO_SRC]))
-    findings = check_dead_modules(graph)
+def test_real_tree_reaches_every_module_but_the_kept_oracle(real_graph):
+    findings = check_dead_modules(real_graph)
     assert [f.path for f in findings] == [
         "src/repro/analytical/latency_model.py"
     ]
