@@ -90,11 +90,11 @@ from repro.workloads.memcached import MEMCACHED_RATES_KQPS
 #: spec across every experiment in a batch).
 ResultMap = Mapping[CacheKey, RunResult]
 
-#: File extension per output format, for ``repro run --out DIR``.
-_EXTENSIONS = {"table": "txt", "json": "json", "jsonl": "jsonl", "csv": "csv"}
-
 #: Output formats understood by :func:`render` (and ``repro run --format``).
-FORMATS: Tuple[str, ...] = tuple(_EXTENSIONS)
+FORMATS: Tuple[str, ...] = ("table", "json", "jsonl", "csv")
+
+#: File extension per format for ``repro run --out DIR``.
+_EXTENSIONS = {"table": "txt", "json": "json", "jsonl": "jsonl", "csv": "csv"}
 
 
 @dataclass(frozen=True)
@@ -652,8 +652,14 @@ def render_jsonl(result: ExperimentResult) -> str:
 
 
 def _union_keys(records: Sequence[Dict[str, object]]) -> List[str]:
-    """Every key of ``records``, in first-seen order."""
-    return list(dict.fromkeys(key for record in records for key in record))
+    keys: List[str] = []
+    seen = set()
+    for record in records:
+        for key in record:
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+    return keys
 
 
 def _csv_cell(value: object) -> object:
@@ -687,7 +693,11 @@ def render(experiment: Experiment, result: ExperimentResult, fmt: str) -> str:
     _check_format(fmt)
     if fmt == "table":
         return experiment.render_text(result)
-    return {"json": render_json, "jsonl": render_jsonl, "csv": render_csv}[fmt](result)
+    if fmt == "json":
+        return render_json(result)
+    if fmt == "jsonl":
+        return render_jsonl(result)
+    return render_csv(result)
 
 
 # -- common parameter shapes ---------------------------------------------------

@@ -69,6 +69,7 @@ class Fig10Experiment(RateSweepExperiment):
 
     def analyze(self, results: Optional[ResultMap] = None) -> ExperimentResult:
         points: List[Fig10Point] = []
+        records = []
         for kqps in self.params.resolved_rates():
             qps = kqps * 1000.0
             aw = self.point(results, self._spec(AW_CONFIG, kqps))
@@ -80,26 +81,16 @@ class Fig10Experiment(RateSweepExperiment):
                 power[config] = compare_power(base, aw)
                 avg_lat[config] = compare_latency(base, aw)
                 tail_lat[config] = compare_latency(base, aw, tail=True)
-            points.append(
-                Fig10Point(
-                    qps=qps,
-                    aw=aw,
-                    power_reduction=power,
-                    avg_latency_reduction=avg_lat,
-                    tail_latency_reduction=tail_lat,
-                )
-            )
-        records = [
-            {
-                "qps": point.qps,
-                "aw_config": AW_CONFIG,
-                "power_reduction": point.power_reduction,
-                "avg_latency_reduction": point.avg_latency_reduction,
-                "tail_latency_reduction": point.tail_latency_reduction,
-                "aw": point.aw.to_record(),
+            reductions = {
+                "power_reduction": power,
+                "avg_latency_reduction": avg_lat,
+                "tail_latency_reduction": tail_lat,
             }
-            for point in points
-        ]
+            points.append(Fig10Point(qps=qps, aw=aw, **reductions))
+            records.append({
+                "qps": qps, "aw_config": AW_CONFIG, **reductions,
+                "aw": aw.to_record(),
+            })
         notes = [
             f"peak power reduction: {pct(peak_power_reduction(points))} "
             "(paper: up to ~71%)"
