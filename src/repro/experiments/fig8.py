@@ -100,8 +100,9 @@ def _degradations(
         return dict.fromkeys(_DEGRADATIONS)
     avg = (aw.avg_latency - base.avg_latency) / base.avg_latency
     tail = (aw.tail_latency - base.tail_latency) / base.tail_latency
-    # The p99 above sorted the samples, and the mean's last bits follow
-    # the sample order: the baseline mean is read again, as it always was.
+    # p99 sorts the samples in place, and a mean's last bits follow the
+    # sample order: panel (c) divides by the mean read after it, which
+    # the pinned json digests depend on.
     server, e2e = base.avg_latency, base.avg_latency_e2e
     return dict(zip(_DEGRADATIONS, (
         avg, tail, worst_extra / server, worst_extra / e2e,
